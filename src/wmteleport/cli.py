@@ -31,6 +31,11 @@ from .sweep import (
 
 _FMT = "%.17g"
 
+# Largest grid a sweep subcommand accepts. A surface run peaks at about
+# 400 B per cell (branch matrices, fidelities, CSV text; a 401x401
+# surface reaches ~96 MiB RSS), so this keeps one run under 0.5 GB.
+MAX_GRID_CELLS = 1024 * 1024
+
 
 def _fmt(value: float) -> str:
     return _FMT % value
@@ -109,6 +114,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_resolution(parser, resolution: int, minimum: int) -> None:
+    if resolution < minimum:
+        parser.error(f"--resolution must be at least {minimum}")
+    if resolution * resolution > MAX_GRID_CELLS:
+        parser.error(
+            f"--resolution {resolution} gives {resolution * resolution} grid "
+            f"cells, above the limit of {MAX_GRID_CELLS}"
+        )
+
+
 def _cmd_check(args) -> int:
     lines, ok = run_checks(seed=args.seed, inject_fault=args.inject_fault)
     print("\n".join(lines))
@@ -116,8 +131,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_surface(args, parser) -> int:
-    if args.resolution < 1:
-        parser.error("--resolution must be at least 1")
+    _check_resolution(parser, args.resolution, 1)
     if not 0.0 <= args.r <= 1.0:
         parser.error("--r must lie in [0, 1]")
     grid = default_grid(args.protocol, [args.r], args.resolution, args.mode)
@@ -140,8 +154,7 @@ def _cmd_surface(args, parser) -> int:
 
 
 def _cmd_fmax(args, parser) -> int:
-    if args.resolution < 2:
-        parser.error("--resolution must be at least 2")
+    _check_resolution(parser, args.resolution, 2)
     points = fmax_curve(
         args.protocol,
         args.channel,
@@ -157,8 +170,7 @@ def _cmd_fmax(args, parser) -> int:
 
 
 def _cmd_compare(args, parser) -> int:
-    if args.resolution < 2:
-        parser.error("--resolution must be at least 2")
+    _check_resolution(parser, args.resolution, 2)
     comparison = compare_protocols(
         args.channel,
         r_values=default_r_values(),
@@ -174,8 +186,7 @@ def _cmd_compare(args, parser) -> int:
 
 
 def _cmd_reproduce(args, parser) -> int:
-    if args.resolution < 2:
-        parser.error("--resolution must be at least 2")
+    _check_resolution(parser, args.resolution, 2)
     manifest = build_manifest(
         resolution=args.resolution,
         measure=args.measure,

@@ -3,9 +3,15 @@
 Evaluation is exhaustive grid search over the two protection
 parameters at each decoherence value, followed by one local
 refinement pass (a 10x finer window around the coarse argmax).
-The grid engine vectorizes the whole pipeline with einsum, so a
-101x101 surface costs a few hundred milliseconds; it is numerically
-identical to running `protect` + `average_fidelity` cell by cell.
+The grid engine is separable: the stages around the channel are
+diagonal, the measurement depending on axis 1 only and the reversal on
+axis 2 only, so every branch matrix is a broadcast product of per-axis
+factors and one constant 2x2 matrix. All cells are then contracted
+against one small design matrix per input measure, amplitudes first
+and squares last. A 101x101 slab takes about 3 ms and a 401x401 slab
+about 20-50 ms (2-vCPU x86 machine, numpy with OpenBLAS); cells agree
+with `protect` + `average_fidelity` run cell by cell to about 1e-15.
+The unprotected baseline goes through the same contraction.
 
 Cells whose parameters annihilate every branch (which happens at
 degenerate corners such as omega=0 with q=0) are recorded as NaN and
@@ -21,13 +27,7 @@ import numpy as np
 
 from .operators import CHANNEL_KINDS, ChannelSpec, kraus_set
 from .pipeline import ZERO_NORM_TOL, PipelineMode
-from .teleport import (
-    MEASURES,
-    _corrections,
-    _eta_states,
-    design_inputs,
-    unprotected_baseline,
-)
+from .teleport import MEASURES, _corrections, _eta_states, design_inputs
 
 DEFAULT_RESOLUTION = 101
 DEFAULT_R_COUNT = 21
@@ -142,9 +142,10 @@ def default_grid(
 class SweepResult:
     """Fidelity over a grid. `fidelity[i1, i2, ir]` follows the grid
     axes; annihilated cells hold NaN. `argmax[ir]` is
-    (axis1 value, axis2 value, F_max) with ties broken by lowest flat
-    index, or (nan, nan, nan) if the whole slab is missing. F_max is
-    not required to beat `baseline`; protection can merely match it."""
+    (axis1 value, axis2 value, F_max) at the lowest flat index among
+    cells within 1e-15 of the slab maximum, or (nan, nan, nan) if the
+    whole slab is missing. F_max is the value at that cell and is not
+    required to beat `baseline`; protection can merely match it."""
 
     grid: SweepGrid
     channel: str
@@ -153,52 +154,35 @@ class SweepResult:
     baseline: np.ndarray
 
 
-def _protocol_factors(grid: SweepGrid):
-    """The four diagonal stage matrices over the grid, shape
-    (n1, n2, 2, 2) each: sorting measurement m0/m1 and reversal n0/n1."""
-    n1, n2 = grid.axis1.size, grid.axis2.size
-    m0 = np.zeros((n1, n2, 2, 2))
-    m1 = np.zeros((n1, n2, 2, 2))
-    nn0 = np.zeros((n1, n2, 2, 2))
-    nn1 = np.zeros((n1, n2, 2, 2))
-    if grid.protocol == "I":
-        c = np.cos(grid.axis1 / 2.0)[:, None]
-        s = np.sin(grid.axis1 / 2.0)[:, None]
-        q = grid.axis2[None, :]
-        m0[..., 0, 0], m0[..., 1, 1] = c, s
-        m1[..., 0, 0], m1[..., 1, 1] = s, c
-        nn0[..., 0, 0], nn0[..., 1, 1] = q, 1.0
-        nn1[..., 0, 0], nn1[..., 1, 1] = 1.0, q
-    else:
-        p = np.sqrt((1.0 + grid.axis1) / 2.0)[:, None]
-        m = np.sqrt((1.0 - grid.axis1) / 2.0)[:, None]
-        v = np.sqrt((1.0 + grid.axis2) / 2.0)[None, :]
-        w = np.sqrt((1.0 - grid.axis2) / 2.0)[None, :]
-        m0[..., 0, 0], m0[..., 1, 1] = p, m
-        m1[..., 0, 0], m1[..., 1, 1] = m, p
-        nn0[..., 0, 0], nn0[..., 1, 1] = v, w
-        nn1[..., 0, 0], nn1[..., 1, 1] = w, v
-    return m0, m1, nn0, nn1
-
-
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+def _kraus(channel: str, r: float) -> np.ndarray:
+    """The channel's two Kraus operators, shape (2, 2, 2). All three
+    channels have real Kraus operators, so every branch matrix and the
+    whole sweep stay real."""
+    return np.stack(kraus_set(ChannelSpec(channel, r))).real
 
 
 def _branch_slab(grid: SweepGrid, channel: str, r: float) -> np.ndarray:
-    """All four branch operators at one r, shape (n1, n2, 4, 2, 2),
-    branch order (i=0,j=0), (0,1), (1,0), (1,1)."""
-    m0, m1, nn0, nn1 = _protocol_factors(grid)
-    e = kraus_set(ChannelSpec(channel, r))
-    left0, right0 = nn0, m0
-    left1 = nn1 @ _SIGMA_X
-    right1 = _SIGMA_X @ m1
-    slabs = [
-        left0 @ e[0] @ right0,
-        left0 @ e[1] @ right0,
-        left1 @ e[0] @ right1,
-        left1 @ e[1] @ right1,
-    ]
-    return np.stack(slabs, axis=2)
+    """All four branch operators g_ij = n_i f_i e_j f_i m_i at one r,
+    each 2x2 flattened row-major: shape (n1, n2, 4, 4), branch order
+    (i=0,j=0), (0,1), (1,0), (1,1). The stages around the channel are
+    diagonal, m_i depending on axis 1 only and n_i on axis 2 only, so
+    g_ij[b, c] = n_i[b] * C_ij[b, c] * m_i[c] with C_ij = f_i e_j f_i."""
+    if grid.protocol == "I":
+        d1 = np.stack([np.cos(grid.axis1 / 2.0), np.sin(grid.axis1 / 2.0)], axis=-1)
+        d2 = np.stack([grid.axis2, np.ones_like(grid.axis2)], axis=-1)
+    else:
+        d1 = np.sqrt(np.stack([1.0 + grid.axis1, 1.0 - grid.axis1], axis=-1) / 2.0)
+        d2 = np.sqrt(np.stack([1.0 + grid.axis2, 1.0 - grid.axis2], axis=-1) / 2.0)
+    # outcome 1 mirrors both diagonals; its flip sigma_x reverses the
+    # rows and columns of e_j
+    m = np.stack([d1, d1, d1[:, ::-1], d1[:, ::-1]], axis=1)
+    n = np.stack([d2, d2, d2[:, ::-1], d2[:, ::-1]], axis=1)
+    e = _kraus(channel, r)
+    core = np.concatenate([e, e[:, ::-1, ::-1]])
+    # flattened entry 2b+c: n_i[b] * C_ij[b, c] from `left`, m_i[c] from `right`
+    left = (n[:, :, :, None] * core).reshape(1, -1, 16)
+    right = np.tile(m, 2).reshape(-1, 1, 16)
+    return (left * right).reshape(grid.axis1.size, grid.axis2.size, 4, 4)
 
 
 _PSI0_MAT = np.zeros((8, 2))
@@ -206,43 +190,59 @@ for _idx in (0b0000, 0b0101, 0b1010, 0b1111):
     _PSI0_MAT[_idx >> 1, _idx & 1] = 0.5
 _PSI0_MAT.setflags(write=False)
 
-_DESIGN_W: dict[str, np.ndarray] = {}
+_DESIGN_V: dict[str, np.ndarray] = {}
+
+# Rows of branch matrices per matmul: keeps the amplitude block in cache.
+_BATCH_ROWS = 4096
 
 
-def _design_tensor(measure: str) -> np.ndarray:
-    """Per design input n and outcome i, the rank-one contraction
-    W[n,i,a,b] such that |sum_ab W[n,i,a,b] Phi[a,b]|^2 is that input's
-    outcome-i fidelity contribution for an (8, 2) branch-state matrix
-    Phi."""
-    if measure not in _DESIGN_W:
+def _design_matrix(measure: str) -> np.ndarray:
+    """Matrix V, shape (4, F), such that the squared entries of g @ V
+    sum to the design total of outcome fidelity contributions for one
+    flattened real branch matrix g. Columns are the real and imaginary
+    parts of each (design input, outcome) overlap; all-zero ones are
+    dropped."""
+    if measure not in _DESIGN_V:
         states = np.stack([s.vector for s in design_inputs(measure)])
         etas = _eta_states().reshape(4, 2, 8)
         t1 = np.einsum("isa,ns->nia", etas.conj(), states)
         u = np.einsum("nb,ibc->nic", states.conj(), _corrections())
-        _DESIGN_W[measure] = np.einsum("nia,nib->niab", t1, u)
-    return _DESIGN_W[measure]
+        w = np.einsum("nia,nib->niab", t1, u)
+        v = np.einsum("niab,ac->bcni", w, _PSI0_MAT).reshape(4, -1)
+        v = np.concatenate([v.real, v.imag], axis=1)
+        _DESIGN_V[measure] = np.ascontiguousarray(v[:, (v != 0.0).any(axis=0)])
+    return _DESIGN_V[measure]
 
 
 def _fidelity_slab(
     branches: np.ndarray, mode: PipelineMode, measure: str
 ) -> np.ndarray:
-    """Average fidelity over one (n1, n2) slab of branch operators."""
-    w = _design_tensor(measure)
-    nd = w.shape[0]
-    b = np.einsum("ac,xykbc->xykab", _PSI0_MAT, branches)
+    """Average fidelity over one (n1, n2) slab of flattened branch
+    matrices, shape (n1, n2, K, 4). Paper mode sums the K branches
+    before squaring, physical mode squares each branch; amplitudes are
+    always formed first and squared last, which keeps coherent sums
+    that nearly cancel accurate."""
+    v = _design_matrix(measure)
+    n1, n2, nk = branches.shape[:3]
+    g = branches.reshape(n1 * n2, nk, 4)
     if mode is PipelineMode.PAPER_LITERAL:
-        phi = b.sum(axis=2)
-        den = (np.abs(phi) ** 2).sum(axis=(-2, -1))
-        ov = np.einsum("niab,xyab->nixy", w, phi, optimize=True)
-        num = (np.abs(ov) ** 2).sum(axis=(0, 1)) / nd
-    else:
-        den = (np.abs(b) ** 2).sum(axis=(-3, -2, -1))
-        ov = np.einsum("niab,xykab->nixyk", w, b, optimize=True)
-        num = (np.abs(ov) ** 2).sum(axis=(0, 1, 4)) / nd
-    out = np.full(den.shape, np.nan)
+        g = np.einsum("xkc->xc", g)[:, None]
+    den = 0.5 * np.einsum("xkc,xkc->x", g, g)
+    rows = g.reshape(-1, 4)
+    sq = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], _BATCH_ROWS):
+        amp = rows[start:start + _BATCH_ROWS] @ v
+        # pairwise row sum (not einsum's running sum): noiseless cells stay 1
+        sq[start:start + _BATCH_ROWS] = (amp * amp).sum(axis=1)
+    num = sq.reshape(n1 * n2, -1).sum(axis=1) / len(design_inputs(measure))
+    out = np.full(n1 * n2, np.nan)
     ok = den >= ZERO_NORM_TOL
     out[ok] = np.clip(num[ok] / den[ok], 0.0, 1.0)
-    return out
+    return out.reshape(n1, n2)
+
+
+# Cells this close to the slab maximum tie: plateau ulps are rounding noise.
+_TIE_TOL = 1e-15
 
 
 def _slab_argmax(
@@ -250,15 +250,15 @@ def _slab_argmax(
 ) -> tuple[float, float, float]:
     if np.isnan(slab).all():
         return (math.nan, math.nan, math.nan)
-    flat = np.nanargmax(slab)
-    i1, i2 = divmod(int(flat), slab.shape[1])
+    flat = int(np.argmax(slab >= np.nanmax(slab) - _TIE_TOL))
+    i1, i2 = divmod(flat, slab.shape[1])
     return (float(grid.axis1[i1]), float(grid.axis2[i2]), float(slab[i1, i2]))
 
 
 def sweep(grid: SweepGrid, channel: str, measure: str = "polar") -> SweepResult:
     """Average fidelity at every grid cell, plus per-r argmax and the
-    unprotected baseline. Deterministic; ties go to the lowest flat
-    index."""
+    unprotected baseline. Deterministic; near-ties (within 1e-15) go to
+    the lowest flat index."""
     if channel not in CHANNEL_KINDS:
         raise ValueError(f"unknown channel kind {channel!r}")
     if measure not in MEASURES:
@@ -266,14 +266,12 @@ def sweep(grid: SweepGrid, channel: str, measure: str = "polar") -> SweepResult:
     n1, n2, nr = grid.shape
     fidelity = np.empty((n1, n2, nr))
     argmax = []
-    baseline = np.empty(nr)
     for ir, r in enumerate(grid.r_values):
         slab = _fidelity_slab(_branch_slab(grid, channel, float(r)), grid.mode, measure)
         fidelity[:, :, ir] = slab
         argmax.append(_slab_argmax(grid, slab))
-        baseline[ir] = unprotected_baseline(
-            ChannelSpec(channel, float(r)), grid.mode, measure
-        )
+    kraus = np.stack([_kraus(channel, float(r)).reshape(2, 4) for r in grid.r_values])
+    baseline = _fidelity_slab(kraus[:, None], grid.mode, measure)[:, 0]
     fidelity.setflags(write=False)
     baseline.setflags(write=False)
     return SweepResult(grid, channel, fidelity, tuple(argmax), baseline)
@@ -308,8 +306,9 @@ def fmax_curve(
 ) -> list[FmaxPoint]:
     """Maximum average fidelity versus decoherence over the default
     parameter domain: coarse grid search, then one 10x refinement
-    around each coarse argmax. Finer resolutions never lower the
-    reported maximum."""
+    around each coarse argmax, which replaces the coarse optimum only
+    when it is higher by more than 1e-15. Finer resolutions never lower
+    the reported maximum."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
     if r_values is None:
@@ -333,7 +332,7 @@ def fmax_curve(
             mode=grid.mode,
         )
         f1, f2, fine_max = sweep(fine_grid, channel, measure).argmax[0]
-        if not math.isnan(fine_max) and fine_max > fmax:
+        if not math.isnan(fine_max) and fine_max > fmax + _TIE_TOL:
             a1, a2, fmax = f1, f2, fine_max
         points.append(
             FmaxPoint(float(r), float(fmax), float(a1), float(a2), float(coarse.baseline[ir]))

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -201,6 +202,8 @@ def test_reproduce_unseeded_carries_timestamp(tmp_path):
         ("fmax", "--protocol", "I", "--channel", "adc", "--resolution", "1", "--out", "x.csv"),
         ("surface", "--protocol", "III", "--channel", "adc", "--out", "x.csv"),
         ("surface", "--protocol", "I", "--channel", "adc", "--mode", "quantum", "--out", "x.csv"),
+        ("surface", "--protocol", "I", "--channel", "adc", "--r", "nan", "--out", "x.csv"),
+        ("surface", "--protocol", "I", "--channel", "adc", "--r", "inf", "--out", "x.csv"),
     ],
 )
 def test_bad_arguments_exit_two(args, tmp_path):
@@ -221,3 +224,42 @@ def test_unwritable_output_exits_two(tmp_path):
     )
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+_SWEEP_COMMANDS = [
+    ("surface", "--protocol", "I", "--channel", "adc", "--out", "x.csv"),
+    ("fmax", "--protocol", "I", "--channel", "adc", "--out", "x.csv"),
+    ("compare", "--channel", "adc"),
+    ("reproduce", "--out", "x.json"),
+]
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.fixture
+def cli_without_sweeps(monkeypatch):
+    """The CLI module in-process, with every grid-allocating entry point
+    replaced by one that raises, so a budget test never builds a grid."""
+    from wmteleport import cli
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for name in ("default_grid", "fmax_curve", "compare_protocols", "build_manifest"):
+        monkeypatch.setattr(cli, name, reached)
+    return cli
+
+
+@pytest.mark.parametrize("args", _SWEEP_COMMANDS)
+def test_resolution_cell_budget(args, cli_without_sweeps, capsys):
+    cli = cli_without_sweeps
+    side = math.isqrt(cli.MAX_GRID_CELLS)
+    for resolution in (side + 1, 10**6):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--resolution", str(resolution)])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+    with pytest.raises(_Reached):
+        cli.main([*args, "--resolution", str(side)])

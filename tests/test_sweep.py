@@ -1,17 +1,25 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from brute import brute_fidelities_batch, brute_protect
 from wmteleport.operators import CHANNEL_KINDS, ChannelSpec, ProtocolI, ProtocolII
 from wmteleport.pipeline import PipelineMode, protect
 from wmteleport.sweep import (
     SweepGrid,
+    _branch_slab,
+    _fidelity_slab,
+    _slab_argmax,
     compare_protocols,
     default_grid,
     default_r_values,
     fmax_curve,
     sweep,
 )
-from wmteleport.teleport import average_fidelity
+from wmteleport.teleport import average_fidelity, unprotected_baseline
 
 PAPER = PipelineMode.PAPER_LITERAL
 PHYSICAL = PipelineMode.PHYSICAL_MIXED
@@ -276,3 +284,113 @@ def test_sweep_rejects_unknown_channel_and_measure():
         sweep(grid, "xyz")
     with pytest.raises(ValueError):
         sweep(grid, "adc", measure="cube")
+
+
+@pytest.mark.parametrize("measure", ["haar", "polar"])
+@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_sweep_baseline_matches_scalar_baseline(kind, mode, measure):
+    r_values = np.array([0.0, 0.3, 0.5, 0.9, 1.0])
+    grid = default_grid("I", r_values, resolution=2, mode=mode)
+    result = sweep(grid, kind, measure=measure)
+    for r, got in zip(r_values, result.baseline):
+        want = unprotected_baseline(ChannelSpec(kind, float(r)), mode, measure)
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_slab_argmax_takes_lowest_index_among_near_ties():
+    grid = SweepGrid("II", np.array([0.0, 0.5]), np.array([0.0, 0.5, 1.0]), np.array([0.5]))
+    slab = np.array([[np.nan, 0.5, 1.0 - 1e-16], [1.0, 1.0, 0.2]])
+    assert _slab_argmax(grid, slab) == (0.0, 1.0, 1.0 - 1e-16)
+    slab[0, 2] = 1.0 - 1e-14
+    assert _slab_argmax(grid, slab) == (0.5, 0.0, 1.0)
+
+
+def test_refinement_keeps_the_coarse_optimum_on_a_plateau():
+    # paper-mode phase flip under protocol I is 1 wherever it is defined;
+    # the reported optimum is the first defined coarse cell, whatever the
+    # refinement window's rounding noise says
+    grid = default_grid("I", np.array([0.5]), resolution=21, mode=PAPER)
+    slab = sweep(grid, "pfc").fidelity[:, :, 0]
+    i1, i2 = divmod(int(np.flatnonzero(~np.isnan(slab))[0]), slab.shape[1])
+    point = fmax_curve("I", "pfc", r_values=np.array([0.5]), resolution=21, mode=PAPER)[0]
+    assert (point.param1, point.param2) == (grid.axis1[i1], grid.axis2[i2])
+    assert point.fmax == slab[i1, i2]
+
+
+_THETA = math.asin(math.sqrt(8.0 / 15.0))
+_S = 1.0 / math.sqrt(2.0)
+_DESIGNS = {
+    "polar": np.array(
+        [[math.cos(a / 2.0), math.sin(a / 2.0)]
+         for a in (_THETA, -_THETA, math.pi - _THETA, math.pi + _THETA)],
+        dtype=complex,
+    ),
+    "haar": np.array(
+        [[1, 0], [0, 1], [_S, _S], [_S, -_S], [_S, 1j * _S], [_S, -1j * _S]],
+        dtype=complex,
+    ),
+}
+
+
+def _oracle_cell(protocol, a, b, kind, r, mode, measure):
+    """Design-averaged fidelity from the brute-force oracle, NaN where it
+    finds every branch annihilated."""
+    try:
+        state = brute_protect(protocol, a, b, kind, r, mode.value)
+    except ValueError:
+        return math.nan
+    return float(brute_fidelities_batch(state, _DESIGNS[measure]).mean())
+
+
+def _assert_grid_matches_oracle(grid, kind, measure="polar"):
+    fidelity = sweep(grid, kind, measure=measure).fidelity
+    for (i1, i2, ir), got in np.ndenumerate(fidelity):
+        want = _oracle_cell(grid.protocol, float(grid.axis1[i1]), float(grid.axis2[i2]),
+                            kind, float(grid.r_values[ir]), grid.mode, measure)
+        if math.isnan(want):
+            assert math.isnan(got), (i1, i2, ir)
+        else:
+            assert abs(got - want) <= 1e-12, (i1, i2, ir, got, want)
+
+
+def test_phase_flip_coherent_sum_near_cancellation_matches_oracle():
+    # At high phase-flip noise the paper-mode branch sum nearly cancels
+    # (at r = 1 it is (q cos(w/2) - sin(w/2)) I), so fidelity is 1 wherever
+    # it is defined. Squaring branches before summing them loses this to
+    # cancellation between large terms; amplitudes formed first do not.
+    r_values = np.array([0.9, 0.95, 1.0])
+    _assert_grid_matches_oracle(default_grid("I", r_values, resolution=11, mode=PAPER), "pfc")
+    omega = 1.2
+    locus = math.tan(omega / 2.0)
+    near = locus * (1.0 + np.array([-1e-2, -1e-4, -1e-6, 1e-6, 1e-4, 1e-2]))
+    grid = SweepGrid("I", np.array([omega]), near, r_values, mode=PAPER)
+    _assert_grid_matches_oracle(grid, "pfc")
+
+
+def _degenerate(values, lo, hi):
+    return st.one_of(st.sampled_from(values), st.floats(lo, hi))
+
+
+@given(
+    protocol=st.sampled_from(["I", "II"]),
+    kind=st.sampled_from(CHANNEL_KINDS),
+    mode=st.sampled_from([PAPER, PHYSICAL]),
+    measure=st.sampled_from(["haar", "polar"]),
+    omega=_degenerate([0.0, math.pi], 0.0, math.pi),
+    q=_degenerate([0.0, 1.0], 0.0, 1.0),
+    k1=_degenerate([-1.0, 1.0], -1.0, 1.0),
+    k2=_degenerate([-1.0, 1.0], -1.0, 1.0),
+    r=_degenerate([0.0, 1.0], 0.0, 1.0),
+)
+def test_fidelity_slab_matches_oracle_at_degenerate_parameters(
+    protocol, kind, mode, measure, omega, q, k1, k2, r
+):
+    a, b = (omega, q) if protocol == "I" else (k1, k2)
+    grid = SweepGrid(protocol, np.array([a]), np.array([b]), np.array([r]), mode=mode)
+    got = _fidelity_slab(_branch_slab(grid, kind, r), mode, measure)[0, 0]
+    want = _oracle_cell(protocol, a, b, kind, r, mode, measure)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert abs(got - want) <= 1e-12
