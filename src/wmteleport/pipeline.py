@@ -117,25 +117,22 @@ def initial_state() -> PureState:
     return PureState(4, amps)
 
 
+# The resource with (A1, A2, A3) on rows and B on columns.
+_PSI0 = initial_state().amplitudes.reshape(8, 2)
+
+
 def branch_operators(params: ProtocolParams, channel: ChannelSpec) -> np.ndarray:
     """The four 2x2 branch operators g_ij, stacked in order
     (i, j) = (0,0), (0,1), (1,0), (1,1)."""
-    es = kraus_set(channel)
-    out = []
-    for i in (0, 1):
-        f = flip(i)
-        m = wm(params, i)
-        n = wmr(params, i)
-        for e in es:
-            out.append(n @ f @ e @ f @ m)
-    return np.stack(out)
+    stages = [[wmr(params, i), flip(i), wm(params, i)] for i in (0, 1)]
+    n, f, m = np.stack(stages, axis=1)[:, :, None]
+    return (n @ f @ np.stack(kraus_set(channel)) @ f @ m).reshape(4, 2, 2)
 
 
 def _shared_from_branches(branches: np.ndarray, mode: PipelineMode) -> SharedState:
-    psi0 = initial_state().amplitudes.reshape(8, 2)
-    branch_states = [(psi0 @ g.T).reshape(16) for g in branches]
+    branch_states = (_PSI0 @ branches.swapaxes(-1, -2)).reshape(-1, 16)
     if mode is PipelineMode.PAPER_LITERAL:
-        vec = np.sum(branch_states, axis=0)
+        vec = branch_states.sum(axis=0)
         nrm2 = float(np.vdot(vec, vec).real)
         if nrm2 < ZERO_NORM_TOL:
             raise ValueError(
@@ -143,9 +140,7 @@ def _shared_from_branches(branches: np.ndarray, mode: PipelineMode) -> SharedSta
                 "the chosen parameters annihilate every branch"
             )
         return SharedState(mode, pure=PureState(4, vec / math.sqrt(nrm2)))
-    rho = np.zeros((16, 16), dtype=complex)
-    for v in branch_states:
-        rho += np.outer(v, v.conj())
+    rho = branch_states.T @ branch_states.conj()
     retained = float(np.trace(rho).real)
     if retained < ZERO_NORM_TOL:
         raise ValueError(

@@ -6,6 +6,11 @@ outcome, and the receiver applies the matching correction. Fidelity is
 the overlap of the corrected output with the input, weighted by outcome
 probability. Input averages are exact finite-point designs, not
 sampling.
+
+Every entry point is a view on one stacked kernel: a single contraction
+gives the receiver's states for all outcomes, inputs and shared states,
+and the span, Hermiticity and positivity checks run once per stack, on
+every outcome block, with the tolerances `MixedState` uses.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .operators import ChannelSpec, correction_unitary
 from .pipeline import PipelineMode, SharedState, channel_only_shared
-from .tensor import MixedState
+from .tensor import HERMITIAN_TOL, PSD_TOL, MixedState
 
 SPAN_TOL = 1e-8
 OUTCOME_FLOOR = 1e-14
@@ -110,12 +115,63 @@ class TeleportOutcome:
     per_outcome_fidelity: float
 
 
-def _span_check(total: float) -> None:
-    if abs(total - 1.0) > SPAN_TOL:
+def _span_check(totals: np.ndarray) -> None:
+    outside = totals[np.abs(totals - 1.0) > SPAN_TOL]
+    if outside.size:
         raise ValueError(
             "joint state has support outside the measurement span "
-            f"(outcome probabilities sum to {total!r})"
+            f"(outcome probabilities sum to {float(outside[0])!r})"
         )
+
+
+# eta_k^dagger on (A1, A2, A3), B kept: (outcome, (input bit, B), (A1A2A3, B)).
+_ETA_LIFT = np.kron(_eta_states().conj().reshape(8, 8), np.eye(2)).reshape(4, 4, 16)
+# The input pair in_s conj(in_t) -> the transpose of |w_k><w_k|, w_k = U_k^dagger in.
+_BACK_PAIRS = np.einsum("ktb,ksd->stkbd", _corrections(), _corrections().conj())
+
+
+def _outcome_kernel(states, inputs: np.ndarray):
+    """Outcome probabilities (N, n, 4), per-outcome fidelities (N, n, 4)
+    and the receiver's raw states (N, n, 4, 2, 2) for N same-mode
+    shared states and n input vectors (n, 2).
+
+    raw_k = sum_st in_s conj(in_t) X[k, s, t], with the 2x2 blocks
+    X = v v^dagger, v = eta^dagger psi (paper) or X = eta^dagger rho eta
+    (physical). Outcomes below OUTCOME_FLOOR get fidelity 0.
+    """
+    modes = {shared.mode for shared in states}
+    if len(modes) != 1:
+        raise ValueError("a stack of shared states must share one mode")
+    if modes.pop() is PipelineMode.PAPER_LITERAL:
+        psi = np.stack([shared.pure.amplitudes for shared in states])
+        v = (_ETA_LIFT @ psi[:, None, :, None])[..., 0]
+        blocks = v[..., :, None] * v[..., None, :].conj()
+    else:
+        rho = np.stack([shared.rho.matrix for shared in states])
+        blocks = _ETA_LIFT @ rho[:, None] @ _ETA_LIFT.conj().swapaxes(-1, -2)
+    # (N, k, s, b, t, d) -> (N, st, kbd): one product with the input pairs.
+    forms = blocks.reshape(-1, 4, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3, 5)
+    pairs = (inputs[:, :, None] * inputs[:, None, :].conj()).reshape(-1, 4)
+    raw = (pairs @ forms.reshape(-1, 4, 16)).reshape(len(states), -1, 4, 2, 2)
+    probs = raw[..., 0, 0].real + raw[..., 1, 1].real
+    _span_check(probs.sum(axis=-1))
+    adjoint = raw.conj().swapaxes(-1, -2)
+    if np.abs(raw - adjoint).max(initial=0.0) > HERMITIAN_TOL:
+        raise ValueError("density matrix is not Hermitian")
+    raw = 0.5 * (raw + adjoint)
+    # Closed-form smaller eigenvalue of each Hermitian 2x2 block.
+    gap = np.hypot(0.5 * (raw[..., 0, 0] - raw[..., 1, 1]).real, abs(raw[..., 0, 1]))
+    min_eig = (0.5 * probs - gap).min(initial=0.0)
+    if min_eig < -PSD_TOL:
+        raise ValueError(
+            "density matrix is not positive semidefinite "
+            f"(min eigenvalue {min_eig:.3e})"
+        )
+    # Per-outcome fidelity <w_k| raw_k |w_k> / p_k.
+    back = (pairs @ _BACK_PAIRS.reshape(4, 16)).reshape(-1, 4, 2, 2)
+    overlap = np.einsum("xnkbd,nkbd->xnk", raw, back).real
+    fids = np.clip(overlap / np.maximum(probs, OUTCOME_FLOOR), 0.0, 1.0)
+    return probs, np.where(probs < OUTCOME_FLOOR, 0.0, fids), raw
 
 
 def teleport(shared: SharedState, input_qubit: InputQubit) -> list[TeleportOutcome]:
@@ -124,65 +180,22 @@ def teleport(shared: SharedState, input_qubit: InputQubit) -> list[TeleportOutco
     Outcomes with probability below 1e-14 get fidelity 0 and a zero
     corrected state; they carry no weight in any average.
     """
-    inp = input_qubit.vector
-    etas = _eta_states().reshape(4, 2, 8)
-    corr = _corrections()
+    probs, fids, raw = _outcome_kernel([shared], input_qubit.vector[None])
     outcomes: list[TeleportOutcome] = []
-
-    if shared.mode is PipelineMode.PAPER_LITERAL:
-        joint = np.kron(inp, shared.pure.amplitudes).reshape(2, 8, 2)
-        coeffs = np.einsum("isa,sab->ib", etas.conj(), joint)
-        probs = (np.abs(coeffs) ** 2).sum(axis=1)
-        _span_check(float(probs.sum()))
-        for k in range(4):
-            vec = coeffs[k]
-            p = float(probs[k])
-            raw = MixedState(1, np.outer(vec, vec.conj()))
-            if p < OUTCOME_FLOOR:
-                corrected = MixedState(1, np.zeros((2, 2), dtype=complex))
-                fid = 0.0
-            else:
-                w = corr[k] @ vec
-                corrected = MixedState(1, np.outer(w, w.conj()) / p)
-                fid = float(abs(np.vdot(inp, w)) ** 2 / p)
-            outcomes.append(
-                TeleportOutcome(k + 1, p, raw, corrected, min(max(fid, 0.0), 1.0))
-            )
-        return outcomes
-
-    rho_joint = np.kron(np.outer(inp, inp.conj()), shared.rho.matrix)
-    eta_flat = _eta_states()
-    total = 0.0
-    staged = []
-    for k in range(4):
-        e = np.kron(eta_flat[k].reshape(16, 1), np.eye(2, dtype=complex))
-        rho_b = e.conj().T @ rho_joint @ e
-        p = float(np.trace(rho_b).real)
-        staged.append((rho_b, p))
-        total += p
-    _span_check(total)
-    for k, (rho_b, p) in enumerate(staged):
-        rho_b = 0.5 * (rho_b + rho_b.conj().T)
-        raw = MixedState(1, rho_b)
-        if p < OUTCOME_FLOOR:
-            corrected = MixedState(1, np.zeros((2, 2), dtype=complex))
-            fid = 0.0
-        else:
-            u = corr[k]
-            mat = u @ rho_b @ u.conj().T / p
-            mat = 0.5 * (mat + mat.conj().T)
-            corrected = MixedState(1, mat)
-            fid = float((inp.conj() @ mat @ inp).real)
-        outcomes.append(
-            TeleportOutcome(k + 1, p, raw, corrected, min(max(fid, 0.0), 1.0))
-        )
+    for k, u in enumerate(_corrections()):
+        p = float(probs[0, 0, k])
+        mat = np.zeros((2, 2), dtype=complex)
+        if p >= OUTCOME_FLOOR:
+            mat = u @ raw[0, 0, k] @ u.conj().T / p
+        corrected = MixedState(1, 0.5 * (mat + mat.conj().T))
+        raw_k, fid = MixedState(1, raw[0, 0, k]), float(fids[0, 0, k])
+        outcomes.append(TeleportOutcome(k + 1, p, raw_k, corrected, fid))
     return outcomes
 
 
 def input_fidelity(shared: SharedState, input_qubit: InputQubit) -> float:
     """Outcome-probability-weighted fidelity for one input state."""
-    outs = teleport(shared, input_qubit)
-    return float(sum(o.probability * o.per_outcome_fidelity for o in outs))
+    return float(input_fidelities(shared, input_qubit.vector[None])[0])
 
 
 def input_fidelities(shared: SharedState, inputs: np.ndarray) -> np.ndarray:
@@ -191,28 +204,8 @@ def input_fidelities(shared: SharedState, inputs: np.ndarray) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=complex)
     if inputs.ndim != 2 or inputs.shape[1] != 2:
         raise ValueError("inputs must have shape (n, 2)")
-    etas = _eta_states().reshape(4, 2, 8)
-    corr = _corrections()
-    if shared.mode is PipelineMode.PAPER_LITERAL:
-        b = shared.pure.amplitudes.reshape(8, 2)
-        amps = np.einsum("isa,ns,ab->nib", etas.conj(), inputs, b)
-        wv = np.einsum("nb,ibc->nic", inputs.conj(), corr)
-        ov = np.einsum("nib,nib->ni", wv, amps)
-        f = (np.abs(ov) ** 2).sum(axis=1)
-        return np.clip(f.real, 0.0, 1.0)
-    t = shared.rho.matrix.reshape(8, 2, 8, 2)
-    rho_b = np.einsum(
-        "isa,ns,abcd,itc,nt->nibd",
-        etas.conj(),
-        inputs,
-        t,
-        etas,
-        inputs.conj(),
-        optimize=True,
-    )
-    u = np.einsum("nb,ibc->nic", inputs.conj(), corr)
-    f = np.einsum("nib,nibd,nid->n", u, rho_b, u.conj())
-    return np.clip(f.real, 0.0, 1.0)
+    probs, fids, _ = _outcome_kernel([shared], inputs)
+    return np.clip((probs * fids).sum(axis=-1)[0], 0.0, 1.0)
 
 
 _HAAR_DESIGN = None
@@ -260,9 +253,8 @@ def design_inputs(measure: str = "haar") -> tuple[InputQubit, ...]:
 
 def average_fidelity(shared: SharedState, measure: str = "haar") -> float:
     """Exact input-averaged fidelity under the chosen measure."""
-    states = design_inputs(measure)
-    total = sum(input_fidelity(shared, s) for s in states)
-    return min(max(total / len(states), 0.0), 1.0)
+    inputs = np.array([s.vector for s in design_inputs(measure)])
+    return min(max(float(input_fidelities(shared, inputs).mean()), 0.0), 1.0)
 
 
 def unprotected_baseline(channel: ChannelSpec, mode, measure: str = "haar") -> float:

@@ -1,6 +1,9 @@
 import pytest
 
+from wmteleport import checks, cli, pipeline
 from wmteleport.checks import FAULT_NAMES, run_checks
+from wmteleport.pipeline import SharedState
+from wmteleport.tensor import MixedState, PureState
 
 
 def test_all_checks_pass():
@@ -32,3 +35,34 @@ def test_unknown_fault_is_rejected():
 
 def test_fault_names_catalogue():
     assert "kraus_completeness" in FAULT_NAMES
+
+
+def _scaled_protect(params, channel, mode):
+    """`protect` with the state scaled by 1.01 in amplitude, so every
+    outcome-probability sum is 1.0201: outside the measurement span."""
+    shared = pipeline.protect(params, channel, mode)
+    if shared.mode is pipeline.PipelineMode.PAPER_LITERAL:
+        scaled = PureState(4, 1.01 * shared.pure.amplitudes)
+        return SharedState(shared.mode, pure=scaled)
+    return SharedState(
+        shared.mode,
+        rho=MixedState(4, 1.0201 * shared.rho.matrix),
+        success_probability=shared.success_probability,
+    )
+
+
+def test_raising_check_reports_fail_not_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "protect", _scaled_protect)
+    lines, ok = run_checks(seed=0)
+    assert ok is False
+    fail = [line for line in lines if line.startswith("FAIL probability_sums: ")]
+    assert len(fail) == 1
+    assert "outside the measurement span" in fail[0]
+    assert "sum to 1.0201" in fail[0]
+    n_failed = sum(line.startswith("FAIL ") for line in lines)
+    assert lines[-1].startswith(f"{n_failed} check(s) failed")
+
+    assert cli.main(["check"]) == 1
+    out = capsys.readouterr()
+    assert "FAIL probability_sums: " in out.out
+    assert "Traceback" not in out.out + out.err

@@ -7,8 +7,10 @@ from wmteleport.operators import CHANNEL_KINDS, ChannelSpec, ProtocolI, Protocol
 from wmteleport.pipeline import PipelineMode, protect
 from wmteleport.tensor import PureState
 from wmteleport.teleport import (
+    OUTCOME_FLOOR,
     InputQubit,
     SharedState,
+    _outcome_kernel,
     average_fidelity,
     design_inputs,
     eta_basis,
@@ -18,7 +20,7 @@ from wmteleport.teleport import (
     unprotected_baseline,
 )
 
-from brute import brute_protect, brute_teleport_outcomes, sample_inputs
+from brute import CORRECTIONS, brute_protect, brute_teleport_outcomes, sample_inputs
 
 PAPER = PipelineMode.PAPER_LITERAL
 PHYSICAL = PipelineMode.PHYSICAL_MIXED
@@ -299,3 +301,114 @@ def test_monte_carlo_consistency_small():
     mc = float(input_fidelities(shared, xs).mean())
     exact = average_fidelity(shared, measure="haar")
     assert abs(mc - exact) < 0.02
+
+
+def _brute_args(params):
+    if params.kind == "I":
+        return ("I", params.omega, params.q)
+    return ("II", params.k1, params.k2)
+
+
+# Protocol x channel x r; the stack gets one more state per mode, on which
+# two outcomes vanish for the input |+> and fall just below OUTCOME_FLOOR
+# (p ~ 5e-16) for a slightly rotated |+>.
+_KERNEL_GRID = [
+    (params, kind, r)
+    for params in (ProtocolI(0.9, 0.4), ProtocolII(0.5, -0.3))
+    for kind in CHANNEL_KINDS
+    for r in (0.1, 0.5, 0.9, 1.0)
+]
+_VANISHING = (ProtocolI(np.pi / 2, 0.5), "adc", 1.0)
+
+
+@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+def test_stacked_kernel_matches_oracle(mode):
+    states, oracle = [], []
+    for params, kind, r in _KERNEL_GRID:
+        states.append(protect(params, ChannelSpec(kind, r), mode))
+        oracle.append(brute_protect(*_brute_args(params), kind, r, mode.value))
+    params, kind, r = _VANISHING
+    vanishing = protect(params, ChannelSpec(kind, r), PAPER)
+    if mode is PHYSICAL:
+        vanishing = SharedState(PHYSICAL, rho=vanishing.pure.density())
+    states.append(vanishing)
+    oracle.append(brute_protect(*_brute_args(params), kind, r, "paper"))
+    if mode is PHYSICAL:
+        vec = oracle[-1][1]
+        oracle[-1] = ("mixed", np.outer(vec, vec.conj()))
+
+    s, t = 1.0 / np.sqrt(2.0), np.pi / 4.0 + 3e-8
+    fixed = [[1.0, 0.0], [0.0, 1.0], [s, s], [np.cos(t), np.sin(t)]]
+    inputs = np.concatenate([fixed, sample_inputs(np.random.default_rng(3), 4)])
+    probs, fids, raw = _outcome_kernel(states, inputs)
+    assert probs.shape == fids.shape == (len(states), len(inputs), 4)
+    assert raw.shape == (len(states), len(inputs), 4, 2, 2)
+    assert ((probs < OUTCOME_FLOOR) & (probs > 1e-17)).sum() >= 2
+    for i, bstate in enumerate(oracle):
+        for j, x in enumerate(inputs):
+            want = np.array(brute_teleport_outcomes(bstate, x))
+            np.testing.assert_allclose(probs[i, j], want[:, 0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fids[i, j], want[:, 1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.einsum("...ii->...", raw).real, probs, atol=1e-15)
+
+
+@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+def test_stacked_kernel_rejects_one_state_outside_span(mode):
+    states = [protect(p, ChannelSpec(k, r), mode) for p, k, r in _KERNEL_GRID[:6]]
+    vec = np.zeros(16, dtype=complex)
+    vec[0b0110] = 1.0
+    stray = PureState(4, vec)
+    if mode is PAPER:
+        states.insert(3, SharedState(PAPER, pure=stray))
+    else:
+        states.insert(3, SharedState(PHYSICAL, rho=stray.density()))
+    with pytest.raises(ValueError, match="outside the measurement span"):
+        _outcome_kernel(states, np.array([[0.6, 0.8j]]))
+    other = protect(ProtocolI(0.9, 0.4), ChannelSpec("adc", 0.3), PAPER)
+    if mode is PAPER:
+        other = protect(ProtocolI(0.9, 0.4), ChannelSpec("adc", 0.3), PHYSICAL)
+    with pytest.raises(ValueError, match="one mode"):
+        _outcome_kernel([states[0], other], np.array([[1.0, 0.0]]))
+
+
+def _entanglement_fidelity(shared):
+    """F_e = <Phi+|(id x L)(Phi+)|Phi+> = (1/4) sum_st <s|L(|s><t|)|t> of
+    the corrected teleportation channel L(x) = sum_k U_k raw_k(x) U_k^dag.
+    raw_k is linear in |in><in|, so its blocks on |s><t| follow by
+    polarization from the kernel's outcome states at |0>, |1>, |+>, |+i>."""
+    s = 1.0 / np.sqrt(2.0)
+    inputs = np.array([[1.0, 0.0], [0.0, 1.0], [s, s], [s, 1j * s]])
+    r0, r1, rp, ri = _outcome_kernel([shared], inputs)[2][0]
+    cross = 2.0 * rp - r0 - r1  # X01 + X10
+    quad = 2.0 * ri - r0 - r1  # -i X01 + i X10
+    blocks = {(0, 0): r0, (1, 1): r1, (0, 1): 0.5 * (cross + 1j * quad),
+              (1, 0): 0.5 * (cross - 1j * quad)}
+    u = np.array(CORRECTIONS)
+    total = sum(
+        np.einsum("kab,kbc,kdc->ad", u, x, u.conj())[s_, t_]
+        for (s_, t_), x in blocks.items()
+    )
+    return float(total.real) / 4.0
+
+
+def _random_cases(n, seed=11):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        if rng.integers(2):
+            params = ProtocolI(float(rng.uniform(0.0, np.pi)), float(rng.uniform()))
+        else:
+            params = ProtocolII(*map(float, rng.uniform(-0.95, 0.95, size=2)))
+        kind = CHANNEL_KINDS[int(rng.integers(3))]
+        r = float(rng.choice([0.0, 1.0, rng.uniform()]))
+        yield params, ChannelSpec(kind, r), (PAPER, PHYSICAL)[int(rng.integers(2))]
+
+
+@pytest.mark.parametrize("params,channel,mode", list(_random_cases(24)))
+def test_haar_average_matches_entanglement_fidelity(params, channel, mode):
+    """Closed form of the uniform average for a qubit channel,
+    F = (2 F_e + 1) / 3 (Horodecki; Nielsen, quant-ph/0205035): a
+    design-free route to the six-state Haar average."""
+    shared = protect(params, channel, mode)
+    closed = (2.0 * _entanglement_fidelity(shared) + 1.0) / 3.0
+    design = average_fidelity(shared, "haar")
+    np.testing.assert_allclose(design, closed, rtol=0, atol=1e-12)
