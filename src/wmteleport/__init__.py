@@ -3,122 +3,8 @@
 Exact dense simulation of the protected-teleportation pipeline under
 amplitude-damping, bit-flip, and phase-flip noise, with grid sweeps
 that maximize the input-averaged fidelity over the protection
-parameters.
+parameters. Import the submodules (`wmteleport.pipeline`,
+`wmteleport.teleport`, `wmteleport.sweep`, ...) for the library API.
 """
 
-from .operators import (
-    CHANNEL_KINDS,
-    ChannelSpec,
-    ProtocolI,
-    ProtocolII,
-    correction_unitary,
-    flip,
-    kraus_set,
-    wm,
-    wmr,
-)
-from .pipeline import (
-    PipelineMode,
-    SharedState,
-    branch_operators,
-    channel_only_shared,
-    closed_form_check,
-    initial_state,
-    protect,
-)
-from .reproduce import (
-    REFERENCE_TARGETS,
-    SUPPLEMENTARY_CHECKS,
-    build_manifest,
-    manifest_json,
-)
-from .checks import run_checks
-from .sweep import (
-    FmaxPoint,
-    ProtocolComparison,
-    SweepGrid,
-    SweepResult,
-    compare_protocols,
-    default_grid,
-    default_r_values,
-    fmax_curve,
-    sweep,
-)
-from .teleport import (
-    InputQubit,
-    MeasurementBasis,
-    TeleportOutcome,
-    average_fidelity,
-    design_inputs,
-    eta_basis,
-    input_fidelities,
-    input_fidelity,
-    teleport,
-    unprotected_baseline,
-)
-from .tensor import (
-    LiftedOperator,
-    MixedState,
-    PureState,
-    apply,
-    ket_index,
-    kron,
-    lift,
-    partial_trace,
-    project,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "CHANNEL_KINDS",
-    "ChannelSpec",
-    "ProtocolI",
-    "ProtocolII",
-    "correction_unitary",
-    "flip",
-    "kraus_set",
-    "wm",
-    "wmr",
-    "PipelineMode",
-    "SharedState",
-    "branch_operators",
-    "channel_only_shared",
-    "closed_form_check",
-    "initial_state",
-    "protect",
-    "REFERENCE_TARGETS",
-    "SUPPLEMENTARY_CHECKS",
-    "build_manifest",
-    "manifest_json",
-    "run_checks",
-    "FmaxPoint",
-    "ProtocolComparison",
-    "SweepGrid",
-    "SweepResult",
-    "compare_protocols",
-    "default_grid",
-    "default_r_values",
-    "fmax_curve",
-    "sweep",
-    "InputQubit",
-    "MeasurementBasis",
-    "TeleportOutcome",
-    "average_fidelity",
-    "design_inputs",
-    "eta_basis",
-    "input_fidelities",
-    "input_fidelity",
-    "teleport",
-    "unprotected_baseline",
-    "LiftedOperator",
-    "MixedState",
-    "PureState",
-    "apply",
-    "ket_index",
-    "kron",
-    "lift",
-    "partial_trace",
-    "project",
-]

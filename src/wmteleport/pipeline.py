@@ -9,13 +9,16 @@ operator for outcomes (i, j) is therefore
 
     g_ij = n_i f_i e_j f_i m_i.
 
-Two summation semantics are provided, selected by PipelineMode:
+Since every stage acts on B alone, a SharedState keeps only the 2x2
+branch operators; the 16-dim state psi0 g^T (psi0 as an 8x2 matrix with
+B on columns) is built on demand. Two summation semantics are provided,
+selected by PipelineMode:
 
-* PAPER_LITERAL ("paper"): all four branch amplitudes are summed
-  coherently into a single pure state, which is then normalized.
-* PHYSICAL_MIXED ("physical"): branches are combined as an incoherent
-  mixture, renormalized once; the retained trace is reported as the
-  success probability of the filtering stages.
+* PAPER_LITERAL ("paper"): all four branch operators are summed
+  coherently into one operator, normalized so the state has unit norm.
+* PHYSICAL_MIXED ("physical"): the branches are kept as an incoherent
+  mixture, renormalized once; the retained trace, sum_b |g_b|_F^2 / 2,
+  is reported as the success probability of the filtering stages.
 """
 
 from __future__ import annotations
@@ -73,40 +76,59 @@ def _coerce_mode(mode) -> PipelineMode:
 
 @dataclass(frozen=True)
 class SharedState:
-    """Protected four-qubit resource on (A1, A2, A3, B).
+    """Protected four-qubit resource on (A1, A2, A3, B), held as 2x2
+    operators on B applied to the fixed resource: the state is
+    sum_b |psi0 g_b^T><psi0 g_b^T|.
 
-    Exactly one of `pure` (PAPER_LITERAL) or `rho` (PHYSICAL_MIXED) is
-    set; `success_probability` is the retained trace of the mixed
-    pipeline and None in the pure mode.
+    `branches` has shape (K, 2, 2) and is normalized. PAPER_LITERAL
+    holds the single coherent sum (K = 1); PHYSICAL_MIXED holds the K
+    branches scaled by 1/sqrt(retained trace), which is reported as
+    `success_probability` (None in the pure mode). `pure` and `rho`
+    are the 16-dim state of the matching mode, built on demand.
     """
 
     mode: PipelineMode
-    pure: PureState | None = None
-    rho: MixedState | None = None
+    branches: np.ndarray
     success_probability: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "mode", _coerce_mode(self.mode))
-        if self.mode is PipelineMode.PAPER_LITERAL:
-            if self.pure is None or self.rho is not None:
-                raise ValueError("paper-literal shared state must carry a pure state")
-            if self.pure.num_qubits != 4:
-                raise ValueError("shared state must live on 4 qubits")
-        else:
-            if self.rho is None or self.pure is not None:
-                raise ValueError("physical-mixed shared state must carry a density matrix")
-            if self.rho.num_qubits != 4:
-                raise ValueError("shared state must live on 4 qubits")
-            if self.success_probability is not None and not (
-                0.0 < self.success_probability <= 1.0 + 1e-12
-            ):
-                raise ValueError(
-                    f"success probability must be in (0, 1], got {self.success_probability}"
-                )
+        branches = np.array(self.branches, dtype=complex)
+        if branches.ndim != 3 or branches.shape[1:] != (2, 2) or not branches.shape[0]:
+            raise ValueError(
+                f"branches must have shape (K, 2, 2) with K >= 1, got {branches.shape}"
+            )
+        if not np.isfinite(branches).all():
+            raise ValueError("branches contain non-finite entries")
+        if self.mode is PipelineMode.PAPER_LITERAL and len(branches) != 1:
+            raise ValueError("paper-literal shared state must carry one coherent branch")
+        if self.success_probability is not None and not (
+            0.0 < self.success_probability <= 1.0 + 1e-12
+        ):
+            raise ValueError(
+                f"success probability must be in (0, 1], got {self.success_probability}"
+            )
+        branches.setflags(write=False)
+        object.__setattr__(self, "branches", branches)
+
+    def _branch_states(self) -> np.ndarray:
+        return (_PSI0 @ self.branches.swapaxes(-1, -2)).reshape(-1, 16)
 
     @property
-    def num_qubits(self) -> int:
-        return 4
+    def pure(self) -> PureState | None:
+        """The normalized 16-dim state vector (PAPER_LITERAL only)."""
+        if self.mode is not PipelineMode.PAPER_LITERAL:
+            return None
+        return PureState(4, self._branch_states()[0])
+
+    @property
+    def rho(self) -> MixedState | None:
+        """The 16x16 density matrix (PHYSICAL_MIXED only)."""
+        if self.mode is not PipelineMode.PHYSICAL_MIXED:
+            return None
+        states = self._branch_states()
+        rho = states.T @ states.conj()
+        return MixedState(4, 0.5 * (rho + rho.conj().T))
 
 
 def initial_state() -> PureState:
@@ -130,29 +152,24 @@ def branch_operators(params: ProtocolParams, channel: ChannelSpec) -> np.ndarray
 
 
 def _shared_from_branches(branches: np.ndarray, mode: PipelineMode) -> SharedState:
-    branch_states = (_PSI0 @ branches.swapaxes(-1, -2)).reshape(-1, 16)
+    # psi0^dagger psi0 = I/2, so |psi0 g^T|^2 = |g|_F^2 / 2.
     if mode is PipelineMode.PAPER_LITERAL:
-        vec = branch_states.sum(axis=0)
-        nrm2 = float(np.vdot(vec, vec).real)
+        coherent = branches.sum(axis=0, keepdims=True)
+        nrm2 = 0.5 * float(np.vdot(coherent, coherent).real)
         if nrm2 < ZERO_NORM_TOL:
             raise ValueError(
                 "protection pipeline produced a zero-norm state; "
                 "the chosen parameters annihilate every branch"
             )
-        return SharedState(mode, pure=PureState(4, vec / math.sqrt(nrm2)))
-    rho = branch_states.T @ branch_states.conj()
-    retained = float(np.trace(rho).real)
+        return SharedState(mode, coherent / math.sqrt(nrm2))
+    retained = 0.5 * float(np.vdot(branches, branches).real)
     if retained < ZERO_NORM_TOL:
         raise ValueError(
             "protection pipeline produced a zero-trace mixture; "
             "the chosen parameters annihilate every branch"
         )
-    rho /= retained
-    rho = 0.5 * (rho + rho.conj().T)
     return SharedState(
-        mode,
-        rho=MixedState(4, rho),
-        success_probability=min(retained, 1.0),
+        mode, branches / math.sqrt(retained), success_probability=min(retained, 1.0)
     )
 
 

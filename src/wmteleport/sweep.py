@@ -27,7 +27,7 @@ import numpy as np
 
 from .operators import CHANNEL_KINDS, ChannelSpec, kraus_set
 from .pipeline import ZERO_NORM_TOL, PipelineMode
-from .teleport import MEASURES, _corrections, _eta_states, design_inputs
+from .teleport import _ETA_PSI0, MEASURES, _corrections, design_inputs
 
 DEFAULT_RESOLUTION = 101
 DEFAULT_R_COUNT = 21
@@ -185,11 +185,6 @@ def _branch_slab(grid: SweepGrid, channel: str, r: float) -> np.ndarray:
     return (left * right).reshape(grid.axis1.size, grid.axis2.size, 4, 4)
 
 
-_PSI0_MAT = np.zeros((8, 2))
-for _idx in (0b0000, 0b0101, 0b1010, 0b1111):
-    _PSI0_MAT[_idx >> 1, _idx & 1] = 0.5
-_PSI0_MAT.setflags(write=False)
-
 _DESIGN_V: dict[str, np.ndarray] = {}
 
 # Rows of branch matrices per matmul: keeps the amplitude block in cache.
@@ -204,11 +199,9 @@ def _design_matrix(measure: str) -> np.ndarray:
     dropped."""
     if measure not in _DESIGN_V:
         states = np.stack([s.vector for s in design_inputs(measure)])
-        etas = _eta_states().reshape(4, 2, 8)
-        t1 = np.einsum("isa,ns->nia", etas.conj(), states)
+        t = np.einsum("isc,ns->nic", _ETA_PSI0, states)
         u = np.einsum("nb,ibc->nic", states.conj(), _corrections())
-        w = np.einsum("nia,nib->niab", t1, u)
-        v = np.einsum("niab,ac->bcni", w, _PSI0_MAT).reshape(4, -1)
+        v = np.einsum("nib,nic->bcni", u, t).reshape(4, -1)
         v = np.concatenate([v.real, v.imag], axis=1)
         _DESIGN_V[measure] = np.ascontiguousarray(v[:, (v != 0.0).any(axis=0)])
     return _DESIGN_V[measure]

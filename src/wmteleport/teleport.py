@@ -7,10 +7,13 @@ the overlap of the corrected output with the input, weighted by outcome
 probability. Input averages are exact finite-point designs, not
 sampling.
 
-Every entry point is a view on one stacked kernel: a single contraction
-gives the receiver's states for all outcomes, inputs and shared states,
-and the span, Hermiticity and positivity checks run once per stack, on
-every outcome block, with the tolerances `MixedState` uses.
+Every entry point is a view on one stacked kernel over the shared
+states' 2x2 branch operators g_b: for outcome k the receiver holds
+g_b u_k per branch, where u_k = (eta_k^dagger psi0)^T in is a 2-vector,
+so each raw outcome state sum_b (g_b u_k)(g_b u_k)^dagger is Hermitian
+and positive by construction. The one check left, run once per stack,
+is the span check: the outcome probabilities must sum to 1, and for
+branch operators they sum to |g|_F^2 / 2 at every input.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import ChannelSpec, correction_unitary
-from .pipeline import PipelineMode, SharedState, channel_only_shared
-from .tensor import HERMITIAN_TOL, PSD_TOL, MixedState
+from .pipeline import _PSI0, SharedState, channel_only_shared
+from .tensor import MixedState
 
 SPAN_TOL = 1e-8
 OUTCOME_FLOOR = 1e-14
@@ -124,10 +127,9 @@ def _span_check(totals: np.ndarray) -> None:
         )
 
 
-# eta_k^dagger on (A1, A2, A3), B kept: (outcome, (input bit, B), (A1A2A3, B)).
-_ETA_LIFT = np.kron(_eta_states().conj().reshape(8, 8), np.eye(2)).reshape(4, 4, 16)
-# The input pair in_s conj(in_t) -> the transpose of |w_k><w_k|, w_k = U_k^dagger in.
-_BACK_PAIRS = np.einsum("ktb,ksd->stkbd", _corrections(), _corrections().conj())
+# eta_k^dagger contracted with the resource: (outcome, input bit, B).
+_ETA_PSI0 = _eta_states().conj().reshape(4, 2, 8) @ _PSI0
+_ETA_PSI0.setflags(write=False)
 
 
 def _outcome_kernel(states, inputs: np.ndarray):
@@ -135,42 +137,36 @@ def _outcome_kernel(states, inputs: np.ndarray):
     and the receiver's raw states (N, n, 4, 2, 2) for N same-mode
     shared states and n input vectors (n, 2).
 
-    raw_k = sum_st in_s conj(in_t) X[k, s, t], with the 2x2 blocks
-    X = v v^dagger, v = eta^dagger psi (paper) or X = eta^dagger rho eta
-    (physical). Outcomes below OUTCOME_FLOOR get fidelity 0.
+    For outcome k the receiver holds g_b u_k per branch b, with
+    u_k = M_k^T in and M_k = eta_k^dagger psi0 (2x2), so
+    raw_k = sum_b a_kb a_kb^dagger with a_kb = g_b u_k. The fidelity
+    numerator is sum_b |<w_k|a_kb>|^2 with w_k = U_k^dagger in.
+    Outcomes below OUTCOME_FLOOR get fidelity 0.
     """
-    modes = {shared.mode for shared in states}
-    if len(modes) != 1:
+    if len({shared.mode for shared in states}) != 1:
         raise ValueError("a stack of shared states must share one mode")
-    if modes.pop() is PipelineMode.PAPER_LITERAL:
-        psi = np.stack([shared.pure.amplitudes for shared in states])
-        v = (_ETA_LIFT @ psi[:, None, :, None])[..., 0]
-        blocks = v[..., :, None] * v[..., None, :].conj()
-    else:
-        rho = np.stack([shared.rho.matrix for shared in states])
-        blocks = _ETA_LIFT @ rho[:, None] @ _ETA_LIFT.conj().swapaxes(-1, -2)
-    # (N, k, s, b, t, d) -> (N, st, kbd): one product with the input pairs.
-    forms = blocks.reshape(-1, 4, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3, 5)
-    pairs = (inputs[:, :, None] * inputs[:, None, :].conj()).reshape(-1, 4)
-    raw = (pairs @ forms.reshape(-1, 4, 16)).reshape(len(states), -1, 4, 2, 2)
+    nk = max(len(shared.branches) for shared in states)
+    g = np.zeros((len(states), nk, 2, 2), dtype=complex)
+    for row, shared in zip(g, states):
+        row[: len(shared.branches)] = shared.branches
+    n = len(inputs)
+    u = (inputs @ _ETA_PSI0).swapaxes(0, 1).reshape(-1, 2)
+    # a[B, b, N, x, k] = (g_b u_k)[B]
+    a = (g.reshape(len(states), -1, 2) @ u.T).reshape(-1, nk, 2, n, 4)
+    a0, a1 = a.transpose(2, 1, 0, 3, 4)
+    # raw_k = sum_b a a^dagger entry by entry: stacks of 2x2 matmuls are slow
+    raw = np.empty(a0.shape[1:] + (2, 2), dtype=complex)
+    raw[..., 0, 0] = (a0.real**2 + a0.imag**2).sum(axis=0)
+    raw[..., 1, 1] = (a1.real**2 + a1.imag**2).sum(axis=0)
+    raw[..., 0, 1] = (a0 * a1.conj()).sum(axis=0)
+    raw[..., 1, 0] = raw[..., 0, 1].conj()
     probs = raw[..., 0, 0].real + raw[..., 1, 1].real
     _span_check(probs.sum(axis=-1))
-    adjoint = raw.conj().swapaxes(-1, -2)
-    if np.abs(raw - adjoint).max(initial=0.0) > HERMITIAN_TOL:
-        raise ValueError("density matrix is not Hermitian")
-    raw = 0.5 * (raw + adjoint)
-    # Closed-form smaller eigenvalue of each Hermitian 2x2 block.
-    gap = np.hypot(0.5 * (raw[..., 0, 0] - raw[..., 1, 1]).real, abs(raw[..., 0, 1]))
-    min_eig = (0.5 * probs - gap).min(initial=0.0)
-    if min_eig < -PSD_TOL:
-        raise ValueError(
-            "density matrix is not positive semidefinite "
-            f"(min eigenvalue {min_eig:.3e})"
-        )
-    # Per-outcome fidelity <w_k| raw_k |w_k> / p_k.
-    back = (pairs @ _BACK_PAIRS.reshape(4, 16)).reshape(-1, 4, 2, 2)
-    overlap = np.einsum("xnkbd,nkbd->xnk", raw, back).real
-    fids = np.clip(overlap / np.maximum(probs, OUTCOME_FLOOR), 0.0, 1.0)
+    # conj(w_k) = U_k^T conj(in), as one (n, 4) array per component of B
+    w0, w1 = (inputs.conj() @ _corrections()).T
+    overlap = w0 * a0 + w1 * a1
+    num = (overlap.real**2 + overlap.imag**2).sum(axis=0)
+    fids = np.clip(num / np.maximum(probs, OUTCOME_FLOOR), 0.0, 1.0)
     return probs, np.where(probs < OUTCOME_FLOOR, 0.0, fids), raw
 
 

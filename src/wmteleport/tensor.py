@@ -1,12 +1,10 @@
-"""Dense complex linear algebra on small qubit registers.
+"""Validated state containers for small qubit registers.
 
-States are numpy vectors of length 2**n and operators are (2**n, 2**n)
-matrices, with n at most 5. The bit convention is fixed once and used
-everywhere: qubit 0 is the leftmost symbol of a ket string and the most
-significant bit of the amplitude index, so on two qubits |10> sits at
-index 0b10 = 2.
-
-All operations are pure functions over immutable inputs.
+A pure state is a numpy vector of length 2**n and a mixed state a
+(2**n, 2**n) density matrix, with n at most 5. The bit convention is
+fixed once and used everywhere: qubit 0 is the leftmost symbol of a ket
+string and the most significant bit of the amplitude index, so on two
+qubits |10> sits at index 0b10 = 2.
 """
 
 from __future__ import annotations
@@ -21,20 +19,7 @@ HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 NORM_TOL = 1e-12
 
-__all__ = [
-    "MAX_QUBITS",
-    "PureState",
-    "MixedState",
-    "LiftedOperator",
-    "ket_index",
-    "kron",
-    "lift",
-    "apply",
-    "partial_trace",
-    "project",
-    "is_unitary",
-    "is_diagonal",
-]
+__all__ = ["MAX_QUBITS", "PureState", "MixedState"]
 
 
 def _as_complex(values, name: str) -> np.ndarray:
@@ -49,17 +34,6 @@ def _check_register_size(num_qubits: int) -> None:
         raise ValueError(f"num_qubits must be an integer, got {num_qubits!r}")
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
-
-
-def ket_index(bits: str) -> int:
-    """Amplitude index of a computational ket written as a bit string.
-
-    ket_index("0101") == 0b0101 == 5, matching the leftmost-symbol-is-
-    qubit-0 convention.
-    """
-    if not bits or any(b not in "01" for b in bits):
-        raise ValueError(f"not a bit string: {bits!r}")
-    return int(bits, 2)
 
 
 @dataclass(frozen=True)
@@ -134,151 +108,3 @@ class MixedState:
 
     def is_normalized(self, tol: float = NORM_TOL) -> bool:
         return abs(self.trace() - 1.0) <= tol
-
-
-@dataclass(frozen=True)
-class LiftedOperator:
-    """A single-qubit operator embedded in an n-qubit register."""
-
-    num_qubits: int
-    target_qubit: int
-    matrix: np.ndarray
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two rectangular matrices."""
-    am = _as_complex(a, "a")
-    bm = _as_complex(b, "b")
-    if am.ndim != 2 or bm.ndim != 2:
-        raise ValueError("kron expects 2-D matrices")
-    return np.kron(am, bm)
-
-
-def lift(op, num_qubits: int, target: int) -> LiftedOperator:
-    """Embed a 2x2 operator at `target`, identity elsewhere."""
-    opm = _as_complex(op, "op")
-    if opm.shape != (2, 2):
-        raise ValueError(f"op must be 2x2, got shape {opm.shape}")
-    _check_register_size(num_qubits)
-    if not 0 <= target < num_qubits:
-        raise ValueError(
-            f"target qubit {target} out of range for {num_qubits} qubits"
-        )
-    left = np.eye(2 ** target, dtype=complex)
-    right = np.eye(2 ** (num_qubits - target - 1), dtype=complex)
-    mat = np.kron(np.kron(left, opm), right)
-    return LiftedOperator(num_qubits, target, mat)
-
-
-def apply(op, state):
-    """Apply an operator to a state; no normalization is performed.
-
-    `op` may be a LiftedOperator or a plain matrix. A PureState input
-    returns a PureState, a plain vector returns a vector.
-    """
-    mat = op.matrix if isinstance(op, LiftedOperator) else _as_complex(op, "op")
-    if isinstance(state, PureState):
-        vec = state.amplitudes
-        if mat.shape[1] != vec.shape[0]:
-            raise ValueError(
-                f"operator shape {mat.shape} does not match state length {vec.shape[0]}"
-            )
-        return PureState(state.num_qubits, mat @ vec)
-    vec = _as_complex(state, "state")
-    if mat.shape[1] != vec.shape[0]:
-        raise ValueError(
-            f"operator shape {mat.shape} does not match state length {vec.shape[0]}"
-        )
-    return mat @ vec
-
-
-def _partial_trace_matrix(mat: np.ndarray, num_qubits: int, keep) -> np.ndarray:
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if keep[0] < 0 or keep[-1] >= num_qubits:
-        raise ValueError(f"keep set {keep} out of range for {num_qubits} qubits")
-    n = num_qubits
-    letters = "abcdefghijklmnopqrst"
-    row = [letters[i] for i in range(n)]
-    col = [letters[n + i] if i in keep else letters[i] for i in range(n)]
-    out = [letters[i] for i in keep] + [letters[n + i] for i in keep]
-    expr = "".join(row) + "".join(col) + "->" + "".join(out)
-    tensor = mat.reshape((2,) * (2 * n))
-    dim = 2 ** len(keep)
-    return np.einsum(expr, tensor).reshape(dim, dim)
-
-
-def partial_trace(rho, keep, num_qubits: int | None = None):
-    """Reduced density operator on the kept qubits (ascending order).
-
-    Accepts a MixedState (returns a MixedState) or a plain matrix with
-    `num_qubits` given (returns a matrix). The trace is preserved.
-    """
-    if isinstance(rho, MixedState):
-        reduced = _partial_trace_matrix(rho.matrix, rho.num_qubits, keep)
-        return MixedState(len(set(keep)), reduced)
-    mat = _as_complex(rho, "rho")
-    if num_qubits is None:
-        dim = mat.shape[0]
-        num_qubits = int(round(np.log2(dim)))
-        if 2 ** num_qubits != dim:
-            raise ValueError(f"matrix dimension {dim} is not a power of two")
-    return _partial_trace_matrix(mat, num_qubits, keep)
-
-
-def project(state, basis_state, on_qubits):
-    """Project `on_qubits` of `state` onto `basis_state`.
-
-    Returns the unnormalized state of the complement qubits, in their
-    original order; its squared norm is the outcome probability. The
-    j-th qubit of `basis_state` corresponds to the j-th smallest index
-    in `on_qubits`, and the complement must be nonempty.
-    """
-    on = sorted(set(int(k) for k in on_qubits))
-    was_pure = isinstance(state, PureState)
-    if was_pure:
-        n = state.num_qubits
-        vec = state.amplitudes
-    else:
-        vec = _as_complex(state, "state")
-        n = int(round(np.log2(vec.shape[0])))
-        if 2 ** n != vec.shape[0]:
-            raise ValueError(f"state length {vec.shape[0]} is not a power of two")
-    if not on or on[0] < 0 or on[-1] >= n:
-        raise ValueError(f"on_qubits {on} out of range for {n} qubits")
-    if len(on) >= n:
-        raise ValueError("projection must leave at least one qubit")
-    basis_vec = (
-        basis_state.amplitudes if isinstance(basis_state, PureState)
-        else _as_complex(basis_state, "basis_state")
-    )
-    k = len(on)
-    if basis_vec.shape != (2 ** k,):
-        raise ValueError(
-            f"basis state length {basis_vec.shape} does not match {k} projected qubits"
-        )
-    if abs(np.vdot(basis_vec, basis_vec).real - 1.0) > 1e-10:
-        raise ValueError("basis state must be normalized")
-    tensor = vec.reshape((2,) * n)
-    btensor = basis_vec.conj().reshape((2,) * k)
-    result = np.tensordot(btensor, tensor, axes=(tuple(range(k)), tuple(on)))
-    out = result.reshape(2 ** (n - k))
-    if was_pure:
-        return PureState(n - k, out)
-    return out
-
-
-def is_unitary(mat, tol: float = 1e-12) -> bool:
-    m = _as_complex(mat, "mat")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() <= tol)
-
-
-def is_diagonal(mat, tol: float = 0.0) -> bool:
-    m = _as_complex(mat, "mat")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    off = m - np.diag(np.diag(m))
-    return bool(np.abs(off).max() <= tol)

@@ -3,7 +3,6 @@ import pytest
 from wmteleport import checks, cli, pipeline
 from wmteleport.checks import FAULT_NAMES, run_checks
 from wmteleport.pipeline import SharedState
-from wmteleport.tensor import MixedState, PureState
 
 
 def test_all_checks_pass():
@@ -38,16 +37,11 @@ def test_fault_names_catalogue():
 
 
 def _scaled_protect(params, channel, mode):
-    """`protect` with the state scaled by 1.01 in amplitude, so every
+    """`protect` with the branches scaled by 1.01 in amplitude, so every
     outcome-probability sum is 1.0201: outside the measurement span."""
     shared = pipeline.protect(params, channel, mode)
-    if shared.mode is pipeline.PipelineMode.PAPER_LITERAL:
-        scaled = PureState(4, 1.01 * shared.pure.amplitudes)
-        return SharedState(shared.mode, pure=scaled)
     return SharedState(
-        shared.mode,
-        rho=MixedState(4, 1.0201 * shared.rho.matrix),
-        success_probability=shared.success_probability,
+        shared.mode, 1.01 * shared.branches, shared.success_probability
     )
 
 

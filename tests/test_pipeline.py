@@ -6,6 +6,7 @@ from wmteleport.pipeline import (
     FLIPPED_INDICES,
     GHZ_INDICES,
     PipelineMode,
+    SharedState,
     branch_operators,
     channel_only_shared,
     closed_form_check,
@@ -136,6 +137,59 @@ def test_branch_operators_shape_and_halved_gram():
     # operator case through the resource marginal
     branches = branch_operators(ProtocolI(0.8, 0.4), ChannelSpec("adc", 0.3))
     assert branches.shape == (4, 2, 2)
+
+
+@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize(
+    "branches",
+    [
+        np.zeros((0, 2, 2)),
+        np.eye(2),
+        np.zeros((1, 2, 3)),
+        np.full((1, 2, 2), np.nan),
+        np.array([[[1.0, np.inf], [0.0, 1.0]]]),
+    ],
+    ids=["K=0", "no-stack-axis", "wrong-block", "nan", "inf"],
+)
+def test_shared_state_rejects_malformed_branches(mode, branches):
+    with pytest.raises(ValueError, match="branches"):
+        SharedState(mode, branches)
+
+
+def test_paper_shared_state_holds_one_coherent_branch():
+    with pytest.raises(ValueError, match="one coherent branch"):
+        SharedState(PAPER, np.stack([np.eye(2), np.eye(2)]))
+    SharedState(PHYSICAL, np.stack([np.eye(2), np.eye(2)]) / np.sqrt(2.0))
+
+
+def test_shared_state_copies_and_freezes_its_branches():
+    outside = np.eye(2, dtype=complex)[None]
+    shared = SharedState(PHYSICAL, outside)
+    outside[0, 0, 0] = 5.0
+    assert shared.branches[0, 0, 0] == 1.0
+    with pytest.raises(ValueError):
+        shared.branches[0, 0, 0] = 2.0
+
+
+def test_derived_state_only_in_its_own_mode():
+    params, channel = ProtocolI(0.8, 0.4), ChannelSpec("adc", 0.3)
+    paper = protect(params, channel, PAPER)
+    physical = protect(params, channel, PHYSICAL)
+    assert paper.rho is None and paper.success_probability is None
+    assert physical.pure is None
+    assert paper.branches.shape == (1, 2, 2)
+    assert physical.branches.shape == (4, 2, 2)
+    assert paper.pure.is_normalized() and physical.rho.is_normalized()
+
+
+def test_package_imports_bind_submodules():
+    import types
+
+    import wmteleport.sweep as sweep_module
+    import wmteleport.teleport as teleport_module
+
+    assert isinstance(sweep_module, types.ModuleType)
+    assert isinstance(teleport_module, types.ModuleType)
 
 
 @pytest.mark.parametrize("proto_params", [ProtocolI(np.pi / 2, 1.0), ProtocolII(0.0, 0.0)])

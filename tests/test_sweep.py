@@ -11,6 +11,7 @@ from wmteleport.pipeline import PipelineMode, protect
 from wmteleport.sweep import (
     SweepGrid,
     _branch_slab,
+    _design_matrix,
     _fidelity_slab,
     _slab_argmax,
     compare_protocols,
@@ -19,7 +20,13 @@ from wmteleport.sweep import (
     fmax_curve,
     sweep,
 )
-from wmteleport.teleport import average_fidelity, unprotected_baseline
+from wmteleport.teleport import (
+    _corrections,
+    _eta_states,
+    average_fidelity,
+    design_inputs,
+    unprotected_baseline,
+)
 
 PAPER = PipelineMode.PAPER_LITERAL
 PHYSICAL = PipelineMode.PHYSICAL_MIXED
@@ -394,3 +401,19 @@ def test_fidelity_slab_matches_oracle_at_degenerate_parameters(
         assert math.isnan(got)
     else:
         assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("measure", ["haar", "polar"])
+def test_design_matrix_matches_resource_written_out(measure):
+    """V built from the shared eta-psi0 constant equals, bit for bit, V
+    built from the resource's four amplitudes written out (B as column)."""
+    psi0 = np.zeros((8, 2))
+    for idx in (0b0000, 0b0101, 0b1010, 0b1111):
+        psi0[idx >> 1, idx & 1] = 0.5
+    states = np.stack([s.vector for s in design_inputs(measure)])
+    t1 = np.einsum("isa,ns->nia", _eta_states().reshape(4, 2, 8).conj(), states)
+    u = np.einsum("nb,ibc->nic", states.conj(), _corrections())
+    w = np.einsum("nia,nib->niab", t1, u)
+    v = np.einsum("niab,ac->bcni", w, psi0).reshape(4, -1)
+    v = np.concatenate([v.real, v.imag], axis=1)
+    assert np.array_equal(_design_matrix(measure), v[:, (v != 0.0).any(axis=0)])

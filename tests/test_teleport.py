@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wmteleport import teleport as teleport_module
 from wmteleport.operators import CHANNEL_KINDS, ChannelSpec, ProtocolI, ProtocolII
 from wmteleport.pipeline import PipelineMode, protect
-from wmteleport.tensor import PureState
 from wmteleport.teleport import (
     OUTCOME_FLOOR,
     InputQubit,
@@ -287,9 +287,8 @@ def test_baseline_is_mode_independent(measure, kind):
 
 
 def test_teleport_rejects_states_outside_measurement_span():
-    vec = np.zeros(16, dtype=complex)
-    vec[0b0110] = 1.0
-    stray = SharedState(PAPER, pure=PureState(4, vec))
+    # outcome probabilities sum to |g|_F^2 / 2 = 4
+    stray = SharedState(PAPER, 2.0 * np.eye(2)[None])
     with pytest.raises(ValueError, match="span"):
         teleport(stray, InputQubit(1.0, 0.0))
 
@@ -330,7 +329,7 @@ def test_stacked_kernel_matches_oracle(mode):
     params, kind, r = _VANISHING
     vanishing = protect(params, ChannelSpec(kind, r), PAPER)
     if mode is PHYSICAL:
-        vanishing = SharedState(PHYSICAL, rho=vanishing.pure.density())
+        vanishing = SharedState(PHYSICAL, vanishing.branches)
     states.append(vanishing)
     oracle.append(brute_protect(*_brute_args(params), kind, r, "paper"))
     if mode is PHYSICAL:
@@ -355,13 +354,8 @@ def test_stacked_kernel_matches_oracle(mode):
 @pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
 def test_stacked_kernel_rejects_one_state_outside_span(mode):
     states = [protect(p, ChannelSpec(k, r), mode) for p, k, r in _KERNEL_GRID[:6]]
-    vec = np.zeros(16, dtype=complex)
-    vec[0b0110] = 1.0
-    stray = PureState(4, vec)
-    if mode is PAPER:
-        states.insert(3, SharedState(PAPER, pure=stray))
-    else:
-        states.insert(3, SharedState(PHYSICAL, rho=stray.density()))
+    # a stack whose outcome probabilities sum to 1.0201
+    states.insert(3, SharedState(mode, 1.01 * states[3].branches))
     with pytest.raises(ValueError, match="outside the measurement span"):
         _outcome_kernel(states, np.array([[0.6, 0.8j]]))
     other = protect(ProtocolI(0.9, 0.4), ChannelSpec("adc", 0.3), PAPER)
@@ -369,6 +363,20 @@ def test_stacked_kernel_rejects_one_state_outside_span(mode):
         other = protect(ProtocolI(0.9, 0.4), ChannelSpec("adc", 0.3), PHYSICAL)
     with pytest.raises(ValueError, match="one mode"):
         _outcome_kernel([states[0], other], np.array([[1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("mode,k", [(PAPER, 1), (PHYSICAL, 1), (PHYSICAL, 2), (PHYSICAL, 4)])
+def test_outcome_probabilities_sum_to_half_branch_norm(mode, k, monkeypatch):
+    """psi0^dagger psi0 = I/2 and the eta basis spans the resource's
+    support, so for any branches the four outcome probabilities sum to
+    |g|_F^2 / 2 at every input: normalized branches cannot leave the span."""
+    monkeypatch.setattr(teleport_module, "_span_check", lambda totals: None)
+    rng = np.random.default_rng(29 + k)
+    for _ in range(10):
+        g = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+        probs = _outcome_kernel([SharedState(mode, g)], sample_inputs(rng, 6))[0]
+        half_norm = 0.5 * float(np.vdot(g, g).real)
+        np.testing.assert_allclose(probs.sum(axis=-1), half_norm, rtol=1e-14, atol=0)
 
 
 def _entanglement_fidelity(shared):
