@@ -10,13 +10,16 @@ reproduce  evaluate the bundled reference table, write JSON manifest
 
 Exit codes: 0 success, 1 check or reproduction failure, 2 usage error.
 All numeric CSV fields use 17-significant-digit decimals so values
-round-trip to the same doubles.
+round-trip to the same doubles. The CSV is built column by column:
+within each block of rows, each distinct value is formatted once.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from .checks import FAULT_NAMES, run_checks
 from .reproduce import build_manifest, manifest_json, manifest_lines
@@ -30,15 +33,16 @@ from .sweep import (
 )
 
 _FMT = "%.17g"
+# Rows formatted per block, so the text of at most this many rows exists
+# as separate strings at once.
+_CSV_BLOCK_ROWS = 4096
 
-# Largest grid a sweep subcommand accepts. A surface run peaks at about
-# 400 B per cell (branch matrices, fidelities, CSV text; a 401x401
-# surface reaches ~96 MiB RSS), so this keeps one run under 0.5 GB.
+# Largest grid a sweep subcommand accepts. A surface run's peak RSS is
+# set by the sweep's branch matrices (128 B per cell plus temporaries),
+# not by the CSV text: a 401x401 surface reaches ~62 MiB and a
+# 1024x1024 one ~233 MiB in 3.3 s (2-vCPU x86), so one run stays under
+# 0.5 GB.
 MAX_GRID_CELLS = 1024 * 1024
-
-
-def _fmt(value: float) -> str:
-    return _FMT % value
 
 
 def _write_text(path: str, text: str) -> None:
@@ -46,10 +50,26 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _column_text(values: np.ndarray) -> list[str]:
+    """`_FMT` text of each float in `values`, formatting each distinct
+    bit pattern once. Bits, not values, so -0.0 and 0.0 keep their own
+    text."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = list(map(_FMT.__mod__, bits.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
+def _csv(header: str, columns) -> str:
+    """CSV text: the header, then one row per element of the columns'
+    common broadcast shape, in C order. Broadcasting lets an axis or a
+    constant stand for a whole column without being copied out."""
+    cols = np.broadcast_arrays(*(np.asarray(c, dtype=np.float64) for c in columns))
+    parts = [header, "\n"]
+    for start in range(0, cols[0].size, _CSV_BLOCK_ROWS):
+        block = [_column_text(c.flat[start:start + _CSV_BLOCK_ROWS]) for c in cols]
+        parts.append("\n".join(map(",".join, zip(*block))))
+        parts.append("\n")
+    return "".join(parts)
 
 
 def _add_common(sub, protocol=True, channel=True, mode=True, measure=True):
@@ -136,19 +156,14 @@ def _cmd_surface(args, parser) -> int:
         parser.error("--r must lie in [0, 1]")
     grid = default_grid(args.protocol, [args.r], args.resolution, args.mode)
     result = sweep(grid, args.channel, args.measure)
-    rows = (
-        (
-            grid.axis1[i1],
-            grid.axis2[i2],
-            grid.r_values[ir],
-            result.fidelity[i1, i2, ir],
-            result.baseline[ir],
-        )
-        for i1 in range(grid.axis1.size)
-        for i2 in range(grid.axis2.size)
-        for ir in range(grid.r_values.size)
+    columns = (
+        grid.axis1[:, None, None],
+        grid.axis2[None, :, None],
+        grid.r_values,
+        result.fidelity,
+        result.baseline,
     )
-    _write_text(args.out, _csv("axis1,axis2,r,fidelity,baseline", rows))
+    _write_text(args.out, _csv("axis1,axis2,r,fidelity,baseline", columns))
     print(f"wrote {args.out}")
     return 0
 
@@ -163,8 +178,8 @@ def _cmd_fmax(args, parser) -> int:
         mode=args.mode,
         measure=args.measure,
     )
-    rows = ((p.r, p.fmax, p.param1, p.param2, p.baseline) for p in points)
-    _write_text(args.out, _csv("r,fmax,param1,param2,baseline", rows))
+    columns = zip(*((p.r, p.fmax, p.param1, p.param2, p.baseline) for p in points))
+    _write_text(args.out, _csv("r,fmax,param1,param2,baseline", columns))
     print(f"wrote {args.out}")
     return 0
 
@@ -179,7 +194,7 @@ def _cmd_compare(args, parser) -> int:
         measure=args.measure,
     )
     if args.out is not None:
-        _write_text(args.out, _csv("r,baseline,fmax_I,fmax_II", comparison.rows))
+        _write_text(args.out, _csv("r,baseline,fmax_I,fmax_II", zip(*comparison.rows)))
         print(f"wrote {args.out}")
     print(comparison.verdict_text)
     return 0

@@ -5,9 +5,21 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from wmteleport import cli
+from wmteleport.sweep import (
+    compare_protocols,
+    default_grid,
+    default_r_values,
+    fmax_curve,
+    sweep,
+)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -88,6 +100,100 @@ def test_surface_round_trips_float_text(tmp_path):
     for row in rows[:5]:
         value = float(row[3])
         assert float(f"{value:.17g}") == value
+
+
+def reference_csv(header, rows):
+    """The row-wise formatter the column-wise `cli._csv` must match."""
+    return "\n".join([header, *(",".join("%.17g" % v for v in row) for row in rows)]) + "\n"
+
+
+_ULPS = [0.1, np.nextafter(0.1, 1.0), np.nextafter(0.1, 0.0), np.nextafter(0.0, 1.0)]
+_HOSTILE_COLUMNS = {
+    "signed_zeros": [[-0.0, 0.0, -0.0, 0.0], [0.0, -0.0, 0.0, -0.0]],
+    "non_finite_and_subnormal": [
+        [np.nan, np.inf, -np.inf, 5e-324, -5e-324, -np.nan],
+        [5e-324, np.nan, np.nan, -np.inf, 0.0, 1.0],
+    ],
+    "one_ulp_apart": [_ULPS * 3, _ULPS[::-1] * 3],
+    "all_constant": [[0.5] * 7, [np.nan] * 7, [-0.0] * 7],
+    "zero_rows": [[], [], []],
+    "one_row": [[1.0 / 3.0], [-2.5], [np.nan]],
+    "block_boundary": [
+        np.linspace(0.0, 1.0, 4097),
+        np.repeat([0.25, -0.0, np.nan], [2000, 2000, 97]),
+        [1e-300] * 4097,
+        np.sqrt(np.arange(4097.0)),
+    ],
+}
+
+
+@pytest.mark.parametrize("columns", _HOSTILE_COLUMNS.values(), ids=_HOSTILE_COLUMNS)
+def test_csv_matches_row_wise_reference(columns):
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    want = reference_csv(header, zip(*(np.asarray(c, dtype=float) for c in columns)))
+    assert cli._csv(header, columns) == want
+
+
+@given(
+    pool=st.lists(st.floats(), min_size=1, max_size=6),
+    picks=st.lists(st.lists(st.integers(0, 5), max_size=40), min_size=1, max_size=6),
+    block_rows=st.integers(1, 9),
+)
+def test_csv_matches_reference_on_repeated_values(pool, picks, block_rows):
+    # a small pool makes repeats the rule; short blocks cross many boundaries
+    n = min(map(len, picks))
+    columns = [[pool[i % len(pool)] for i in column[:n]] for column in picks]
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
+        got = cli._csv(header, columns)
+    assert got == reference_csv(header, zip(*columns))
+
+
+def _bits_equal(got, want):
+    got, want = np.asarray(got, dtype=float), np.broadcast_to(want, np.shape(got))
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(
+        got[~nan].view(np.int64), want[~nan].view(np.int64)
+    )
+
+
+# r = 0 (protocol I) and r = 1 (protocol II: bit flip, and phase flip in
+# paper mode) include annihilated cells; 65 x 65 rows cross a CSV block
+# boundary.
+@pytest.mark.parametrize("r", ["0", "0.37", "1"])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
+@pytest.mark.parametrize("channel", ["adc", "bfc", "pfc"])
+@pytest.mark.parametrize("protocol", ["I", "II"])
+def test_surface_fields_are_the_sweep_bits(protocol, channel, mode, r, tmp_path, capsys):
+    out = tmp_path / "surface.csv"
+    argv = ["surface", "--protocol", protocol, "--channel", channel, "--mode", mode,
+            "--r", r, "--resolution", "65", "--out", str(out)]
+    assert cli.main(argv) == 0
+    grid = default_grid(protocol, [float(r)], 65, mode)
+    result = sweep(grid, channel, "polar")
+    _, rows = read_csv(out)
+    got = np.array([[float(field) for field in row] for row in rows]).T
+    n1, n2, _ = grid.shape
+    assert _bits_equal(got[0], np.repeat(grid.axis1, n2))
+    assert _bits_equal(got[1], np.tile(grid.axis2, n1))
+    assert _bits_equal(got[2], grid.r_values[0])
+    assert _bits_equal(got[3], result.fidelity.reshape(-1))
+    assert _bits_equal(got[4], result.baseline[0])
+
+
+def test_fmax_and_compare_csv_match_reference(tmp_path, capsys):
+    fmax_out, compare_out = tmp_path / "fmax.csv", tmp_path / "compare.csv"
+    assert cli.main(["fmax", "--protocol", "II", "--channel", "bfc",
+                     "--resolution", "11", "--out", str(fmax_out)]) == 0
+    assert cli.main(["compare", "--channel", "pfc", "--resolution", "11",
+                     "--out", str(compare_out)]) == 0
+    points = fmax_curve("II", "bfc", default_r_values(), resolution=11)
+    rows = [(p.r, p.fmax, p.param1, p.param2, p.baseline) for p in points]
+    assert fmax_out.read_text() == reference_csv("r,fmax,param1,param2,baseline", rows)
+    comparison = compare_protocols("pfc", default_r_values(), resolution=11)
+    assert compare_out.read_text() == reference_csv(
+        "r,baseline,fmax_I,fmax_II", comparison.rows
+    )
 
 
 def test_surface_noiseless_paper_mode_is_all_ones(tmp_path):
