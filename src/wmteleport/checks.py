@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import ChannelSpec, ProtocolI, ProtocolII, kraus_set, wm, wmr
-from .pipeline import PipelineMode, protect
+from .pipeline import PipelineMode, branch_grid, normalize_branches, protect
 from .teleport import (
     InputQubit,
     _outcome_kernel,
@@ -78,17 +78,10 @@ def _check_eta_orthonormality():
     return worst <= 1e-12, f"max Gram deviation {worst:.3e}"
 
 
-_PROB_GRIDS = {
-    "I": [
-        ProtocolI(omega, q)
-        for omega in (0.3, 0.8, 1.2, 1.5)
-        for q in (0.2, 0.5, 0.8, 1.0)
-    ],
-    "II": [
-        ProtocolII(k1, k2)
-        for k1 in (0.0, 0.3, 0.6, 0.9)
-        for k2 in (0.0, 0.3, 0.6, 0.9)
-    ],
+# (axis 1, axis 2) of each protocol's parameter grid
+_PROB_AXES = {
+    "I": ((0.3, 0.8, 1.2, 1.5), (0.2, 0.5, 0.8, 1.0)),
+    "II": ((0.0, 0.3, 0.6, 0.9), (0.0, 0.3, 0.6, 0.9)),
 }
 _PROB_CHANNELS = [
     ChannelSpec(kind, r) for kind in ("adc", "bfc", "pfc") for r in (0.0, 0.3, 0.6, 0.9)
@@ -96,14 +89,17 @@ _PROB_CHANNELS = [
 
 
 def _check_probability_sums():
+    """Outcome probabilities sum to 1 over every parameter grid x
+    channel cell, in one stack per protocol and mode. An annihilated
+    cell stays unscaled and fails the kernel's span check."""
     inp = InputQubit(0.6, 0.8).vector[None]
     worst = 0.0
-    for params_list in _PROB_GRIDS.values():
-        for params in params_list:
-            for mode in PipelineMode:
-                states = [protect(params, channel, mode) for channel in _PROB_CHANNELS]
-                probs = _outcome_kernel(states, inp)[0]
-                worst = max(worst, float(np.abs(probs.sum(axis=-1) - 1.0).max()))
+    for protocol, (axis1, axis2) in _PROB_AXES.items():
+        raw = np.stack([branch_grid(protocol, axis1, axis2, ch) for ch in _PROB_CHANNELS])
+        for mode in PipelineMode:
+            branches = normalize_branches(raw, mode)[0]
+            probs = _outcome_kernel(branches.reshape(-1, *branches.shape[-3:]), inp)[0]
+            worst = max(worst, float(np.abs(probs.sum(axis=-1) - 1.0).max()))
     return worst <= 1e-10, f"max |sum(p) - 1| {worst:.3e}"
 
 

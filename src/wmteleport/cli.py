@@ -72,22 +72,17 @@ def _csv(header: str, columns) -> str:
     return "".join(parts)
 
 
-def _add_common(sub, protocol=True, channel=True, mode=True, measure=True):
+def _add_common(sub, protocol=True):
     if protocol:
         sub.add_argument("--protocol", required=True, choices=("I", "II"))
-    if channel:
-        sub.add_argument(
-            "--channel",
-            required=True,
-            type=str.lower,
-            choices=("adc", "bfc", "pfc"),
-        )
-    if mode:
-        sub.add_argument(
-            "--mode", choices=("paper", "physical"), default="physical"
-        )
-    if measure:
-        sub.add_argument("--measure", choices=("haar", "polar"), default="polar")
+    sub.add_argument(
+        "--channel",
+        required=True,
+        type=str.lower,
+        choices=("adc", "bfc", "pfc"),
+    )
+    sub.add_argument("--mode", choices=("paper", "physical"), default="physical")
+    sub.add_argument("--measure", choices=("haar", "polar"), default="polar")
 
 
 def _build_parser() -> argparse.ArgumentParser:

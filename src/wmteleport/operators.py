@@ -1,9 +1,11 @@
 """Single-qubit operator catalog.
 
-Constructors for the conditional flips, the two weak-measurement
-protocols with their reversals, the three noise channels' Kraus sets,
-and the four outcome-correction unitaries. Every operator is returned
-as a fresh 2x2 complex numpy array.
+The two weak-measurement protocols with their reversals, the three
+noise channels' Kraus sets, and the four outcome-correction unitaries.
+Both protection stages are diagonal: `stage_diagonals` maps a grid of
+protocol parameters to their outcome-0 diagonals, and `wm`/`wmr` are
+its one-point views. Every operator is returned as a fresh 2x2 complex
+numpy array.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ __all__ = [
     "ProtocolII",
     "ProtocolParams",
     "ChannelSpec",
-    "flip",
+    "stage_diagonals",
+    "parameter_point",
     "wm",
     "wmr",
     "kraus_set",
@@ -123,24 +126,47 @@ def _check_bit(i) -> int:
     return int(i)
 
 
-def flip(i) -> np.ndarray:
-    """Conditional flip: identity for outcome 0, sigma_x for outcome 1."""
-    return PAULI_I.copy() if _check_bit(i) == 0 else PAULI_X.copy()
+def stage_diagonals(protocol: str, axis1, axis2) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome-0 diagonals of the protection stages over a parameter
+    grid: the weak measurement m_0 over axis 1, shape (n1, 2), and the
+    reversal n_0 over axis 2, shape (n2, 2). Outcome 1 mirrors both.
+
+    Protocol "I" has axes (omega, q): m_0 = diag(cos w/2, sin w/2) and
+    n_0 = diag(q, 1). Protocol "II" has axes (K1, K2), each stage
+    diag(K+, K-) with K+- = sqrt((1 +- K)/2).
+    """
+    a1 = np.asarray(axis1, dtype=float)
+    a2 = np.asarray(axis2, dtype=float)
+    if protocol == "I":
+        d1 = np.stack([np.cos(a1 / 2.0), np.sin(a1 / 2.0)], axis=-1)
+        d2 = np.stack([a2, np.ones_like(a2)], axis=-1)
+    elif protocol == "II":
+        d1 = np.sqrt(np.stack([1.0 + a1, 1.0 - a1], axis=-1) / 2.0)
+        d2 = np.sqrt(np.stack([1.0 + a2, 1.0 - a2], axis=-1) / 2.0)
+    else:
+        raise ValueError(f"unknown protocol kind {protocol!r}")
+    return d1, d2
+
+
+def parameter_point(params: ProtocolParams) -> tuple[str, float, float]:
+    """(protocol kind, axis-1 value, axis-2 value) of one parameter set."""
+    if isinstance(params, ProtocolI):
+        return "I", params.omega, params.q
+    if isinstance(params, ProtocolII):
+        return "II", params.k1, params.k2
+    raise ValueError(f"unsupported protocol parameters: {params!r}")
+
+
+def _stage(params: ProtocolParams, stage: int, i) -> np.ndarray:
+    i = _check_bit(i)
+    kind, a1, a2 = parameter_point(params)
+    d = stage_diagonals(kind, [a1], [a2])[stage][0]
+    return np.diag((d if i == 0 else d[::-1]).astype(complex))
 
 
 def wm(params: ProtocolParams, i) -> np.ndarray:
     """Weak-measurement POVM element for outcome i."""
-    i = _check_bit(i)
-    if isinstance(params, ProtocolI):
-        c = math.cos(params.omega / 2.0)
-        s = math.sin(params.omega / 2.0)
-        d = (c, s) if i == 0 else (s, c)
-    elif isinstance(params, ProtocolII):
-        p, m = params.k1_plus, params.k1_minus
-        d = (p, m) if i == 0 else (m, p)
-    else:
-        raise ValueError(f"unsupported protocol parameters: {params!r}")
-    return np.diag(np.asarray(d, dtype=complex))
+    return _stage(params, 0, i)
 
 
 def wmr(params: ProtocolParams, i) -> np.ndarray:
@@ -149,15 +175,7 @@ def wmr(params: ProtocolParams, i) -> np.ndarray:
     For ProtocolI this is the filter diag(q, 1) / diag(1, q); for
     ProtocolII it is a completed POVM element like `wm`.
     """
-    i = _check_bit(i)
-    if isinstance(params, ProtocolI):
-        d = (params.q, 1.0) if i == 0 else (1.0, params.q)
-    elif isinstance(params, ProtocolII):
-        p, m = params.k2_plus, params.k2_minus
-        d = (p, m) if i == 0 else (m, p)
-    else:
-        raise ValueError(f"unsupported protocol parameters: {params!r}")
-    return np.diag(np.asarray(d, dtype=complex))
+    return _stage(params, 1, i)
 
 
 def kraus_set(spec: ChannelSpec) -> list[np.ndarray]:

@@ -11,8 +11,11 @@ operator for outcomes (i, j) is therefore
 
 Since every stage acts on B alone, a SharedState keeps only the 2x2
 branch operators; the 16-dim state psi0 g^T (psi0 as an 8x2 matrix with
-B on columns) is built on demand. Two summation semantics are provided,
-selected by PipelineMode:
+B on columns) is built on demand. There is one path from parameters to
+normalized branches: `branch_grid` builds the branch operators over a
+whole parameter grid, `normalize_branches` normalizes any stack of
+them, and `branch_operators`/`protect` are their one-point views. Two
+summation semantics are provided, selected by PipelineMode:
 
 * PAPER_LITERAL ("paper"): all four branch operators are summed
   coherently into one operator, normalized so the state has unit norm.
@@ -23,7 +26,6 @@ selected by PipelineMode:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,35 +33,28 @@ import numpy as np
 
 from .operators import (
     ChannelSpec,
-    ProtocolI,
-    ProtocolII,
     ProtocolParams,
-    flip,
     kraus_set,
-    wm,
-    wmr,
+    parameter_point,
+    stage_diagonals,
 )
 from .tensor import MixedState, PureState
 
 ZERO_NORM_TOL = 1e-14
 
 GHZ_INDICES = (0b0000, 0b0101, 0b1010, 0b1111)
-FLIPPED_INDICES = (0b0001, 0b0100, 0b1011, 0b1110)
 
 __all__ = [
     "ZERO_NORM_TOL",
     "GHZ_INDICES",
-    "FLIPPED_INDICES",
     "PipelineMode",
     "SharedState",
-    "ClosedFormCoefficients",
-    "ClosedFormEntry",
-    "ClosedFormReport",
     "initial_state",
+    "branch_grid",
     "branch_operators",
+    "normalize_branches",
     "protect",
     "channel_only_shared",
-    "closed_form_check",
 ]
 
 
@@ -143,34 +138,69 @@ def initial_state() -> PureState:
 _PSI0 = initial_state().amplitudes.reshape(8, 2)
 
 
+def branch_grid(protocol: str, axis1, axis2, channel: ChannelSpec) -> np.ndarray:
+    """The four branch operators g_ij at every cell of a parameter
+    grid: shape (n1, n2, 4, 2, 2), branch order (i=0,j=0), (0,1),
+    (1,0), (1,1). The stages around the channel are diagonal, m_i
+    depending on axis 1 only and n_i on axis 2 only, so
+    g_ij[b, c] = n_i[b] * C_ij[b, c] * m_i[c] with C_ij = f_i e_j f_i.
+    All three channels have real Kraus operators, so the branches are
+    real."""
+    d1, d2 = stage_diagonals(protocol, axis1, axis2)
+    # outcome 1 mirrors both diagonals; its flip sigma_x reverses the
+    # rows and columns of e_j
+    m = np.stack([d1, d1, d1[:, ::-1], d1[:, ::-1]], axis=1)
+    n = np.stack([d2, d2, d2[:, ::-1], d2[:, ::-1]], axis=1)
+    e = np.stack(kraus_set(channel)).real
+    core = np.concatenate([e, e[:, ::-1, ::-1]])
+    # flattened entry 2b+c: n_i[b] * C_ij[b, c] from `left`, m_i[c] from
+    # `right`. One flat 16-wide product: the same broadcast over
+    # (n1, n2, 4, 2, 2) with size-2 inner axes is 4x slower at 401x401.
+    left = (n[:, :, :, None] * core).reshape(1, -1, 16)
+    right = np.tile(m, 2).reshape(-1, 1, 16)
+    return (left * right).reshape(len(d1), len(d2), 4, 2, 2)
+
+
 def branch_operators(params: ProtocolParams, channel: ChannelSpec) -> np.ndarray:
-    """The four 2x2 branch operators g_ij, stacked in order
-    (i, j) = (0,0), (0,1), (1,0), (1,1)."""
-    stages = [[wmr(params, i), flip(i), wm(params, i)] for i in (0, 1)]
-    n, f, m = np.stack(stages, axis=1)[:, :, None]
-    return (n @ f @ np.stack(kraus_set(channel)) @ f @ m).reshape(4, 2, 2)
+    """The four 2x2 branch operators g_ij at one parameter point,
+    stacked in order (i, j) = (0,0), (0,1), (1,0), (1,1)."""
+    protocol, a1, a2 = parameter_point(params)
+    return branch_grid(protocol, [a1], [a2], channel)[0, 0]
+
+
+def normalize_branches(branches: np.ndarray, mode):
+    """Normalize a stack of branch operators, shape (..., K, 2, 2).
+
+    Returns (normalized, retained, annihilated). Paper mode first sums
+    the K branches coherently, so `normalized` has K = 1 there.
+    `retained` is the squared norm of the state before scaling,
+    |g|_F^2 / 2 summed over the branches (psi0^dagger psi0 = I/2); in
+    physical mode it is the success probability. Cells with `retained` below ZERO_NORM_TOL
+    are flagged in `annihilated` and left unscaled."""
+    mode = _coerce_mode(mode)
+    if mode is PipelineMode.PAPER_LITERAL:
+        branches = branches.sum(axis=-3, keepdims=True)
+    retained = 0.5 * (branches.real**2 + branches.imag**2).sum(axis=(-3, -2, -1))
+    annihilated = retained < ZERO_NORM_TOL
+    scale = np.sqrt(np.where(annihilated, 1.0, retained))
+    return branches / scale[..., None, None, None], retained, annihilated
+
+
+_ANNIHILATED = {
+    PipelineMode.PAPER_LITERAL: "protection pipeline produced a zero-norm state; "
+    "the chosen parameters annihilate every branch",
+    PipelineMode.PHYSICAL_MIXED: "protection pipeline produced a zero-trace mixture; "
+    "the chosen parameters annihilate every branch",
+}
 
 
 def _shared_from_branches(branches: np.ndarray, mode: PipelineMode) -> SharedState:
-    # psi0^dagger psi0 = I/2, so |psi0 g^T|^2 = |g|_F^2 / 2.
+    normalized, retained, annihilated = normalize_branches(branches, mode)
+    if annihilated:
+        raise ValueError(_ANNIHILATED[mode])
     if mode is PipelineMode.PAPER_LITERAL:
-        coherent = branches.sum(axis=0, keepdims=True)
-        nrm2 = 0.5 * float(np.vdot(coherent, coherent).real)
-        if nrm2 < ZERO_NORM_TOL:
-            raise ValueError(
-                "protection pipeline produced a zero-norm state; "
-                "the chosen parameters annihilate every branch"
-            )
-        return SharedState(mode, coherent / math.sqrt(nrm2))
-    retained = 0.5 * float(np.vdot(branches, branches).real)
-    if retained < ZERO_NORM_TOL:
-        raise ValueError(
-            "protection pipeline produced a zero-trace mixture; "
-            "the chosen parameters annihilate every branch"
-        )
-    return SharedState(
-        mode, branches / math.sqrt(retained), success_probability=min(retained, 1.0)
-    )
+        return SharedState(mode, normalized)
+    return SharedState(mode, normalized, success_probability=min(float(retained), 1.0))
 
 
 def protect(params: ProtocolParams, channel: ChannelSpec, mode) -> SharedState:
@@ -184,167 +214,3 @@ def channel_only_shared(channel: ChannelSpec, mode) -> SharedState:
     stages; branch operators are just the Kraus elements."""
     mode = _coerce_mode(mode)
     return _shared_from_branches(np.stack(kraus_set(channel)), mode)
-
-
-@dataclass(frozen=True)
-class ClosedFormCoefficients:
-    """Named coefficient values printed alongside the catalogued final
-    states, evaluated at the given parameters."""
-
-    protocol: str
-    channel: str
-    values: dict
-
-
-@dataclass(frozen=True)
-class ClosedFormEntry:
-    name: str
-    printed: float
-    pipeline: float
-    discrepancy: float
-    consistent: bool
-
-
-@dataclass(frozen=True)
-class ClosedFormReport:
-    coefficients: ClosedFormCoefficients
-    entries: tuple
-
-
-def _safe_div(a: float, b: float) -> float:
-    if b == 0.0:
-        return math.inf if a > 0 else (-math.inf if a < 0 else math.nan)
-    return a / b
-
-
-def _entry(name: str, printed: float, pipeline: float, tol: float = 1e-9) -> ClosedFormEntry:
-    if math.isfinite(printed) and math.isfinite(pipeline):
-        disc = abs(printed - pipeline)
-        ok = disc <= tol * max(1.0, abs(printed))
-    else:
-        disc = math.inf
-        ok = False
-    return ClosedFormEntry(name, printed, pipeline, disc, ok)
-
-
-def _real_amplitude(value: complex) -> float:
-    if abs(value.imag) > 1e-12:
-        raise ValueError("expected a real amplitude")
-    return float(value.real)
-
-
-def closed_form_check(params: ProtocolParams, channel: ChannelSpec) -> ClosedFormReport:
-    """Evaluate the printed coefficient formulas and compare them with
-    ratios extracted from the numeric paper-literal pipeline.
-
-    The comparisons are reported, never asserted: the numeric pipeline
-    is authoritative and several printed formulas are known not to
-    match it (mixed normalized and unnormalized terms). For channels
-    with two amplitude groups the group-amplitude ratio is the primary
-    scale-free comparison; the amplitude-damping coefficients are also
-    compared against twice the normalized four-ket group amplitude,
-    since their printed normalizer drops the damped-branch weight. For
-    the phase flip channel the support residual is reported instead.
-    """
-    shared = protect(params, channel, PipelineMode.PAPER_LITERAL)
-    amps = shared.pure.amplitudes
-    ghz = np.array([_real_amplitude(amps[i]) for i in GHZ_INDICES])
-    flp = np.array([_real_amplitude(amps[i]) for i in FLIPPED_INDICES])
-    other = np.delete(np.abs(amps), list(GHZ_INDICES) + list(FLIPPED_INDICES))
-
-    entries = [
-        _entry("ghz_group_uniform", 0.0, float(np.abs(ghz - ghz.mean()).max())),
-        _entry("flipped_group_uniform", 0.0, float(np.abs(flp - flp.mean()).max())),
-        _entry("outside_both_groups_residual", 0.0, float(np.abs(other).max())),
-    ]
-    pipeline_ratio = _safe_div(float(ghz.mean()), float(flp.mean()))
-
-    r = channel.r
-    values: dict = {}
-    if isinstance(params, ProtocolI):
-        c = math.cos(params.omega / 2.0)
-        s = math.sin(params.omega / 2.0)
-        q = params.q
-        if channel.kind == "adc":
-            denom = math.sqrt(2.0 * (c * c * q * q + s * s * (1.0 - r)))
-            lam = _safe_div(c * q + s * math.sqrt(1.0 - r), denom)
-            values["lambda_adc"] = lam
-            entries.append(_entry("lambda_adc_vs_group_ratio", lam, pipeline_ratio))
-            entries.append(
-                _entry(
-                    "lambda_adc_vs_scaled_ghz_amplitude",
-                    lam,
-                    2.0 * float(ghz.mean()),
-                )
-            )
-        elif channel.kind == "bfc":
-            lam1 = 0.5 * ((1.0 - r) * s * s + q * q * (1.0 - r) * c * c)
-            lam2 = 0.5 * (r * q * q * s * s + r * c * c)
-            values["lambda_bfc1"] = lam1
-            values["lambda_bfc2"] = lam2
-            branches = branch_operators(params, channel)
-            w = [float(np.trace(g.conj().T @ g).real) / 2.0 for g in branches]
-            entries.append(_entry("lambda_bfc1_vs_branch_weight", lam1, w[0]))
-            entries.append(_entry("lambda_bfc2_vs_branch_weight", lam2, w[1]))
-            entries.append(
-                _entry(
-                    "lambda_bfc_ratio_vs_group_ratio",
-                    _safe_div(lam1, lam2),
-                    pipeline_ratio,
-                )
-            )
-        else:
-            denom = 2.0 * math.sqrt(q * q * c * c + s * s)
-            values["lambda_pfc"] = _safe_div(q * c, denom)
-            entries.append(
-                _entry("pfc_flipped_support_residual", 0.0, float(np.abs(flp).max()))
-            )
-    elif isinstance(params, ProtocolII):
-        p1, m1 = params.k1_plus, params.k1_minus
-        p2, m2 = params.k2_plus, params.k2_minus
-        if channel.kind == "adc":
-            denom = math.sqrt((p1 * p2) ** 2 + (1.0 - r) * (m1 * m2) ** 2)
-            lam1 = _safe_div(
-                math.sqrt(2.0)
-                * (math.sqrt(p1 * p2) + math.sqrt(m1 * m2 * (1.0 - r))),
-                denom,
-            )
-            values["lambda_1"] = lam1
-            entries.append(_entry("lambda_1_vs_group_ratio", lam1, pipeline_ratio))
-            entries.append(
-                _entry(
-                    "lambda_1_vs_scaled_ghz_amplitude",
-                    lam1,
-                    2.0 * float(ghz.mean()),
-                )
-            )
-        elif channel.kind == "bfc":
-            lam1 = _safe_div(
-                p1 * p2 + m1 * m2,
-                math.sqrt(2.0 * ((p1 * p2) ** 2 + (m1 * m2) ** 2)),
-            )
-            lam2 = _safe_div(
-                p1 * m2 + m1 * p2,
-                math.sqrt(2.0 * ((p1 * m2) ** 2 + (m1 * p2) ** 2)),
-            )
-            values["lambda_1"] = lam1
-            values["lambda_2"] = lam2
-            entries.append(
-                _entry(
-                    "lambda_ratio_vs_group_ratio",
-                    _safe_div(lam1, lam2),
-                    pipeline_ratio,
-                )
-            )
-        else:
-            denom = (m1 * m2) ** 2 + (p1 * p2) ** 2
-            lam = p1 * p2 * math.sqrt(_safe_div(2.0, denom)) if denom > 0 else math.nan
-            values["lambda"] = lam
-            entries.append(
-                _entry("pfc_flipped_support_residual", 0.0, float(np.abs(flp).max()))
-            )
-    else:
-        raise ValueError(f"unsupported protocol parameters: {params!r}")
-
-    coeffs = ClosedFormCoefficients(params.kind, channel.kind, values)
-    return ClosedFormReport(coeffs, tuple(entries))

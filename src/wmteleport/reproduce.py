@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .pipeline import PipelineMode
-from .sweep import DEFAULT_RESOLUTION, fmax_curve
+from .sweep import _AXIS_NAMES, _DEFAULT_SPANS, DEFAULT_RESOLUTION, fmax_curve
 
 TOLERANCE = 0.02
 
@@ -100,10 +100,6 @@ SUPPLEMENTARY_CHECKS: tuple[SupplementaryCheck, ...] = (
 _MODES = (PipelineMode.PAPER_LITERAL, PipelineMode.PHYSICAL_MIXED)
 
 
-def _axis_names(protocol: str) -> tuple[str, str]:
-    return ("omega", "q") if protocol == "I" else ("k1", "k2")
-
-
 class _FmaxCache:
     def __init__(self, resolution: int, measure: str):
         self.resolution = resolution
@@ -126,7 +122,7 @@ class _FmaxCache:
 
 
 def _achieved_block(cache: _FmaxCache, protocol: str, channel: str, r: float):
-    n1, n2 = _axis_names(protocol)
+    n1, n2 = _AXIS_NAMES[protocol]
     achieved = {}
     baseline = None
     for mode in _MODES:
@@ -207,8 +203,13 @@ def build_manifest(
         "mode_policy": "pass if either summation mode lands within tolerance",
         "grids": {
             "resolution": resolution,
-            "protocol_I": {"omega": [0.0, float(np.pi / 2)], "q": [0.0, 1.0]},
-            "protocol_II": {"k1": [0.0, 1.0], "k2": [0.0, 1.0]},
+            **{
+                f"protocol_{protocol}": {
+                    name: list(span)
+                    for name, span in zip(names, _DEFAULT_SPANS[protocol])
+                }
+                for protocol, names in _AXIS_NAMES.items()
+            },
             "refinement": "one 10x local pass around each coarse argmax",
         },
         "targets": targets,

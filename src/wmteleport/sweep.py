@@ -3,10 +3,9 @@
 Evaluation is exhaustive grid search over the two protection
 parameters at each decoherence value, followed by one local
 refinement pass (a 10x finer window around the coarse argmax).
-The grid engine is separable: the stages around the channel are
-diagonal, the measurement depending on axis 1 only and the reversal on
-axis 2 only, so every branch matrix is a broadcast product of per-axis
-factors and one constant 2x2 matrix. All cells are then contracted
+The branch matrices of a whole slab come from `pipeline.branch_grid`,
+which also serves `protect`, as one broadcast product of per-axis
+diagonals and constant 2x2 matrices. All cells are then contracted
 against one small design matrix per input measure, amplitudes first
 and squares last. A 101x101 slab takes about 3 ms and a 401x401 slab
 about 20-50 ms (2-vCPU x86 machine, numpy with OpenBLAS); cells agree
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import CHANNEL_KINDS, ChannelSpec, kraus_set
-from .pipeline import ZERO_NORM_TOL, PipelineMode
+from .pipeline import ZERO_NORM_TOL, PipelineMode, branch_grid
 from .teleport import _ETA_PSI0, MEASURES, _corrections, design_inputs
 
 DEFAULT_RESOLUTION = 101
@@ -162,27 +161,10 @@ def _kraus(channel: str, r: float) -> np.ndarray:
 
 
 def _branch_slab(grid: SweepGrid, channel: str, r: float) -> np.ndarray:
-    """All four branch operators g_ij = n_i f_i e_j f_i m_i at one r,
-    each 2x2 flattened row-major: shape (n1, n2, 4, 4), branch order
-    (i=0,j=0), (0,1), (1,0), (1,1). The stages around the channel are
-    diagonal, m_i depending on axis 1 only and n_i on axis 2 only, so
-    g_ij[b, c] = n_i[b] * C_ij[b, c] * m_i[c] with C_ij = f_i e_j f_i."""
-    if grid.protocol == "I":
-        d1 = np.stack([np.cos(grid.axis1 / 2.0), np.sin(grid.axis1 / 2.0)], axis=-1)
-        d2 = np.stack([grid.axis2, np.ones_like(grid.axis2)], axis=-1)
-    else:
-        d1 = np.sqrt(np.stack([1.0 + grid.axis1, 1.0 - grid.axis1], axis=-1) / 2.0)
-        d2 = np.sqrt(np.stack([1.0 + grid.axis2, 1.0 - grid.axis2], axis=-1) / 2.0)
-    # outcome 1 mirrors both diagonals; its flip sigma_x reverses the
-    # rows and columns of e_j
-    m = np.stack([d1, d1, d1[:, ::-1], d1[:, ::-1]], axis=1)
-    n = np.stack([d2, d2, d2[:, ::-1], d2[:, ::-1]], axis=1)
-    e = _kraus(channel, r)
-    core = np.concatenate([e, e[:, ::-1, ::-1]])
-    # flattened entry 2b+c: n_i[b] * C_ij[b, c] from `left`, m_i[c] from `right`
-    left = (n[:, :, :, None] * core).reshape(1, -1, 16)
-    right = np.tile(m, 2).reshape(-1, 1, 16)
-    return (left * right).reshape(grid.axis1.size, grid.axis2.size, 4, 4)
+    """All four branch operators at one r, each 2x2 flattened row-major:
+    shape (n1, n2, 4, 4), a view of `branch_grid`."""
+    g = branch_grid(grid.protocol, grid.axis1, grid.axis2, ChannelSpec(channel, r))
+    return g.reshape(grid.axis1.size, grid.axis2.size, 4, 4)
 
 
 _DESIGN_V: dict[str, np.ndarray] = {}

@@ -7,13 +7,15 @@ the overlap of the corrected output with the input, weighted by outcome
 probability. Input averages are exact finite-point designs, not
 sampling.
 
-Every entry point is a view on one stacked kernel over the shared
-states' 2x2 branch operators g_b: for outcome k the receiver holds
-g_b u_k per branch, where u_k = (eta_k^dagger psi0)^T in is a 2-vector,
-so each raw outcome state sum_b (g_b u_k)(g_b u_k)^dagger is Hermitian
-and positive by construction. The one check left, run once per stack,
-is the span check: the outcome probabilities must sum to 1, and for
-branch operators they sum to |g|_F^2 / 2 at every input.
+Every entry point is a view on one stacked kernel over an (N, K, 2, 2)
+array of normalized branch operators g_b, one row per shared state, as
+`SharedState.branches` or `pipeline.normalize_branches` give them, so a
+whole parameter grid can go through it at once. For outcome k the
+receiver holds g_b u_k per branch, where u_k = (eta_k^dagger psi0)^T in
+is a 2-vector, so each raw outcome state sum_b (g_b u_k)(g_b u_k)^dagger
+is Hermitian and positive by construction. The one check left, run once
+per stack, is the span check: the outcome probabilities must sum to 1,
+and for branch operators they sum to |g|_F^2 / 2 at every input.
 """
 
 from __future__ import annotations
@@ -132,10 +134,11 @@ _ETA_PSI0 = _eta_states().conj().reshape(4, 2, 8) @ _PSI0
 _ETA_PSI0.setflags(write=False)
 
 
-def _outcome_kernel(states, inputs: np.ndarray):
+def _outcome_kernel(g: np.ndarray, inputs: np.ndarray):
     """Outcome probabilities (N, n, 4), per-outcome fidelities (N, n, 4)
-    and the receiver's raw states (N, n, 4, 2, 2) for N same-mode
-    shared states and n input vectors (n, 2).
+    and the receiver's raw states (N, n, 4, 2, 2) for N shared states
+    given by their normalized branch operators g, shape (N, K, 2, 2),
+    and n input vectors (n, 2).
 
     For outcome k the receiver holds g_b u_k per branch b, with
     u_k = M_k^T in and M_k = eta_k^dagger psi0 (2x2), so
@@ -143,16 +146,11 @@ def _outcome_kernel(states, inputs: np.ndarray):
     numerator is sum_b |<w_k|a_kb>|^2 with w_k = U_k^dagger in.
     Outcomes below OUTCOME_FLOOR get fidelity 0.
     """
-    if len({shared.mode for shared in states}) != 1:
-        raise ValueError("a stack of shared states must share one mode")
-    nk = max(len(shared.branches) for shared in states)
-    g = np.zeros((len(states), nk, 2, 2), dtype=complex)
-    for row, shared in zip(g, states):
-        row[: len(shared.branches)] = shared.branches
+    nk = g.shape[1]
     n = len(inputs)
     u = (inputs @ _ETA_PSI0).swapaxes(0, 1).reshape(-1, 2)
     # a[B, b, N, x, k] = (g_b u_k)[B]
-    a = (g.reshape(len(states), -1, 2) @ u.T).reshape(-1, nk, 2, n, 4)
+    a = (g.reshape(len(g), -1, 2) @ u.T).reshape(-1, nk, 2, n, 4)
     a0, a1 = a.transpose(2, 1, 0, 3, 4)
     # raw_k = sum_b a a^dagger entry by entry: stacks of 2x2 matmuls are slow
     raw = np.empty(a0.shape[1:] + (2, 2), dtype=complex)
@@ -176,7 +174,7 @@ def teleport(shared: SharedState, input_qubit: InputQubit) -> list[TeleportOutco
     Outcomes with probability below 1e-14 get fidelity 0 and a zero
     corrected state; they carry no weight in any average.
     """
-    probs, fids, raw = _outcome_kernel([shared], input_qubit.vector[None])
+    probs, fids, raw = _outcome_kernel(shared.branches[None], input_qubit.vector[None])
     outcomes: list[TeleportOutcome] = []
     for k, u in enumerate(_corrections()):
         p = float(probs[0, 0, k])
@@ -200,14 +198,11 @@ def input_fidelities(shared: SharedState, inputs: np.ndarray) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=complex)
     if inputs.ndim != 2 or inputs.shape[1] != 2:
         raise ValueError("inputs must have shape (n, 2)")
-    probs, fids, _ = _outcome_kernel([shared], inputs)
+    probs, fids, _ = _outcome_kernel(shared.branches[None], inputs)
     return np.clip((probs * fids).sum(axis=-1)[0], 0.0, 1.0)
 
 
-_HAAR_DESIGN = None
-_POLAR_DESIGN = None
-
-
+@lru_cache(maxsize=None)
 def design_inputs(measure: str = "haar") -> tuple[InputQubit, ...]:
     """Finite input sets whose average equals the measure's integral.
 
@@ -220,30 +215,14 @@ def design_inputs(measure: str = "haar") -> tuple[InputQubit, ...]:
     arc's second moments reproduce that integral exactly, for the same
     quadratic-functional reason.
     """
-    global _HAAR_DESIGN, _POLAR_DESIGN
     if measure == "haar":
-        if _HAAR_DESIGN is None:
-            s = 1.0 / math.sqrt(2.0)
-            _HAAR_DESIGN = tuple(
-                InputQubit(a, b)
-                for a, b in (
-                    (1.0, 0.0),
-                    (0.0, 1.0),
-                    (s, s),
-                    (s, -s),
-                    (s, 1j * s),
-                    (s, -1j * s),
-                )
-            )
-        return _HAAR_DESIGN
+        s = 1.0 / math.sqrt(2.0)
+        pairs = ((1.0, 0.0), (0.0, 1.0), (s, s), (s, -s), (s, 1j * s), (s, -1j * s))
+        return tuple(InputQubit(a, b) for a, b in pairs)
     if measure == "polar":
-        if _POLAR_DESIGN is None:
-            theta = math.asin(math.sqrt(8.0 / 15.0))
-            angles = (theta, -theta, math.pi - theta, math.pi + theta)
-            _POLAR_DESIGN = tuple(
-                InputQubit(math.cos(a / 2.0), math.sin(a / 2.0)) for a in angles
-            )
-        return _POLAR_DESIGN
+        theta = math.asin(math.sqrt(8.0 / 15.0))
+        angles = (theta, -theta, math.pi - theta, math.pi + theta)
+        return tuple(InputQubit(math.cos(a / 2.0), math.sin(a / 2.0)) for a in angles)
     raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
 
 

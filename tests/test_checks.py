@@ -2,7 +2,6 @@ import pytest
 
 from wmteleport import checks, cli, pipeline
 from wmteleport.checks import FAULT_NAMES, run_checks
-from wmteleport.pipeline import SharedState
 
 
 def test_all_checks_pass():
@@ -36,17 +35,16 @@ def test_fault_names_catalogue():
     assert "kraus_completeness" in FAULT_NAMES
 
 
-def _scaled_protect(params, channel, mode):
-    """`protect` with the branches scaled by 1.01 in amplitude, so every
-    outcome-probability sum is 1.0201: outside the measurement span."""
-    shared = pipeline.protect(params, channel, mode)
-    return SharedState(
-        shared.mode, 1.01 * shared.branches, shared.success_probability
-    )
+def _scaled_normalize(branches, mode):
+    """`normalize_branches` with the branches scaled by 1.01 in
+    amplitude, so every outcome-probability sum is 1.0201: outside the
+    measurement span."""
+    normalized, retained, annihilated = pipeline.normalize_branches(branches, mode)
+    return 1.01 * normalized, retained, annihilated
 
 
 def test_raising_check_reports_fail_not_traceback(monkeypatch, capsys):
-    monkeypatch.setattr(checks, "protect", _scaled_protect)
+    monkeypatch.setattr(checks, "normalize_branches", _scaled_normalize)
     lines, ok = run_checks(seed=0)
     assert ok is False
     fail = [line for line in lines if line.startswith("FAIL probability_sums: ")]

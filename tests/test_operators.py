@@ -12,8 +12,9 @@ from wmteleport.operators import (
     ProtocolI,
     ProtocolII,
     correction_unitary,
-    flip,
     kraus_set,
+    parameter_point,
+    stage_diagonals,
     wm,
     wmr,
 )
@@ -24,15 +25,24 @@ KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 
 
-def test_flip_displays():
-    np.testing.assert_array_equal(flip(0) @ KET1, KET1)
-    np.testing.assert_array_equal(flip(1) @ KET0, KET1)
-    np.testing.assert_array_equal(flip(1) @ flip(1), PAULI_I)
+def test_stages_reject_non_bit():
+    for stage in (wm, wmr):
+        with pytest.raises(ValueError, match="outcome bit"):
+            stage(ProtocolI(0.5, 0.5), 2)
 
 
-def test_flip_rejects_non_bit():
-    with pytest.raises(ValueError):
-        flip(2)
+@pytest.mark.parametrize(
+    "params", [ProtocolI(0.9, 0.4), ProtocolI(np.pi, 0.0), ProtocolII(0.6, -0.2)]
+)
+def test_wm_wmr_are_one_point_views_of_stage_diagonals(params):
+    kind, a1, a2 = parameter_point(params)
+    d1, d2 = stage_diagonals(kind, [a1, 0.5], [a2])
+    assert d1.shape == (2, 2) and d2.shape == (1, 2)
+    np.testing.assert_array_equal(wm(params, 0), np.diag(d1[0]))
+    np.testing.assert_array_equal(wmr(params, 0), np.diag(d2[0]))
+    # outcome 1 mirrors both diagonals
+    np.testing.assert_array_equal(wm(params, 1), np.diag(d1[0, ::-1]))
+    np.testing.assert_array_equal(wmr(params, 1), np.diag(d2[0, ::-1]))
 
 
 def test_wm_protocol_one_action_on_zero():

@@ -1,16 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from wmteleport.operators import CHANNEL_KINDS, ChannelSpec, ProtocolI, ProtocolII
 from wmteleport.pipeline import (
-    FLIPPED_INDICES,
     GHZ_INDICES,
     PipelineMode,
     SharedState,
+    branch_grid,
     branch_operators,
     channel_only_shared,
-    closed_form_check,
     initial_state,
+    normalize_branches,
     protect,
 )
 
@@ -18,6 +20,9 @@ from brute import brute_branch_vectors, brute_protect
 
 PAPER = PipelineMode.PAPER_LITERAL
 PHYSICAL = PipelineMode.PHYSICAL_MIXED
+
+# The resource's kets with B flipped: the second amplitude group.
+FLIPPED_INDICES = (0b0001, 0b0100, 0b1011, 0b1110)
 
 ALL_PARAMS = [
     ProtocolI(0.8, 0.4),
@@ -137,6 +142,51 @@ def test_branch_operators_shape_and_halved_gram():
     # operator case through the resource marginal
     branches = branch_operators(ProtocolI(0.8, 0.4), ChannelSpec("adc", 0.3))
     assert branches.shape == (4, 2, 2)
+
+
+# Axes through the annihilating corners: omega = 0 with q = 0, and
+# K1 = 1 with K2 = -1 (and K = -1 on both), where every branch vanishes
+# under the phase flip and, at r = 0, under the other two channels.
+_STACK_AXES = {
+    "I": ((0.0, 0.7, np.pi / 2, np.pi), (0.0, 0.5, 1.0)),
+    "II": ((-1.0, -0.3, 0.0, 1.0), (-1.0, 0.4, 1.0)),
+}
+
+
+@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("protocol", ["I", "II"])
+def test_stacked_normalization_matches_oracle_and_protect(protocol, mode):
+    axis1, axis2 = _STACK_AXES[protocol]
+    make = ProtocolI if protocol == "I" else ProtocolII
+    flagged = 0
+    for kind, r in itertools.product(CHANNEL_KINDS, (0.0, 0.37, 1.0)):
+        channel = ChannelSpec(kind, r)
+        normalized, retained, annihilated = normalize_branches(
+            branch_grid(protocol, axis1, axis2, channel), mode
+        )
+        assert normalized.shape == (len(axis1), len(axis2), 1 if mode is PAPER else 4, 2, 2)
+        assert np.isfinite(normalized).all() and np.isfinite(retained).all()
+        for (i1, a), (i2, b) in itertools.product(enumerate(axis1), enumerate(axis2)):
+            vecs = brute_branch_vectors(protocol, a, b, kind, r)
+            if mode is PAPER:
+                want = np.linalg.norm(sum(vecs)) ** 2
+            else:
+                want = sum(np.linalg.norm(v) ** 2 for v in vecs)
+            np.testing.assert_allclose(retained[i1, i2], want, rtol=0, atol=1e-12)
+            try:
+                protect(make(a, b), channel, mode)
+            except ValueError:
+                assert annihilated[i1, i2] and want < 1e-14
+                flagged += 1
+                continue
+            assert not annihilated[i1, i2]
+            stacked = SharedState(mode, normalized[i1, i2])
+            tag, payload = brute_protect(protocol, a, b, kind, r, mode.value)
+            if tag == "pure":
+                np.testing.assert_allclose(stacked.pure.amplitudes, payload, rtol=0, atol=1e-12)
+            else:
+                np.testing.assert_allclose(stacked.rho.matrix, payload, rtol=0, atol=1e-12)
+    assert flagged
 
 
 @pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
@@ -330,43 +380,52 @@ def test_channel_only_shared_is_not_the_protection_locus():
         assert close == agrees, (kind, mode)
 
 
+def _amplitude_groups(params, channel):
+    """Paper-mode amplitudes on the GHZ kets, on the flipped kets, and
+    on the eight kets outside both groups."""
+    amps = protect(params, channel, PAPER).pure.amplitudes
+    np.testing.assert_allclose(amps.imag, 0.0, atol=1e-12)
+    outside = [i for i in range(16) if i not in GHZ_INDICES + FLIPPED_INDICES]
+    return amps[list(GHZ_INDICES)].real, amps[list(FLIPPED_INDICES)].real, amps[outside]
+
+
 class TestClosedFormCheck:
+    """The paper's printed closed-form coefficients, checked against the
+    numeric branch operators and paper-mode state."""
+
     def test_damping_formula_disagrees_at_reference_point(self):
-        report = closed_form_check(ProtocolI(0.8, 1.0), ChannelSpec("adc", 0.0))
-        entries = {e.name: e for e in report.entries}
-        printed = (np.cos(0.4) + np.sin(0.4)) / np.sqrt(2.0)
-        entry = entries["lambda_adc_vs_scaled_ghz_amplitude"]
-        np.testing.assert_almost_equal(entry.printed, printed)
-        np.testing.assert_almost_equal(entry.pipeline, 1.0)
-        assert not entry.consistent
-        # the raw two-group ratio is not even finite here: the flipped
-        # group is empty at r=0
-        assert not entries["lambda_adc_vs_group_ratio"].consistent
+        # printed lambda_adc = (c q + s sqrt(1-r)) / sqrt(2 (c^2 q^2 + s^2 (1-r)))
+        # drops the damped-branch weight; at q = 1, r = 0 it is not twice
+        # the normalized GHZ amplitude
+        c, s, q = np.cos(0.4), np.sin(0.4), 1.0
+        printed = (c * q + s) / np.sqrt(2.0 * (c * c * q * q + s * s))
+        np.testing.assert_almost_equal(printed, (np.cos(0.4) + np.sin(0.4)) / np.sqrt(2.0))
+        ghz, flipped, _ = _amplitude_groups(ProtocolI(0.8, 1.0), ChannelSpec("adc", 0.0))
+        np.testing.assert_allclose(2.0 * ghz, 1.0, rtol=0, atol=1e-12)
+        assert abs(printed - 2.0 * ghz.mean()) > 0.05
+        # the two-group ratio is not even finite: the flipped group is empty
+        assert np.abs(flipped).max() == 0.0
 
     def test_bit_flip_weights_match_branch_traces(self):
-        report = closed_form_check(ProtocolI(0.9, 0.6), ChannelSpec("bfc", 0.4))
-        entries = {e.name: e for e in report.entries}
-        assert entries["lambda_bfc1_vs_branch_weight"].consistent
-        assert entries["lambda_bfc2_vs_branch_weight"].consistent
-        assert "lambda_bfc1" in report.coefficients.values
-        assert "lambda_bfc2" in report.coefficients.values
+        omega, q, r = 0.9, 0.6, 0.4
+        c, s = np.cos(omega / 2.0), np.sin(omega / 2.0)
+        lam1 = 0.5 * ((1.0 - r) * s * s + q * q * (1.0 - r) * c * c)
+        lam2 = 0.5 * (r * q * q * s * s + r * c * c)
+        g = branch_operators(ProtocolI(omega, q), ChannelSpec("bfc", r))
+        weights = 0.5 * np.einsum("bij,bij->b", g, g.conj()).real
+        np.testing.assert_allclose(weights[:2], [lam1, lam2], rtol=1e-12, atol=0)
 
     def test_phase_flip_support_entries(self):
-        report = closed_form_check(ProtocolII(0.5, 0.3), ChannelSpec("pfc", 0.6))
-        entries = {e.name: e for e in report.entries}
-        assert entries["ghz_group_uniform"].consistent
-        assert entries["pfc_flipped_support_residual"].consistent
-        np.testing.assert_almost_equal(
-            report.coefficients.values["lambda"], 1.3021720984236467
-        )
+        ghz, flipped, outside = _amplitude_groups(ProtocolII(0.5, 0.3), ChannelSpec("pfc", 0.6))
+        np.testing.assert_allclose(ghz, ghz.mean(), rtol=0, atol=1e-12)
+        assert np.abs(flipped).max() < 1e-12 and np.abs(outside).max() < 1e-12
 
     def test_group_uniformity_entries_always_consistent(self):
         for params, kind in [
             (ProtocolI(0.7, 0.2), "adc"),
             (ProtocolII(0.4, 0.8), "bfc"),
         ]:
-            report = closed_form_check(params, ChannelSpec(kind, 0.3))
-            entries = {e.name: e for e in report.entries}
-            assert entries["ghz_group_uniform"].consistent
-            assert entries["flipped_group_uniform"].consistent
-            assert entries["outside_both_groups_residual"].consistent
+            ghz, flipped, outside = _amplitude_groups(params, ChannelSpec(kind, 0.3))
+            np.testing.assert_allclose(ghz, ghz.mean(), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(flipped, flipped.mean(), rtol=0, atol=1e-12)
+            assert np.abs(outside).max() < 1e-12

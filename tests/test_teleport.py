@@ -339,7 +339,11 @@ def test_stacked_kernel_matches_oracle(mode):
     s, t = 1.0 / np.sqrt(2.0), np.pi / 4.0 + 3e-8
     fixed = [[1.0, 0.0], [0.0, 1.0], [s, s], [np.cos(t), np.sin(t)]]
     inputs = np.concatenate([fixed, sample_inputs(np.random.default_rng(3), 4)])
-    probs, fids, raw = _outcome_kernel(states, inputs)
+    # pad every state to K = 4 branches with zero ones, which add nothing
+    g = np.zeros((len(states), 4, 2, 2), dtype=complex)
+    for row, shared in zip(g, states):
+        row[: len(shared.branches)] = shared.branches
+    probs, fids, raw = _outcome_kernel(g, inputs)
     assert probs.shape == fids.shape == (len(states), len(inputs), 4)
     assert raw.shape == (len(states), len(inputs), 4, 2, 2)
     assert ((probs < OUTCOME_FLOOR) & (probs > 1e-17)).sum() >= 2
@@ -353,16 +357,11 @@ def test_stacked_kernel_matches_oracle(mode):
 
 @pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
 def test_stacked_kernel_rejects_one_state_outside_span(mode):
-    states = [protect(p, ChannelSpec(k, r), mode) for p, k, r in _KERNEL_GRID[:6]]
+    g = np.stack([protect(p, ChannelSpec(k, r), mode).branches for p, k, r in _KERNEL_GRID[:6]])
     # a stack whose outcome probabilities sum to 1.0201
-    states.insert(3, SharedState(mode, 1.01 * states[3].branches))
+    g = np.insert(g, 3, 1.01 * g[3], axis=0)
     with pytest.raises(ValueError, match="outside the measurement span"):
-        _outcome_kernel(states, np.array([[0.6, 0.8j]]))
-    other = protect(ProtocolI(0.9, 0.4), ChannelSpec("adc", 0.3), PAPER)
-    if mode is PAPER:
-        other = protect(ProtocolI(0.9, 0.4), ChannelSpec("adc", 0.3), PHYSICAL)
-    with pytest.raises(ValueError, match="one mode"):
-        _outcome_kernel([states[0], other], np.array([[1.0, 0.0]]))
+        _outcome_kernel(g, np.array([[0.6, 0.8j]]))
 
 
 @pytest.mark.parametrize("mode,k", [(PAPER, 1), (PHYSICAL, 1), (PHYSICAL, 2), (PHYSICAL, 4)])
@@ -374,7 +373,7 @@ def test_outcome_probabilities_sum_to_half_branch_norm(mode, k, monkeypatch):
     rng = np.random.default_rng(29 + k)
     for _ in range(10):
         g = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
-        probs = _outcome_kernel([SharedState(mode, g)], sample_inputs(rng, 6))[0]
+        probs = _outcome_kernel(SharedState(mode, g).branches[None], sample_inputs(rng, 6))[0]
         half_norm = 0.5 * float(np.vdot(g, g).real)
         np.testing.assert_allclose(probs.sum(axis=-1), half_norm, rtol=1e-14, atol=0)
 
@@ -386,7 +385,7 @@ def _entanglement_fidelity(shared):
     polarization from the kernel's outcome states at |0>, |1>, |+>, |+i>."""
     s = 1.0 / np.sqrt(2.0)
     inputs = np.array([[1.0, 0.0], [0.0, 1.0], [s, s], [s, 1j * s]])
-    r0, r1, rp, ri = _outcome_kernel([shared], inputs)[2][0]
+    r0, r1, rp, ri = _outcome_kernel(shared.branches[None], inputs)[2][0]
     cross = 2.0 * rp - r0 - r1  # X01 + X10
     quad = 2.0 * ri - r0 - r1  # -i X01 + i X10
     blocks = {(0, 0): r0, (1, 1): r1, (0, 1): 0.5 * (cross + 1j * quad),

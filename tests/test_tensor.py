@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wmteleport.operators import ChannelSpec, ProtocolI, flip, kraus_set, wm
+from wmteleport.operators import ChannelSpec, ProtocolI, kraus_set, wm
 from wmteleport.tensor import MixedState, PureState
 
 from brute import ETA, lift_naive, partial_trace_naive
@@ -57,7 +57,7 @@ def test_lift_single_qubit_flip():
 
 def test_lift_flip_last_of_four():
     # qubit 3 (the receiver's B) is the least significant bit
-    moved = lift_naive(flip(1), 4, 3) @ basis(4, "0000")
+    moved = lift_naive(SX, 4, 3) @ basis(4, "0000")
     np.testing.assert_allclose(moved, basis(4, "0001"))
 
 
