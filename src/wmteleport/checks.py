@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import ChannelSpec, ProtocolI, ProtocolII, kraus_set, wm, wmr
+from .operators import ChannelSpec, ProtocolI, ProtocolII, kraus_set, stage_diagonals
 from .pipeline import PipelineMode, branch_grid, normalize_branches, protect
 from .teleport import (
     InputQubit,
@@ -31,31 +31,29 @@ _I2 = np.eye(2)
 __all__ = ["FAULT_NAMES", "run_checks"]
 
 
+def _stage_deviation(d: np.ndarray, expected) -> float:
+    """Max entry of |m_0^dagger m_0 + m_1^dagger m_1 - expected I| for
+    a diagonal stage given by its outcome-0 diagonals d, shape (n, 2),
+    read from `stage_diagonals`. Outcome 1 mirrors d, and the
+    off-diagonal entries are exactly zero."""
+    return float(np.abs(d**2 + d[:, ::-1] ** 2 - expected).max())
+
+
 def _check_povm_completeness():
-    worst = 0.0
-    for omega in np.linspace(0.0, np.pi, 5):
-        params = ProtocolI(float(omega), 0.5)
-        total = sum(wm(params, i).conj().T @ wm(params, i) for i in (0, 1))
-        worst = max(worst, float(np.abs(total - _I2).max()))
-    for k1 in np.linspace(-1.0, 1.0, 5):
-        for k2 in np.linspace(-1.0, 1.0, 5):
-            params = ProtocolII(float(k1), float(k2))
-            for stage in (wm, wmr):
-                total = sum(
-                    stage(params, i).conj().T @ stage(params, i) for i in (0, 1)
-                )
-                worst = max(worst, float(np.abs(total - _I2).max()))
+    """Both stages of protocol II and the measurement of protocol I
+    (at q = 0.5) are completed POVMs."""
+    d1 = stage_diagonals("I", np.linspace(0.0, np.pi, 5), [0.5])[0]
+    k = np.linspace(-1.0, 1.0, 5)
+    worst = max(_stage_deviation(d, 1.0) for d in (d1, *stage_diagonals("II", k, k)))
     return worst <= 1e-12, f"max deviation from identity {worst:.3e}"
 
 
 def _check_reversal_completeness():
-    worst = 0.0
-    for omega in np.linspace(0.0, np.pi, 5):
-        for q in np.linspace(0.0, 1.0, 5):
-            params = ProtocolI(float(omega), float(q))
-            total = sum(wmr(params, i).conj().T @ wmr(params, i) for i in (0, 1))
-            expected = (1.0 + float(q) ** 2) * _I2
-            worst = max(worst, float(np.abs(total - expected).max()))
+    """Protocol I's reversal pair sums to (1 + q^2) I over the
+    (omega, q) grid."""
+    q = np.linspace(0.0, 1.0, 5)
+    d2 = stage_diagonals("I", np.linspace(0.0, np.pi, 5), q)[1]
+    worst = _stage_deviation(d2, 1.0 + q[:, None] ** 2)
     return worst <= 1e-12, f"max deviation from (1+q^2)I {worst:.3e}"
 
 
@@ -72,7 +70,7 @@ def _check_kraus_completeness(inject_fault):
 
 
 def _check_eta_orthonormality():
-    states = eta_basis().states
+    states = eta_basis()
     gram = states @ states.conj().T
     worst = float(np.abs(gram - np.eye(4)).max())
     return worst <= 1e-12, f"max Gram deviation {worst:.3e}"
@@ -128,10 +126,9 @@ def _check_r0_limits(rng):
 
 
 def _mode_fidelity(params, channel):
-    pure = protect(params, channel, PipelineMode.PAPER_LITERAL).pure
+    vec = protect(params, channel, PipelineMode.PAPER_LITERAL).pure
     rho = protect(params, channel, PipelineMode.PHYSICAL_MIXED).rho
-    vec = pure.amplitudes
-    return float((vec.conj() @ rho.matrix @ vec).real)
+    return float((vec.conj() @ rho @ vec).real)
 
 
 def _check_mode_coincidence():

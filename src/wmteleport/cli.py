@@ -72,6 +72,18 @@ def _csv(header: str, columns) -> str:
     return "".join(parts)
 
 
+def _seed(text: str) -> int:
+    """argparse type of `check --seed`: numpy's generators take only
+    non-negative integer seeds."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _add_common(sub, protocol=True):
     if protocol:
         sub.add_argument("--protocol", required=True, choices=("I", "II"))
@@ -93,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_check = subs.add_parser("check", help="run the invariant suite")
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=_seed, default=0)
     p_check.add_argument("--inject-fault", choices=FAULT_NAMES, default=None)
 
     p_surface = subs.add_parser("surface", help="fidelity surface at fixed r")

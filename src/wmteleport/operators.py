@@ -67,7 +67,8 @@ class ProtocolII:
     """Weak-measurement protocol parameterized by two strengths K1, K2.
 
     Both the measurement pair and the reversal pair are built from
-    K+- = sqrt((1 +- K)/2), so each pair is a completed POVM.
+    K+- = sqrt((1 +- K)/2) (see `stage_diagonals`), so each pair is a
+    completed POVM.
     """
 
     k1: float
@@ -79,22 +80,6 @@ class ProtocolII:
         for name, value in (("k1", self.k1), ("k2", self.k2)):
             if not (np.isfinite(value) and -1.0 <= value <= 1.0):
                 raise ValueError(f"{name} must be in [-1, 1], got {value}")
-
-    @property
-    def k1_plus(self) -> float:
-        return math.sqrt((1.0 + self.k1) / 2.0)
-
-    @property
-    def k1_minus(self) -> float:
-        return math.sqrt((1.0 - self.k1) / 2.0)
-
-    @property
-    def k2_plus(self) -> float:
-        return math.sqrt((1.0 + self.k2) / 2.0)
-
-    @property
-    def k2_minus(self) -> float:
-        return math.sqrt((1.0 - self.k2) / 2.0)
 
 
 ProtocolParams = Union[ProtocolI, ProtocolII]

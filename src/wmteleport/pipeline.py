@@ -2,6 +2,11 @@
 
 The shared resource is the four-qubit state
 (|0000> + |0101> + |1010> + |1111>) / 2 on qubits (A1, A2, A3, B).
+States are plain numpy arrays: a 16-dim vector or a 16x16 density
+matrix. The bit convention is fixed once and used everywhere: qubit A1
+is the leftmost symbol of a ket string and the most significant bit of
+the amplitude index, so |0001> (B set) sits at index 1.
+
 Protection acts on B only. Per weak-measurement outcome i the sequence
 is: weak measurement m_i, conditional flip f_i, noise channel Kraus
 element e_j, the flip f_i again, then the reversal n_i. The branch
@@ -38,7 +43,6 @@ from .operators import (
     parameter_point,
     stage_diagonals,
 )
-from .tensor import MixedState, PureState
 
 ZERO_NORM_TOL = 1e-14
 
@@ -78,8 +82,9 @@ class SharedState:
     `branches` has shape (K, 2, 2) and is normalized. PAPER_LITERAL
     holds the single coherent sum (K = 1); PHYSICAL_MIXED holds the K
     branches scaled by 1/sqrt(retained trace), which is reported as
-    `success_probability` (None in the pure mode). `pure` and `rho`
-    are the 16-dim state of the matching mode, built on demand.
+    `success_probability` (None in the pure mode). `pure`, a (16,)
+    vector, and `rho`, a (16, 16) matrix, are the state of the matching
+    mode, built on demand; each is None in the other mode.
     """
 
     mode: PipelineMode
@@ -110,32 +115,32 @@ class SharedState:
         return (_PSI0 @ self.branches.swapaxes(-1, -2)).reshape(-1, 16)
 
     @property
-    def pure(self) -> PureState | None:
-        """The normalized 16-dim state vector (PAPER_LITERAL only)."""
+    def pure(self) -> np.ndarray | None:
+        """The normalized (16,) state vector (PAPER_LITERAL only)."""
         if self.mode is not PipelineMode.PAPER_LITERAL:
             return None
-        return PureState(4, self._branch_states()[0])
+        return self._branch_states()[0]
 
     @property
-    def rho(self) -> MixedState | None:
-        """The 16x16 density matrix (PHYSICAL_MIXED only)."""
+    def rho(self) -> np.ndarray | None:
+        """The (16, 16) density matrix (PHYSICAL_MIXED only)."""
         if self.mode is not PipelineMode.PHYSICAL_MIXED:
             return None
         states = self._branch_states()
         rho = states.T @ states.conj()
-        return MixedState(4, 0.5 * (rho + rho.conj().T))
+        return 0.5 * (rho + rho.conj().T)
 
 
-def initial_state() -> PureState:
-    """(|0000> + |0101> + |1010> + |1111>) / 2 on (A1, A2, A3, B)."""
+def initial_state() -> np.ndarray:
+    """(|0000> + |0101> + |1010> + |1111>) / 2 on (A1, A2, A3, B), shape (16,)."""
     amps = np.zeros(16, dtype=complex)
     for idx in GHZ_INDICES:
         amps[idx] = 0.5
-    return PureState(4, amps)
+    return amps
 
 
 # The resource with (A1, A2, A3) on rows and B on columns.
-_PSI0 = initial_state().amplitudes.reshape(8, 2)
+_PSI0 = initial_state().reshape(8, 2)
 
 
 def branch_grid(protocol: str, axis1, axis2, channel: ChannelSpec) -> np.ndarray:

@@ -20,7 +20,7 @@ excluded from the argmax rather than aborting the sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,8 +80,6 @@ class SweepGrid:
     axis2: np.ndarray
     r_values: np.ndarray
     mode: PipelineMode = PipelineMode.PHYSICAL_MIXED
-    axis1_name: str = field(default="")
-    axis2_name: str = field(default="")
 
     def __post_init__(self):
         if self.protocol not in _AXIS_NAMES:
@@ -95,14 +93,14 @@ class SweepGrid:
         object.__setattr__(self, "axis1", a1)
         object.__setattr__(self, "axis2", a2)
         object.__setattr__(self, "r_values", rv)
-        for attr, name in zip(("axis1_name", "axis2_name"), names):
-            given = getattr(self, attr)
-            if given == "":
-                object.__setattr__(self, attr, name)
-            elif given != name:
-                raise ValueError(
-                    f"{attr} for protocol {self.protocol} must be {name!r}"
-                )
+
+    @property
+    def axis1_name(self) -> str:
+        return _AXIS_NAMES[self.protocol][0]
+
+    @property
+    def axis2_name(self) -> str:
+        return _AXIS_NAMES[self.protocol][1]
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -180,7 +178,7 @@ def _design_matrix(measure: str) -> np.ndarray:
     parts of each (design input, outcome) overlap; all-zero ones are
     dropped."""
     if measure not in _DESIGN_V:
-        states = np.stack([s.vector for s in design_inputs(measure)])
+        states = design_inputs(measure)
         t = np.einsum("isc,ns->nic", _ETA_PSI0, states)
         u = np.einsum("nb,ibc->nic", states.conj(), _corrections())
         v = np.einsum("nib,nic->bcni", u, t).reshape(4, -1)

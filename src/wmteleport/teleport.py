@@ -16,6 +16,7 @@ is a 2-vector, so each raw outcome state sum_b (g_b u_k)(g_b u_k)^dagger
 is Hermitian and positive by construction. The one check left, run once
 per stack, is the span check: the outcome probabilities must sum to 1,
 and for branch operators they sum to |g|_F^2 / 2 at every input.
+States and bases are plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from .operators import ChannelSpec, correction_unitary
 from .pipeline import _PSI0, SharedState, channel_only_shared
-from .tensor import MixedState
 
 SPAN_TOL = 1e-8
 OUTCOME_FLOOR = 1e-14
@@ -38,7 +38,6 @@ MEASURES = ("haar", "polar")
 __all__ = [
     "MEASURES",
     "InputQubit",
-    "MeasurementBasis",
     "TeleportOutcome",
     "eta_basis",
     "teleport",
@@ -71,14 +70,6 @@ class InputQubit:
         return np.array([self.alpha, self.beta], dtype=complex)
 
 
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """Four orthonormal entangled states on (input, A1, A2, A3),
-    rows of `states` in outcome order 1..4."""
-
-    states: np.ndarray
-
-
 _ETA_SUPPORT = (
     ((0b0000, 1.0), (0b0101, 1.0), (0b1010, 1.0), (0b1111, 1.0)),
     ((0b0000, 1.0), (0b0101, 1.0), (0b1010, -1.0), (0b1111, -1.0)),
@@ -102,21 +93,23 @@ def _corrections() -> np.ndarray:
     return np.stack([correction_unitary(k) for k in (1, 2, 3, 4)])
 
 
-def eta_basis() -> MeasurementBasis:
-    """The measurement basis, outcome order matching `correction_unitary`."""
-    return MeasurementBasis(_eta_states().copy())
+def eta_basis() -> np.ndarray:
+    """The measurement basis: four orthonormal entangled states on
+    (input, A1, A2, A3) as the rows of a (4, 16) array, in outcome
+    order 1..4 matching `correction_unitary`."""
+    return _eta_states().copy()
 
 
 @dataclass(frozen=True)
 class TeleportOutcome:
     """One measurement branch: its probability, the receiver's raw
-    (trace = probability) and corrected (normalized) states, and the
-    fidelity of the corrected state with the input."""
+    (trace = probability) and corrected (normalized) 2x2 density
+    matrices, and the fidelity of the corrected state with the input."""
 
     outcome: int
     probability: float
-    bob_state_raw: MixedState
-    bob_state_corrected: MixedState
+    bob_state_raw: np.ndarray
+    bob_state_corrected: np.ndarray
     per_outcome_fidelity: float
 
 
@@ -181,9 +174,9 @@ def teleport(shared: SharedState, input_qubit: InputQubit) -> list[TeleportOutco
         mat = np.zeros((2, 2), dtype=complex)
         if p >= OUTCOME_FLOOR:
             mat = u @ raw[0, 0, k] @ u.conj().T / p
-        corrected = MixedState(1, 0.5 * (mat + mat.conj().T))
-        raw_k, fid = MixedState(1, raw[0, 0, k]), float(fids[0, 0, k])
-        outcomes.append(TeleportOutcome(k + 1, p, raw_k, corrected, fid))
+        corrected = 0.5 * (mat + mat.conj().T)
+        fid = float(fids[0, 0, k])
+        outcomes.append(TeleportOutcome(k + 1, p, raw[0, 0, k], corrected, fid))
     return outcomes
 
 
@@ -203,8 +196,9 @@ def input_fidelities(shared: SharedState, inputs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def design_inputs(measure: str = "haar") -> tuple[InputQubit, ...]:
-    """Finite input sets whose average equals the measure's integral.
+def design_inputs(measure: str = "haar") -> np.ndarray:
+    """Finite input sets whose average equals the measure's integral,
+    as a read-only (n, 2) complex array of normalized input vectors.
 
     "haar": the six Pauli eigenstates, a spherical 2-design, giving the
     exact uniform average for any outcome-weighted fidelity (which is
@@ -218,17 +212,20 @@ def design_inputs(measure: str = "haar") -> tuple[InputQubit, ...]:
     if measure == "haar":
         s = 1.0 / math.sqrt(2.0)
         pairs = ((1.0, 0.0), (0.0, 1.0), (s, s), (s, -s), (s, 1j * s), (s, -1j * s))
-        return tuple(InputQubit(a, b) for a, b in pairs)
-    if measure == "polar":
+    elif measure == "polar":
         theta = math.asin(math.sqrt(8.0 / 15.0))
         angles = (theta, -theta, math.pi - theta, math.pi + theta)
-        return tuple(InputQubit(math.cos(a / 2.0), math.sin(a / 2.0)) for a in angles)
-    raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
+        pairs = tuple((math.cos(a / 2.0), math.sin(a / 2.0)) for a in angles)
+    else:
+        raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
+    inputs = np.array(pairs, dtype=complex)
+    inputs.setflags(write=False)
+    return inputs
 
 
 def average_fidelity(shared: SharedState, measure: str = "haar") -> float:
     """Exact input-averaged fidelity under the chosen measure."""
-    inputs = np.array([s.vector for s in design_inputs(measure)])
+    inputs = design_inputs(measure)
     return min(max(float(input_fidelities(shared, inputs).mean()), 0.0), 1.0)
 
 

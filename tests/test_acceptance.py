@@ -40,8 +40,8 @@ def _random_tuples(rng, n):
 def _state_fidelity(a, b):
     pure = a if a.mode is PAPER else b
     mixed = b if a.mode is PAPER else a
-    vec = pure.pure.amplitudes
-    return float((vec.conj() @ mixed.rho.matrix @ vec).real)
+    vec = pure.pure
+    return float((vec.conj() @ mixed.rho @ vec).real)
 
 
 def test_criterion_1_invariant_suite():
@@ -186,10 +186,10 @@ def test_criterion_7_phase_flip_support():
         for mode in (PAPER, PHYSICAL):
             shared = protect(params, ChannelSpec("pfc", 0.6), mode)
             if mode is PAPER:
-                residual = max(abs(shared.pure.amplitudes[i]) for i in outside)
+                residual = max(abs(shared.pure[i]) for i in outside)
             else:
                 residual = max(
-                    abs(shared.rho.matrix[i, j])
+                    abs(shared.rho[i, j])
                     for i in range(16)
                     for j in range(16)
                     if i in outside or j in outside

@@ -310,6 +310,7 @@ def test_reproduce_unseeded_carries_timestamp(tmp_path):
         ("surface", "--protocol", "I", "--channel", "adc", "--mode", "quantum", "--out", "x.csv"),
         ("surface", "--protocol", "I", "--channel", "adc", "--r", "nan", "--out", "x.csv"),
         ("surface", "--protocol", "I", "--channel", "adc", "--r", "inf", "--out", "x.csv"),
+        ("check", "--seed", "-1"),
     ],
 )
 def test_bad_arguments_exit_two(args, tmp_path):

@@ -185,11 +185,13 @@ def test_wm_wmr_match_independent_table():
 
 
 def test_protocol_two_split_amplitudes():
-    params = ProtocolII(0.28, -0.64)
-    np.testing.assert_almost_equal(params.k1_plus, np.sqrt((1 + 0.28) / 2))
-    np.testing.assert_almost_equal(params.k1_minus, np.sqrt((1 - 0.28) / 2))
-    np.testing.assert_almost_equal(params.k2_plus, np.sqrt((1 - 0.64) / 2))
-    np.testing.assert_almost_equal(params.k2_minus, np.sqrt((1 + 0.64) / 2))
+    (k1_plus, k1_minus), (k2_plus, k2_minus) = (
+        d[0] for d in stage_diagonals("II", [0.28], [-0.64])
+    )
+    np.testing.assert_almost_equal(k1_plus, np.sqrt((1 + 0.28) / 2))
+    np.testing.assert_almost_equal(k1_minus, np.sqrt((1 - 0.28) / 2))
+    np.testing.assert_almost_equal(k2_plus, np.sqrt((1 - 0.64) / 2))
+    np.testing.assert_almost_equal(k2_minus, np.sqrt((1 + 0.64) / 2))
 
 
 def test_measurement_operators_are_exactly_diagonal():

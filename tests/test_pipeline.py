@@ -1,4 +1,7 @@
+import ast
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,26 +44,26 @@ def _brute_args(params):
 def _state_fidelity(shared_a, shared_b):
     """Fidelity between two shared states, at least one of them pure."""
     if shared_a.mode is PAPER and shared_b.mode is PAPER:
-        return abs(np.vdot(shared_a.pure.amplitudes, shared_b.pure.amplitudes)) ** 2
+        return abs(np.vdot(shared_a.pure, shared_b.pure)) ** 2
     pure = shared_a if shared_a.mode is PAPER else shared_b
     mixed = shared_b if shared_a.mode is PAPER else shared_a
-    vec = pure.pure.amplitudes
-    return float((vec.conj() @ mixed.rho.matrix @ vec).real)
+    vec = pure.pure
+    return float((vec.conj() @ mixed.rho @ vec).real)
 
 
 def test_initial_state_amplitudes():
     psi = initial_state()
-    np.testing.assert_almost_equal(psi.amplitudes[0b0000], 0.5)
-    np.testing.assert_almost_equal(psi.amplitudes[0b0101], 0.5)
-    np.testing.assert_almost_equal(psi.amplitudes[0b0001], 0.0)
-    np.testing.assert_almost_equal(psi.norm(), 1.0)
+    np.testing.assert_almost_equal(psi[0b0000], 0.5)
+    np.testing.assert_almost_equal(psi[0b0101], 0.5)
+    np.testing.assert_almost_equal(psi[0b0001], 0.0)
+    np.testing.assert_almost_equal(np.linalg.norm(psi), 1.0)
 
 
 @pytest.mark.parametrize("params", ALL_PARAMS)
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_paper_mode_noiseless_returns_resource(params, kind):
     shared = protect(params, ChannelSpec(kind, 0.0), PAPER)
-    overlap = abs(np.vdot(shared.pure.amplitudes, initial_state().amplitudes))
+    overlap = abs(np.vdot(shared.pure, initial_state()))
     np.testing.assert_almost_equal(overlap, 1.0, decimal=12)
 
 
@@ -81,7 +84,7 @@ def test_paper_mode_normalized_and_eight_ket_support(kind):
                 except ValueError:
                     annihilated += 1
                     continue
-                amps = shared.pure.amplitudes
+                amps = shared.pure
                 np.testing.assert_almost_equal(np.linalg.norm(amps), 1.0, decimal=12)
                 outside = [abs(amps[i]) for i in range(16) if i not in support]
                 assert max(outside) < 1e-10
@@ -93,7 +96,7 @@ def test_paper_mode_normalized_and_eight_ket_support(kind):
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_physical_mode_density_is_valid(params, kind):
     shared = protect(params, ChannelSpec(kind, 0.6), PHYSICAL)
-    rho = shared.rho.matrix
+    rho = shared.rho
     np.testing.assert_almost_equal(np.trace(rho).real, 1.0, decimal=12)
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
     assert np.linalg.eigvalsh(rho).min() > -1e-12
@@ -130,10 +133,10 @@ def test_protect_matches_brute_force(mode, params, kind):
     proto, a, b = _brute_args(params)
     tag, payload = brute_protect(proto, a, b, kind, r, mode.value)
     if tag == "pure":
-        overlap = abs(np.vdot(shared.pure.amplitudes, payload))
+        overlap = abs(np.vdot(shared.pure, payload))
         np.testing.assert_almost_equal(overlap, 1.0, decimal=12)
     else:
-        np.testing.assert_allclose(shared.rho.matrix, payload, atol=1e-12)
+        np.testing.assert_allclose(shared.rho, payload, atol=1e-12)
 
 
 def test_branch_operators_shape_and_halved_gram():
@@ -183,9 +186,9 @@ def test_stacked_normalization_matches_oracle_and_protect(protocol, mode):
             stacked = SharedState(mode, normalized[i1, i2])
             tag, payload = brute_protect(protocol, a, b, kind, r, mode.value)
             if tag == "pure":
-                np.testing.assert_allclose(stacked.pure.amplitudes, payload, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(stacked.pure, payload, rtol=0, atol=1e-12)
             else:
-                np.testing.assert_allclose(stacked.rho.matrix, payload, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(stacked.rho, payload, rtol=0, atol=1e-12)
     assert flagged
 
 
@@ -222,14 +225,20 @@ def test_shared_state_copies_and_freezes_its_branches():
 
 
 def test_derived_state_only_in_its_own_mode():
-    params, channel = ProtocolI(0.8, 0.4), ChannelSpec("adc", 0.3)
-    paper = protect(params, channel, PAPER)
-    physical = protect(params, channel, PHYSICAL)
-    assert paper.rho is None and paper.success_probability is None
-    assert physical.pure is None
-    assert paper.branches.shape == (1, 2, 2)
-    assert physical.branches.shape == (4, 2, 2)
-    assert paper.pure.is_normalized() and physical.rho.is_normalized()
+    for params, kind in itertools.product(ALL_PARAMS, CHANNEL_KINDS):
+        channel = ChannelSpec(kind, 0.3)
+        paper = protect(params, channel, PAPER)
+        physical = protect(params, channel, PHYSICAL)
+        assert paper.rho is None and paper.success_probability is None
+        assert physical.pure is None
+        assert paper.branches.shape == (1, 2, 2)
+        assert physical.branches.shape == (4, 2, 2)
+        vec, rho = paper.pure, physical.rho
+        assert vec.shape == (16,) and rho.shape == (16, 16)
+        assert abs(np.linalg.norm(vec) ** 2 - 1.0) <= 1e-12
+        assert abs(np.trace(rho).real - 1.0) <= 1e-12
+        assert np.abs(rho - rho.conj().T).max() <= 1e-12
+        assert np.linalg.eigvalsh(rho).min() >= -1e-10
 
 
 def test_package_imports_bind_submodules():
@@ -240,6 +249,23 @@ def test_package_imports_bind_submodules():
 
     assert isinstance(sweep_module, types.ModuleType)
     assert isinstance(teleport_module, types.ModuleType)
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # the package runs on the standard library and numpy alone
+    sources = sorted((Path(__file__).resolve().parent.parent / "src" / "wmteleport").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "numpy", (path.name, name)
 
 
 @pytest.mark.parametrize("proto_params", [ProtocolI(np.pi / 2, 1.0), ProtocolII(0.0, 0.0)])
@@ -265,7 +291,7 @@ def test_saturated_phase_flip_annihilates_paper_mode(proto_params):
     with pytest.raises(ValueError, match="annihilate"):
         protect(proto_params, ChannelSpec("pfc", 1.0), PAPER)
     shared = protect(proto_params, ChannelSpec("pfc", 1.0), PHYSICAL)
-    assert shared.rho.is_normalized()
+    assert abs(np.trace(shared.rho).real - 1.0) <= 1e-12
 
 
 @pytest.mark.xfail(
@@ -310,7 +336,7 @@ def test_saturated_bit_flip_generic_params_exact_split():
 def test_paper_mode_damping_strength_swap_symmetry():
     a = protect(ProtocolII(0.3, 0.7), ChannelSpec("adc", 0.5), PAPER)
     b = protect(ProtocolII(0.7, 0.3), ChannelSpec("adc", 0.5), PAPER)
-    overlap = abs(np.vdot(a.pure.amplitudes, b.pure.amplitudes))
+    overlap = abs(np.vdot(a.pure, b.pure))
     np.testing.assert_almost_equal(overlap, 1.0, decimal=12)
 
 
@@ -322,10 +348,10 @@ def test_phase_flip_output_stays_on_resource_support(mode, params):
     shared = protect(params, ChannelSpec("pfc", 0.6), mode)
     outside = [i for i in range(16) if i not in GHZ_INDICES]
     if mode is PAPER:
-        residual = max(abs(shared.pure.amplitudes[i]) for i in outside)
+        residual = max(abs(shared.pure[i]) for i in outside)
     else:
         residual = max(
-            abs(shared.rho.matrix[i, j])
+            abs(shared.rho[i, j])
             for i in range(16)
             for j in range(16)
             if i in outside or j in outside
@@ -335,7 +361,7 @@ def test_phase_flip_output_stays_on_resource_support(mode, params):
 
 def test_paper_mode_damping_amplitude_groups():
     shared = protect(ProtocolI(0.8, 0.4), ChannelSpec("adc", 0.5), PAPER)
-    amps = shared.pure.amplitudes
+    amps = shared.pure
     ghz = np.array([amps[i] for i in GHZ_INDICES])
     flipped = np.array([amps[i] for i in FLIPPED_INDICES])
     np.testing.assert_allclose(ghz, ghz[0], atol=1e-12)
@@ -352,7 +378,7 @@ def test_degenerate_parameters_annihilate(mode):
 def test_channel_only_shared_noiseless_is_resource():
     for kind in CHANNEL_KINDS:
         shared = channel_only_shared(ChannelSpec(kind, 0.0), PAPER)
-        overlap = abs(np.vdot(shared.pure.amplitudes, initial_state().amplitudes))
+        overlap = abs(np.vdot(shared.pure, initial_state()))
         np.testing.assert_almost_equal(overlap, 1.0, decimal=12)
         mixed = channel_only_shared(ChannelSpec(kind, 0.0), PHYSICAL)
         np.testing.assert_almost_equal(mixed.success_probability, 1.0, decimal=12)
@@ -374,16 +400,16 @@ def test_channel_only_shared_is_not_the_protection_locus():
         a = channel_only_shared(ChannelSpec(kind, 0.4), mode)
         b = protect(ProtocolII(0.0, 0.0), ChannelSpec(kind, 0.4), mode)
         if mode is PHYSICAL:
-            close = abs(a.rho.matrix - b.rho.matrix).max() < 1e-12
+            close = abs(a.rho - b.rho).max() < 1e-12
         else:
-            close = abs(np.vdot(a.pure.amplitudes, b.pure.amplitudes)) ** 2 > 1.0 - 1e-12
+            close = abs(np.vdot(a.pure, b.pure)) ** 2 > 1.0 - 1e-12
         assert close == agrees, (kind, mode)
 
 
 def _amplitude_groups(params, channel):
     """Paper-mode amplitudes on the GHZ kets, on the flipped kets, and
     on the eight kets outside both groups."""
-    amps = protect(params, channel, PAPER).pure.amplitudes
+    amps = protect(params, channel, PAPER).pure
     np.testing.assert_allclose(amps.imag, 0.0, atol=1e-12)
     outside = [i for i in range(16) if i not in GHZ_INDICES + FLIPPED_INDICES]
     return amps[list(GHZ_INDICES)].real, amps[list(FLIPPED_INDICES)].real, amps[outside]

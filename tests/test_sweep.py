@@ -410,7 +410,7 @@ def test_design_matrix_matches_resource_written_out(measure):
     psi0 = np.zeros((8, 2))
     for idx in (0b0000, 0b0101, 0b1010, 0b1111):
         psi0[idx >> 1, idx & 1] = 0.5
-    states = np.stack([s.vector for s in design_inputs(measure)])
+    states = design_inputs(measure)
     t1 = np.einsum("isa,ns->nia", _eta_states().reshape(4, 2, 8).conj(), states)
     u = np.einsum("nb,ibc->nic", states.conj(), _corrections())
     w = np.einsum("nia,nib->niab", t1, u)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,14 +49,14 @@ def _quadrature_average(shared, measure, n_polar=64, n_azimuth=128):
 
 
 def test_eta_basis_is_orthonormal():
-    states = eta_basis().states
+    states = eta_basis()
     assert states.shape == (4, 16)
     gram = states @ states.conj().T
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-14)
 
 
 def test_eta_basis_amplitudes():
-    states = eta_basis().states
+    states = eta_basis()
     np.testing.assert_almost_equal(states[0][0b1111], 0.5)
     np.testing.assert_almost_equal(states[0][0b0000], 0.5)
     np.testing.assert_almost_equal(states[1][0b1010], -0.5)
@@ -75,7 +77,7 @@ def test_noiseless_teleports_ground_state_exactly(mode, params):
     shared = protect(params, ChannelSpec("adc", 0.0), mode)
     ground = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     for out in teleport(shared, InputQubit(1.0, 0.0)):
-        np.testing.assert_allclose(out.bob_state_corrected.matrix, ground, atol=1e-12)
+        np.testing.assert_allclose(out.bob_state_corrected, ground, atol=1e-12)
         np.testing.assert_almost_equal(out.per_outcome_fidelity, 1.0, decimal=12)
 
 
@@ -119,16 +121,34 @@ def test_noiseless_physical_mode_probabilities_stay_uniform():
 
 @pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
 def test_outcome_bookkeeping(mode):
-    shared = protect(ProtocolII(0.5, 0.3), ChannelSpec("bfc", 0.4), mode)
-    outs = teleport(shared, InputQubit(0.6, 0.8j))
-    assert [o.outcome for o in outs] == [1, 2, 3, 4]
-    np.testing.assert_almost_equal(sum(o.probability for o in outs), 1.0, decimal=10)
-    for o in outs:
-        np.testing.assert_almost_equal(
-            o.bob_state_raw.trace(), o.probability, decimal=12
-        )
-        assert o.bob_state_corrected.is_normalized()
-        assert 0.0 <= o.per_outcome_fidelity <= 1.0
+    # the last parameter set at adc r = 1 sends two paper-mode outcomes
+    # of the input |+> below OUTCOME_FLOOR
+    s = 1.0 / np.sqrt(2.0)
+    below_floor = 0
+    for params, kind, r, inp in itertools.product(
+        (ProtocolII(0.5, 0.3), ProtocolI(0.8, 0.4), ProtocolI(np.pi / 2, 0.5)),
+        CHANNEL_KINDS,
+        (0.4, 1.0),
+        (InputQubit(0.6, 0.8j), InputQubit(s, s)),
+    ):
+        outs = teleport(protect(params, ChannelSpec(kind, r), mode), inp)
+        assert [o.outcome for o in outs] == [1, 2, 3, 4]
+        np.testing.assert_almost_equal(sum(o.probability for o in outs), 1.0, decimal=10)
+        for o in outs:
+            for state in (o.bob_state_raw, o.bob_state_corrected):
+                assert state.shape == (2, 2)
+                assert np.abs(state - state.conj().T).max() <= 1e-12
+                assert np.linalg.eigvalsh(state).min() >= -1e-10
+            np.testing.assert_almost_equal(
+                np.trace(o.bob_state_raw).real, o.probability, decimal=12
+            )
+            if o.probability < OUTCOME_FLOOR:
+                below_floor += 1
+                assert not o.bob_state_corrected.any()
+            else:
+                assert abs(np.trace(o.bob_state_corrected).real - 1.0) <= 1e-12
+            assert 0.0 <= o.per_outcome_fidelity <= 1.0
+    assert below_floor == (2 if mode is PAPER else 0)
 
 
 def test_paper_mode_phase_flip_is_perfect_per_outcome():
@@ -188,9 +208,8 @@ def test_vectorized_fidelities_match_loop(mode):
 
 
 def test_design_inputs_haar_is_pauli_eigenbasis():
-    states = design_inputs("haar")
-    assert len(states) == 6
-    mats = np.array([[s.alpha, s.beta] for s in states])
+    mats = design_inputs("haar")
+    assert mats.shape == (6, 2) and not mats.flags.writeable
     norms = np.linalg.norm(mats, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-14)
     # resolution of the identity with weight 1/3 (a 2-design property)
@@ -200,10 +219,10 @@ def test_design_inputs_haar_is_pauli_eigenbasis():
 
 def test_design_inputs_polar_is_real_quadrature():
     states = design_inputs("polar")
-    assert len(states) == 4
-    for s in states:
-        assert abs(complex(s.alpha).imag) < 1e-15
-        assert abs(complex(s.beta).imag) < 1e-15
+    assert states.shape == (4, 2) and not states.flags.writeable
+    assert np.abs(states.imag).max() < 1e-15
+    with pytest.raises(ValueError):
+        states[0, 0] = 1.0
 
 
 def test_design_inputs_rejects_unknown_measure():

@@ -1,11 +1,9 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wmteleport.operators import ChannelSpec, ProtocolI, kraus_set, wm
-from wmteleport.tensor import MixedState, PureState
 
 from brute import ETA, lift_naive, partial_trace_naive
 
@@ -142,17 +140,3 @@ def test_partial_trace_of_everything_is_identity_map():
     kept = partial_trace_naive(rho, [0, 1, 2], 3)
     np.testing.assert_allclose(kept, rho, atol=1e-15)
 
-
-def test_pure_state_validates_dimension():
-    with pytest.raises(ValueError):
-        PureState(2, np.zeros(3, dtype=complex))
-
-
-def test_mixed_state_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        MixedState(1, np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-
-def test_mixed_state_rejects_negative_operator():
-    with pytest.raises(ValueError):
-        MixedState(1, np.diag([1.0, -0.5]).astype(complex))
