@@ -183,6 +183,7 @@ def _quadrature_grid():
     inputs[:, :, 0] = np.cos(theta / 2.0)[:, None]
     inputs[:, :, 1] = np.sin(theta / 2.0)[:, None] * np.exp(1j * phis)
     inputs.setflags(write=False)
+    weights.setflags(write=False)
     return inputs, weights
 
 

@@ -10,8 +10,9 @@ reproduce  evaluate the bundled reference table, write JSON manifest
 
 Exit codes: 0 success, 1 check or reproduction failure, 2 usage error.
 All numeric CSV fields use 17-significant-digit decimals so values
-round-trip to the same doubles. The CSV is built column by column:
-within each block of rows, each distinct value is formatted once.
+round-trip to the same doubles. A CSV is formatted and written one
+block of rows at a time, column by column: within a block, each
+distinct value is formatted once. No whole-file text is ever built.
 """
 
 from __future__ import annotations
@@ -33,21 +34,22 @@ from .sweep import (
 )
 
 _FMT = "%.17g"
-# Rows formatted per block, so the text of at most this many rows exists
-# as separate strings at once.
+# Rows formatted and written per block, so the text of at most this many
+# rows exists at once.
 _CSV_BLOCK_ROWS = 4096
 
-# Largest grid a sweep subcommand accepts. A surface run's peak RSS is
-# set by the sweep's branch matrices (128 B per cell plus temporaries),
-# not by the CSV text: a 401x401 surface reaches ~62 MiB and a
-# 1024x1024 one ~233 MiB in 3.3 s (2-vCPU x86), so one run stays under
-# 0.5 GB.
+# Largest grid a sweep subcommand accepts. The sweep and the CSV both
+# work in bounded blocks, so a surface run's memory grows only with its
+# 8 B-per-cell result: a fresh 401x401 surface peaks at ~36 MiB and a
+# 1024x1024 one at ~43 MiB (the import alone is ~30 MiB). The limit
+# bounds run time: 1024x1024 takes ~2.7 s (2-vCPU x86).
 MAX_GRID_CELLS = 1024 * 1024
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, texts) -> None:
+    """Write each text of the iterable `texts` to `path` as it comes."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(texts)
 
 
 def _column_text(values: np.ndarray) -> list[str]:
@@ -59,17 +61,25 @@ def _column_text(values: np.ndarray) -> list[str]:
     return list(map(texts.__getitem__, inverse.tolist()))
 
 
-def _csv(header: str, columns) -> str:
-    """CSV text: the header, then one row per element of the columns'
-    common broadcast shape, in C order. Broadcasting lets an axis or a
-    constant stand for a whole column without being copied out."""
+def _csv(head: str, columns) -> str:
+    """CSV text of one block: `head` (the header line, or "" after the
+    first block), then one line per element of the equal-length 1-D
+    float64 `columns`."""
+    lines = "\n".join(map(",".join, zip(*map(_column_text, columns))))
+    return head + lines + "\n" if lines else head
+
+
+def _csv_blocks(header: str, columns):
+    """CSV text in blocks of `_CSV_BLOCK_ROWS` rows, the header line with
+    the first: one row per element of the columns' common broadcast
+    shape, in C order. Broadcasting lets an axis or a constant stand for
+    a whole column without being copied out."""
     cols = np.broadcast_arrays(*(np.asarray(c, dtype=np.float64) for c in columns))
-    parts = [header, "\n"]
-    for start in range(0, cols[0].size, _CSV_BLOCK_ROWS):
-        block = [_column_text(c.flat[start:start + _CSV_BLOCK_ROWS]) for c in cols]
-        parts.append("\n".join(map(",".join, zip(*block))))
-        parts.append("\n")
-    return "".join(parts)
+    head = header + "\n"
+    # at least one block, so a CSV with no rows still gets its header
+    for start in range(0, max(cols[0].size, 1), _CSV_BLOCK_ROWS):
+        yield _csv(head, [c.flat[start:start + _CSV_BLOCK_ROWS] for c in cols])
+        head = ""
 
 
 def _seed(text: str) -> int:
@@ -170,7 +180,7 @@ def _cmd_surface(args, parser) -> int:
         result.fidelity,
         result.baseline,
     )
-    _write_text(args.out, _csv("axis1,axis2,r,fidelity,baseline", columns))
+    _write_text(args.out, _csv_blocks("axis1,axis2,r,fidelity,baseline", columns))
     print(f"wrote {args.out}")
     return 0
 
@@ -186,7 +196,7 @@ def _cmd_fmax(args, parser) -> int:
         measure=args.measure,
     )
     columns = zip(*((p.r, p.fmax, p.param1, p.param2, p.baseline) for p in points))
-    _write_text(args.out, _csv("r,fmax,param1,param2,baseline", columns))
+    _write_text(args.out, _csv_blocks("r,fmax,param1,param2,baseline", columns))
     print(f"wrote {args.out}")
     return 0
 
@@ -201,7 +211,8 @@ def _cmd_compare(args, parser) -> int:
         measure=args.measure,
     )
     if args.out is not None:
-        _write_text(args.out, _csv("r,baseline,fmax_I,fmax_II", zip(*comparison.rows)))
+        columns = zip(*comparison.rows)
+        _write_text(args.out, _csv_blocks("r,baseline,fmax_I,fmax_II", columns))
         print(f"wrote {args.out}")
     print(comparison.verdict_text)
     return 0
@@ -214,7 +225,7 @@ def _cmd_reproduce(args, parser) -> int:
         measure=args.measure,
         timestamp=args.seed is None,
     )
-    _write_text(args.out, manifest_json(manifest))
+    _write_text(args.out, [manifest_json(manifest)])
     print("\n".join(manifest_lines(manifest)))
     print(f"wrote {args.out}")
     return 0 if manifest["all_passed"] else 1

@@ -3,14 +3,19 @@
 Evaluation is exhaustive grid search over the two protection
 parameters at each decoherence value, followed by one local
 refinement pass (a 10x finer window around the coarse argmax).
-The branch matrices of a whole slab come from `pipeline.branch_grid`,
-which also serves `protect`, as one broadcast product of per-axis
-diagonals and constant 2x2 matrices. All cells are then contracted
-against one small design matrix per input measure, amplitudes first
-and squares last. A 101x101 slab takes about 3 ms and a 401x401 slab
-about 20-50 ms (2-vCPU x86 machine, numpy with OpenBLAS); cells agree
-with `protect` + `average_fidelity` run cell by cell to about 1e-15.
-The unprotected baseline goes through the same contraction.
+Each slab (one r value) is evaluated in blocks of whole axis-1 rows,
+about 16k cells each, so memory stays bounded whatever the grid size;
+a 101x101 slab is one block. A block's branch matrices come from
+`pipeline.branch_grid`, which also serves `protect`, as one broadcast
+product of per-axis diagonals and constant 2x2 matrices. They are
+contracted against one small design matrix per input measure,
+amplitudes first and squares last, and the block's fidelities go
+straight into the result. Every cell is computed on its own, so the
+block size moves no bits. A 101x101 slab takes about 3 ms and a
+401x401 slab about 20-50 ms (2-vCPU x86 machine, numpy with
+OpenBLAS); cells agree with `protect` + `average_fidelity` run cell
+by cell to about 1e-15. The unprotected baseline goes through the
+same contraction.
 
 Cells whose parameters annihilate every branch (which happens at
 degenerate corners such as omega=0 with q=0) are recorded as NaN and
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,39 +164,46 @@ def _kraus(channel: str, r: float) -> np.ndarray:
     return np.stack(kraus_set(ChannelSpec(channel, r))).real
 
 
-def _branch_slab(grid: SweepGrid, channel: str, r: float) -> np.ndarray:
-    """All four branch operators at one r, each 2x2 flattened row-major:
-    shape (n1, n2, 4, 4), a view of `branch_grid`."""
-    g = branch_grid(grid.protocol, grid.axis1, grid.axis2, ChannelSpec(channel, r))
-    return g.reshape(grid.axis1.size, grid.axis2.size, 4, 4)
+# Cells per sweep block: 2 MiB of branch matrices (128 B a cell). A
+# 101x101 slab stays one block; much smaller blocks cost more numpy
+# calls and page faults per slab.
+_BLOCK_CELLS = 16384
 
 
-_DESIGN_V: dict[str, np.ndarray] = {}
+def _branch_slab(grid: SweepGrid, channel: str, r: float, rows: slice) -> np.ndarray:
+    """All four branch operators at one r over the axis-1 rows `rows`,
+    each 2x2 flattened row-major: shape (rows in the block, n2, 4, 4),
+    a view of `branch_grid`."""
+    axis1 = grid.axis1[rows]
+    g = branch_grid(grid.protocol, axis1, grid.axis2, ChannelSpec(channel, r))
+    return g.reshape(axis1.size, grid.axis2.size, 4, 4)
+
 
 # Rows of branch matrices per matmul: keeps the amplitude block in cache.
 _BATCH_ROWS = 4096
 
 
+@lru_cache(maxsize=None)
 def _design_matrix(measure: str) -> np.ndarray:
     """Matrix V, shape (4, F), such that the squared entries of g @ V
     sum to the design total of outcome fidelity contributions for one
     flattened real branch matrix g. Columns are the real and imaginary
     parts of each (design input, outcome) overlap; all-zero ones are
-    dropped."""
-    if measure not in _DESIGN_V:
-        states = design_inputs(measure)
-        t = np.einsum("isc,ns->nic", _ETA_PSI0, states)
-        u = np.einsum("nb,ibc->nic", states.conj(), _corrections())
-        v = np.einsum("nib,nic->bcni", u, t).reshape(4, -1)
-        v = np.concatenate([v.real, v.imag], axis=1)
-        _DESIGN_V[measure] = np.ascontiguousarray(v[:, (v != 0.0).any(axis=0)])
-    return _DESIGN_V[measure]
+    dropped. Cached and read-only."""
+    states = design_inputs(measure)
+    t = np.einsum("isc,ns->nic", _ETA_PSI0, states)
+    u = np.einsum("nb,ibc->nic", states.conj(), _corrections())
+    v = np.einsum("nib,nic->bcni", u, t).reshape(4, -1)
+    v = np.concatenate([v.real, v.imag], axis=1)
+    v = np.ascontiguousarray(v[:, (v != 0.0).any(axis=0)])
+    v.setflags(write=False)
+    return v
 
 
 def _fidelity_slab(
     branches: np.ndarray, mode: PipelineMode, measure: str
 ) -> np.ndarray:
-    """Average fidelity over one (n1, n2) slab of flattened branch
+    """Average fidelity over one (n1, n2) block of flattened branch
     matrices, shape (n1, n2, K, 4). Paper mode sums the K branches
     before squaring, physical mode squares each branch; amplitudes are
     always formed first and squared last, which keeps coherent sums
@@ -237,12 +250,15 @@ def sweep(grid: SweepGrid, channel: str, measure: str = "polar") -> SweepResult:
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
     n1, n2, nr = grid.shape
+    step = max(1, _BLOCK_CELLS // n2)
     fidelity = np.empty((n1, n2, nr))
     argmax = []
     for ir, r in enumerate(grid.r_values):
-        slab = _fidelity_slab(_branch_slab(grid, channel, float(r)), grid.mode, measure)
-        fidelity[:, :, ir] = slab
-        argmax.append(_slab_argmax(grid, slab))
+        for start in range(0, n1, step):
+            rows = slice(start, start + step)
+            branches = _branch_slab(grid, channel, float(r), rows)
+            fidelity[rows, :, ir] = _fidelity_slab(branches, grid.mode, measure)
+        argmax.append(_slab_argmax(grid, fidelity[:, :, ir]))
     kraus = np.stack([_kraus(channel, float(r)).reshape(2, 4) for r in grid.r_values])
     baseline = _fidelity_slab(kraus[:, None], grid.mode, measure)[:, 0]
     fidelity.setflags(write=False)

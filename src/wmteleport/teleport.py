@@ -90,7 +90,9 @@ def _eta_states() -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _corrections() -> np.ndarray:
-    return np.stack([correction_unitary(k) for k in (1, 2, 3, 4)])
+    corrections = np.stack([correction_unitary(k) for k in (1, 2, 3, 4)])
+    corrections.setflags(write=False)
+    return corrections
 
 
 def eta_basis() -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -103,7 +104,7 @@ def test_surface_round_trips_float_text(tmp_path):
 
 
 def reference_csv(header, rows):
-    """The row-wise formatter the column-wise `cli._csv` must match."""
+    """The row-wise formatter the column-wise block writer must match."""
     return "\n".join([header, *(",".join("%.17g" % v for v in row) for row in rows)]) + "\n"
 
 
@@ -131,7 +132,7 @@ _HOSTILE_COLUMNS = {
 def test_csv_matches_row_wise_reference(columns):
     header = ",".join(f"c{i}" for i in range(len(columns)))
     want = reference_csv(header, zip(*(np.asarray(c, dtype=float) for c in columns)))
-    assert cli._csv(header, columns) == want
+    assert "".join(cli._csv_blocks(header, columns)) == want
 
 
 @given(
@@ -145,7 +146,7 @@ def test_csv_matches_reference_on_repeated_values(pool, picks, block_rows):
     columns = [[pool[i % len(pool)] for i in column[:n]] for column in picks]
     header = ",".join(f"c{i}" for i in range(len(columns)))
     with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
-        got = cli._csv(header, columns)
+        got = "".join(cli._csv_blocks(header, columns))
     assert got == reference_csv(header, zip(*columns))
 
 
@@ -183,10 +184,12 @@ def test_surface_fields_are_the_sweep_bits(protocol, channel, mode, r, tmp_path,
 
 def test_fmax_and_compare_csv_match_reference(tmp_path, capsys):
     fmax_out, compare_out = tmp_path / "fmax.csv", tmp_path / "compare.csv"
-    assert cli.main(["fmax", "--protocol", "II", "--channel", "bfc",
-                     "--resolution", "11", "--out", str(fmax_out)]) == 0
-    assert cli.main(["compare", "--channel", "pfc", "--resolution", "11",
-                     "--out", str(compare_out)]) == 0
+    # 4-row blocks: the 21 rows are written in six blocks, the last ragged
+    with mock.patch.object(cli, "_CSV_BLOCK_ROWS", 4):
+        assert cli.main(["fmax", "--protocol", "II", "--channel", "bfc",
+                         "--resolution", "11", "--out", str(fmax_out)]) == 0
+        assert cli.main(["compare", "--channel", "pfc", "--resolution", "11",
+                         "--out", str(compare_out)]) == 0
     points = fmax_curve("II", "bfc", default_r_values(), resolution=11)
     rows = [(p.r, p.fmax, p.param1, p.param2, p.baseline) for p in points]
     assert fmax_out.read_text() == reference_csv("r,fmax,param1,param2,baseline", rows)
@@ -194,6 +197,21 @@ def test_fmax_and_compare_csv_match_reference(tmp_path, capsys):
     assert compare_out.read_text() == reference_csv(
         "r,baseline,fmax_I,fmax_II", comparison.rows
     )
+
+
+def test_surface_memory_does_not_grow_with_the_grid(tmp_path, capsys):
+    # The sweep and the CSV work in bounded blocks, so a 301 x 301 surface
+    # traces only its 0.7 MiB result above a few MiB of block buffers.
+    argv = ["surface", "--protocol", "I", "--channel", "adc", "--r", "0.5"]
+    assert cli.main([*argv, "--resolution", "3", "--out", str(tmp_path / "warm.csv")]) == 0
+    tracemalloc.start()
+    try:
+        rc = cli.main([*argv, "--resolution", "301", "--out", str(tmp_path / "s.csv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_surface_noiseless_paper_mode_is_all_ones(tmp_path):

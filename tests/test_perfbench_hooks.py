@@ -1,24 +1,53 @@
 """The benchmark's tracer hooks package functions by name. A refactor
 that renames or deletes a hooked function silently turns its layer
-into an absent one; this test pins the set of absent layers: the
+into an absent one; these tests pin the set of absent layers (the
 unprotected baseline, folded into the sweep contraction, and the
-validation of the deleted `tensor` state containers."""
+validation of the deleted `tensor` state containers) and the counts a
+traced surface reports."""
 
 import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
+from wmteleport import cli
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ABSENT = {"teleport.baseline", "tensor.mixed_state"}
 
 
-def test_every_benchmark_layer_but_the_baseline_resolves(monkeypatch):
+@pytest.fixture
+def tracer(monkeypatch):
+    """perfbench's tracer module, imported read-only and forgotten after."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "tracer", raising=False)
-    tracer = importlib.import_module("tracer")
+    module = importlib.import_module("tracer")
     monkeypatch.delitem(sys.modules, "tracer")
+    return module
+
+
+def test_every_benchmark_layer_but_the_baseline_resolves(tracer):
     layers = {layer for _, _, layer in tracer.HOOKS}
     installed = {
         layer for module, path, layer in tracer.HOOKS if tracer._resolve(module, path)
     }
-    assert layers - installed == {"teleport.baseline", "tensor.mixed_state"}
+    assert layers - installed == ABSENT
+
+
+def test_traced_surface_counts_match_its_output(tracer, tmp_path, capsys):
+    # 200 x 200 cells: three sweep blocks and ten CSV blocks. The serialize
+    # count reads each `_csv` return value as text, so it equals the file
+    # size only if `_csv` returns str and the header goes through it.
+    out = tmp_path / "surface.csv"
+    n = 200
+    with tracer.Tracer() as traced:
+        rc = cli.main(["surface", "--protocol", "II", "--channel", "bfc", "--r", "0.5",
+                       "--resolution", str(n), "--out", str(out)])
+    assert rc == 0
+    _, calls = traced.self_times()
+    assert calls["sweep.branch_build"] > 1 and calls["cli.serialize"] > 1
+    assert traced.counts["cli.serialize.bytes"] == out.stat().st_size
+    assert traced.counts["sweep.branch_build.bytes_out"] == 128 * n * n
+    assert traced.absent == ABSENT

@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from brute import brute_fidelities_batch, brute_protect
+from wmteleport import sweep as sweep_module
+from wmteleport.checks import _quadrature_grid
 from wmteleport.operators import CHANNEL_KINDS, ChannelSpec, ProtocolI, ProtocolII
 from wmteleport.pipeline import PipelineMode, protect
 from wmteleport.sweep import (
@@ -395,7 +397,7 @@ def test_fidelity_slab_matches_oracle_at_degenerate_parameters(
 ):
     a, b = (omega, q) if protocol == "I" else (k1, k2)
     grid = SweepGrid(protocol, np.array([a]), np.array([b]), np.array([r]), mode=mode)
-    got = _fidelity_slab(_branch_slab(grid, kind, r), mode, measure)[0, 0]
+    got = _fidelity_slab(_branch_slab(grid, kind, r, slice(None)), mode, measure)[0, 0]
     want = _oracle_cell(protocol, a, b, kind, r, mode, measure)
     if math.isnan(want):
         assert math.isnan(got)
@@ -417,3 +419,31 @@ def test_design_matrix_matches_resource_written_out(measure):
     v = np.einsum("niab,ac->bcni", w, psi0).reshape(4, -1)
     v = np.concatenate([v.real, v.imag], axis=1)
     assert np.array_equal(_design_matrix(measure), v[:, (v != 0.0).any(axis=0)])
+
+
+# 11 x 3 cells: a 1-cell block is one row, a 7-cell block two rows with a
+# ragged last block of one, and 10**6 cells one block.
+@pytest.mark.parametrize("block_cells", [1, 7, 10**6])
+@pytest.mark.parametrize("measure", ["haar", "polar"])
+@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_block_size_moves_no_bits(kind, mode, measure, block_cells, monkeypatch):
+    # omega = 0 with q = 0 is annihilated at r = 0, so NaN cells cross
+    # block boundaries too.
+    grid = SweepGrid("I", np.linspace(0.0, math.pi / 2.0, 11), np.linspace(0.0, 1.0, 3),
+                     np.array([0.0, 0.37, 0.9]), mode=mode)
+    whole = sweep(grid, kind, measure)
+    monkeypatch.setattr(sweep_module, "_BLOCK_CELLS", block_cells)
+    blocked = sweep(grid, kind, measure)
+    assert np.isnan(whole.fidelity[0, 0, 0])
+    assert np.array_equal(blocked.fidelity, whole.fidelity, equal_nan=True)
+    assert np.array_equal(np.array(blocked.argmax), np.array(whole.argmax), equal_nan=True)
+    assert np.array_equal(blocked.baseline, whole.baseline, equal_nan=True)
+
+
+def test_cached_arrays_are_read_only():
+    for arr in (_corrections(), _design_matrix("haar"), _design_matrix("polar"),
+                _quadrature_grid()[1]):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] *= 1.0
