@@ -42,7 +42,7 @@ _CSV_BLOCK_ROWS = 4096
 # work in bounded blocks, so a surface run's memory grows only with its
 # 8 B-per-cell result: a fresh 401x401 surface peaks at ~36 MiB and a
 # 1024x1024 one at ~43 MiB (the import alone is ~30 MiB). The limit
-# bounds run time: 1024x1024 takes ~2.7 s (2-vCPU x86).
+# bounds run time: 1024x1024 takes ~3-4 s (2-vCPU x86).
 MAX_GRID_CELLS = 1024 * 1024
 
 
