@@ -32,7 +32,7 @@ import numpy as np
 
 from .operators import CHANNEL_KINDS, ChannelSpec, kraus_set
 from .pipeline import ZERO_NORM_TOL, PipelineMode, branch_grid
-from .teleport import _ETA_PSI0, MEASURES, _corrections, design_inputs
+from .teleport import MEASURES, _overlap_matrix, design_inputs
 
 DEFAULT_RESOLUTION = 101
 DEFAULT_R_COUNT = 21
@@ -185,16 +185,12 @@ _BATCH_ROWS = 4096
 
 @lru_cache(maxsize=None)
 def _design_matrix(measure: str) -> np.ndarray:
-    """Matrix V, shape (4, F), such that the squared entries of g @ V
-    sum to the design total of outcome fidelity contributions for one
-    flattened real branch matrix g. Columns are the real and imaginary
-    parts of each (design input, outcome) overlap; all-zero ones are
-    dropped. Cached and read-only."""
-    states = design_inputs(measure)
-    t = np.einsum("isc,ns->nic", _ETA_PSI0, states)
-    u = np.einsum("nb,ibc->nic", states.conj(), _corrections())
-    v = np.einsum("nib,nic->bcni", u, t).reshape(4, -1)
-    v = np.concatenate([v.real, v.imag], axis=1)
+    """`teleport._overlap_matrix` of the measure's design inputs for real
+    branches: real and imaginary columns, all-zero ones dropped, shape
+    (4, F). Adding 0.0 turns -0.0 into 0.0, so V's bits do not depend on
+    the order of the products that build it. Cached and read-only."""
+    v = _overlap_matrix(design_inputs(measure))
+    v = np.concatenate([v.real, v.imag], axis=1) + 0.0
     v = np.ascontiguousarray(v[:, (v != 0.0).any(axis=0)])
     v.setflags(write=False)
     return v

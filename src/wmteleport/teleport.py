@@ -7,16 +7,14 @@ the overlap of the corrected output with the input, weighted by outcome
 probability. Input averages are exact finite-point designs, not
 sampling.
 
-Every entry point is a view on one stacked kernel over an (N, K, 2, 2)
-array of normalized branch operators g_b, one row per shared state, as
-`SharedState.branches` or `pipeline.normalize_branches` give them, so a
-whole parameter grid can go through it at once. For outcome k the
-receiver holds g_b u_k per branch, where u_k = (eta_k^dagger psi0)^T in
-is a 2-vector, so each raw outcome state sum_b (g_b u_k)(g_b u_k)^dagger
-is Hermitian and positive by construction. The one check left, run once
-per stack, is the span check: the outcome probabilities must sum to 1,
-and for branch operators they sum to |g|_F^2 / 2 at every input.
-States and bases are plain numpy arrays.
+A shared state is its normalized branch operators g_b, shape (K, 2, 2).
+Outcome k leaves g_b u_k per branch, u_k = (eta_k^dagger psi0)^T in, and
+its fidelity term p_k f_k is sum_b |vec(g_b) . v_k(in)|^2 with
+v_k(in)[B, c] = conj(w_k[B]) u_k[c], w_k = U_k^dagger in: the sweep's
+design contraction, for any inputs and stack of states at once. Every
+fidelity is a view on it; `_outcome_kernel` adds the receiver's states
+for `teleport`. The span check runs once per stack: the outcome
+probabilities sum to |g|_F^2 / 2 at every input, which must be 1.
 """
 
 from __future__ import annotations
@@ -115,7 +113,10 @@ class TeleportOutcome:
     per_outcome_fidelity: float
 
 
-def _span_check(totals: np.ndarray) -> None:
+def _span_check(g: np.ndarray) -> None:
+    """Branch stacks (..., K, 2, 2) whose outcome probabilities, which sum
+    to |g|_F^2 / 2 at every input, do not sum to 1 raise ValueError."""
+    totals = 0.5 * (g.real**2 + g.imag**2).sum(axis=(-3, -2, -1))
     outside = totals[np.abs(totals - 1.0) > SPAN_TOL]
     if outside.size:
         raise ValueError(
@@ -129,37 +130,34 @@ _ETA_PSI0 = _eta_states().conj().reshape(4, 2, 8) @ _PSI0
 _ETA_PSI0.setflags(write=False)
 
 
+def _overlap_matrix(inputs: np.ndarray) -> np.ndarray:
+    """Matrix V, shape (4, 4n), complex, for n input vectors (n, 2):
+    column 4x + k is v_k(in_x), flattened row-major, so a flattened
+    branch operator g_b times V gives every overlap <w_k|g_b u_k>."""
+    u = (inputs @ _ETA_PSI0).T  # u_k[c] as (c, x, k)
+    w = (inputs.conj() @ _corrections()).T  # conj(w_k)[B] as (B, x, k)
+    return (w[:, None] * u).reshape(4, -1)
+
+
+def _fidelity_terms(g: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """p_k f_k, shape (..., n, 4), for branch stacks g (..., K, 2, 2) and
+    inputs (n, 2). Zero branches add nothing: stacks may be zero-padded."""
+    _span_check(g)
+    amp = g.reshape(-1, 4) @ _overlap_matrix(inputs)
+    sq = (amp.real**2 + amp.imag**2).reshape(*g.shape[:-2], len(inputs), 4)
+    return sq.sum(axis=-3)
+
+
 def _outcome_kernel(g: np.ndarray, inputs: np.ndarray):
     """Outcome probabilities (N, n, 4), per-outcome fidelities (N, n, 4)
     and the receiver's raw states (N, n, 4, 2, 2) for N shared states
-    given by their normalized branch operators g, shape (N, K, 2, 2),
-    and n input vectors (n, 2).
-
-    For outcome k the receiver holds g_b u_k per branch b, with
-    u_k = M_k^T in and M_k = eta_k^dagger psi0 (2x2), so
-    raw_k = sum_b a_kb a_kb^dagger with a_kb = g_b u_k. The fidelity
-    numerator is sum_b |<w_k|a_kb>|^2 with w_k = U_k^dagger in.
-    Outcomes below OUTCOME_FLOOR get fidelity 0.
-    """
-    nk = g.shape[1]
-    n = len(inputs)
-    u = (inputs @ _ETA_PSI0).swapaxes(0, 1).reshape(-1, 2)
-    # a[B, b, N, x, k] = (g_b u_k)[B]
-    a = (g.reshape(len(g), -1, 2) @ u.T).reshape(-1, nk, 2, n, 4)
-    a0, a1 = a.transpose(2, 1, 0, 3, 4)
-    # raw_k = sum_b a a^dagger entry by entry: stacks of 2x2 matmuls are slow
-    raw = np.empty(a0.shape[1:] + (2, 2), dtype=complex)
-    raw[..., 0, 0] = (a0.real**2 + a0.imag**2).sum(axis=0)
-    raw[..., 1, 1] = (a1.real**2 + a1.imag**2).sum(axis=0)
-    raw[..., 0, 1] = (a0 * a1.conj()).sum(axis=0)
-    raw[..., 1, 0] = raw[..., 0, 1].conj()
-    probs = raw[..., 0, 0].real + raw[..., 1, 1].real
-    _span_check(probs.sum(axis=-1))
-    # conj(w_k) = U_k^T conj(in), as one (n, 4) array per component of B
-    w0, w1 = (inputs.conj() @ _corrections()).T
-    overlap = w0 * a0 + w1 * a1
-    num = (overlap.real**2 + overlap.imag**2).sum(axis=0)
-    fids = np.clip(num / np.maximum(probs, OUTCOME_FLOOR), 0.0, 1.0)
+    (N, K, 2, 2) and n inputs (n, 2): raw_k = sum_b a_kb a_kb^dagger
+    with a_kb = g_b u_k. Outcomes below OUTCOME_FLOOR get fidelity 0."""
+    # a[N, x, k, b, B] = (g_b u_k)[B], with u_k[c] as (k, x, c)
+    a = np.einsum("NbBc,kxc->NxkbB", g, inputs @ _ETA_PSI0)
+    raw = np.einsum("...bB,...bC->...BC", a, a.conj())
+    probs = np.einsum("...BB->...", raw).real
+    fids = np.clip(_fidelity_terms(g, inputs) / np.maximum(probs, OUTCOME_FLOOR), 0.0, 1.0)
     return probs, np.where(probs < OUTCOME_FLOOR, 0.0, fids), raw
 
 
@@ -169,16 +167,14 @@ def teleport(shared: SharedState, input_qubit: InputQubit) -> list[TeleportOutco
     Outcomes with probability below 1e-14 get fidelity 0 and a zero
     corrected state; they carry no weight in any average.
     """
-    probs, fids, raw = _outcome_kernel(shared.branches[None], input_qubit.vector[None])
+    kernel = _outcome_kernel(shared.branches[None], input_qubit.vector[None])
+    probs, fids, raw = (x[0, 0] for x in kernel)
     outcomes: list[TeleportOutcome] = []
     for k, u in enumerate(_corrections()):
-        p = float(probs[0, 0, k])
-        mat = np.zeros((2, 2), dtype=complex)
-        if p >= OUTCOME_FLOOR:
-            mat = u @ raw[0, 0, k] @ u.conj().T / p
+        p = float(probs[k])
+        mat = u @ raw[k] @ u.conj().T / p if p >= OUTCOME_FLOOR else np.zeros((2, 2), complex)
         corrected = 0.5 * (mat + mat.conj().T)
-        fid = float(fids[0, 0, k])
-        outcomes.append(TeleportOutcome(k + 1, p, raw[0, 0, k], corrected, fid))
+        outcomes.append(TeleportOutcome(k + 1, p, raw[k], corrected, float(fids[k])))
     return outcomes
 
 
@@ -187,14 +183,15 @@ def input_fidelity(shared: SharedState, input_qubit: InputQubit) -> float:
     return float(input_fidelities(shared, input_qubit.vector[None])[0])
 
 
-def input_fidelities(shared: SharedState, inputs: np.ndarray) -> np.ndarray:
-    """Vectorized `input_fidelity` over a batch of normalized input
-    vectors, shape (n, 2). Used by quadrature and sampling checks."""
+def input_fidelities(shared: SharedState | np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Outcome-weighted fidelity at each of n normalized input vectors,
+    shape (n, 2), for one SharedState (result (n,)) or a stack of
+    normalized branch operators (..., K, 2, 2) (result (..., n))."""
     inputs = np.asarray(inputs, dtype=complex)
-    if inputs.ndim != 2 or inputs.shape[1] != 2:
-        raise ValueError("inputs must have shape (n, 2)")
-    probs, fids, _ = _outcome_kernel(shared.branches[None], inputs)
-    return np.clip((probs * fids).sum(axis=-1)[0], 0.0, 1.0)
+    g = shared.branches if isinstance(shared, SharedState) else np.asarray(shared)
+    if inputs.ndim != 2 or inputs.shape[1] != 2 or g.ndim < 3 or g.shape[-2:] != (2, 2):
+        raise ValueError("inputs must have shape (n, 2) and branches (..., K, 2, 2)")
+    return np.clip(_fidelity_terms(g, inputs).sum(axis=-1), 0.0, 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -225,15 +222,16 @@ def design_inputs(measure: str = "haar") -> np.ndarray:
     return inputs
 
 
-def average_fidelity(shared: SharedState, measure: str = "haar") -> float:
-    """Exact input-averaged fidelity under the chosen measure."""
-    inputs = design_inputs(measure)
-    return min(max(float(input_fidelities(shared, inputs).mean()), 0.0), 1.0)
+def average_fidelity(shared: SharedState | np.ndarray, measure: str = "haar"):
+    """Exact input-averaged fidelity under the chosen measure: a float
+    for one SharedState, an array (...) for a branch stack as in
+    `input_fidelities`."""
+    f = input_fidelities(shared, design_inputs(measure)).mean(axis=-1)
+    return float(f) if isinstance(shared, SharedState) else f
 
 
 def unprotected_baseline(channel: ChannelSpec, mode, measure: str = "haar") -> float:
     """Average fidelity with every protection stage replaced by the
     identity: the channel acts alone under the selected mode's
     summation semantics."""
-    shared = channel_only_shared(channel, mode)
-    return average_fidelity(shared, measure)
+    return average_fidelity(channel_only_shared(channel, mode), measure)

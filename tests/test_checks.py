@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from wmteleport import checks, cli, pipeline
@@ -58,3 +60,36 @@ def test_raising_check_reports_fail_not_traceback(monkeypatch, capsys):
     out = capsys.readouterr()
     assert "FAIL probability_sums: " in out.out
     assert "Traceback" not in out.out + out.err
+
+
+def test_check_memory_stays_flat():
+    # The quadrature contracts one row of 128 inputs at a time, so the
+    # suite traces a few hundred KiB; one design matrix over all 8,192
+    # inputs would hold several MiB.
+    run_checks(seed=0)
+    tracemalloc.start()
+    try:
+        lines, ok = run_checks(seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok, lines
+    assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_design_quadrature_gap_is_rounding_only(monkeypatch):
+    # `check` prints only "ok design_vs_quadrature"; the gap itself must stay
+    # at rounding level, far inside the check's own 1e-9 bound.
+    details = []
+
+    def recorded(rng):
+        ok, detail = check(rng)
+        details.append(detail)
+        return ok, detail
+
+    check = checks._check_design_vs_quadrature
+    monkeypatch.setattr(checks, "_check_design_vs_quadrature", recorded)
+    for seed in range(20):
+        assert run_checks(seed=seed)[1]
+    gaps = [float(detail.rsplit(" ", 1)[1]) for detail in details]
+    assert len(gaps) == 20 and max(gaps) <= 1e-13, details

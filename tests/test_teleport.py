@@ -22,7 +22,16 @@ from wmteleport.teleport import (
     unprotected_baseline,
 )
 
-from brute import CORRECTIONS, brute_protect, brute_teleport_outcomes, sample_inputs
+from brute import (
+    CORRECTIONS,
+    ETA,
+    brute_fidelities_batch,
+    brute_initial,
+    brute_protect,
+    brute_teleport_outcomes,
+    lift_naive,
+    sample_inputs,
+)
 
 PAPER = PipelineMode.PAPER_LITERAL
 PHYSICAL = PipelineMode.PHYSICAL_MIXED
@@ -438,3 +447,63 @@ def test_haar_average_matches_entanglement_fidelity(params, channel, mode):
     closed = (2.0 * _entanglement_fidelity(shared) + 1.0) / 3.0
     design = average_fidelity(shared, "haar")
     np.testing.assert_allclose(design, closed, rtol=0, atol=1e-12)
+
+
+def _zeroing_input(b, k):
+    """A normalized input at which outcome k of any branch g = a b^T
+    vanishes: g u_k = a (b . M_k^T in) with M_k = eta_k^dagger psi0, a
+    2x2 matrix read off the oracle's basis and resource."""
+    psi0 = brute_initial().reshape(8, 2)
+    m = ETA[k].conj().reshape(2, 8) @ psi0
+    mb = m @ b
+    x = np.array([-mb[1], mb[0]])
+    return x / np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_fidelity_contraction_matches_oracle_on_complex_stacks(k):
+    """Random complex branch stacks, K = 1 (paper) and K = 4 (physical),
+    through `input_fidelities` at once, against the oracle's quadratic
+    form per input. Every other state is rank one with a shared right
+    factor b, and gets inputs that zero each of its four outcomes."""
+    rng = np.random.default_rng(41 + k)
+    inputs = [sample_inputs(rng, 8)]
+    stack, oracle = [], []
+    for i in range(6):
+        g = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+        if i % 2:
+            b = rng.normal(size=2) + 1j * rng.normal(size=2)
+            g = g[:, :, :1] * b
+            inputs.append([_zeroing_input(b, out) for out in range(4)])
+        g /= np.sqrt(0.5 * np.vdot(g, g).real)
+        vecs = [lift_naive(gb, 4, 3) @ brute_initial() for gb in g]
+        if k == 1:
+            oracle.append(("pure", vecs[0]))
+        else:
+            oracle.append(("mixed", sum(np.outer(v, v.conj()) for v in vecs)))
+        stack.append(g)
+    inputs = np.concatenate(inputs)
+    got = input_fidelities(np.array(stack), inputs)
+    assert got.shape == (6, len(inputs))
+    zeroed = 0
+    for state, row in zip(oracle, got):
+        np.testing.assert_allclose(row, brute_fidelities_batch(state, inputs), rtol=0, atol=1e-13)
+        zeroed += sum(min(p for p, _ in brute_teleport_outcomes(state, x)) < 1e-15 for x in inputs)
+    assert zeroed >= 12
+    padded = np.pad(np.array(stack), ((0, 0), (0, 4 - k), (0, 0), (0, 0)))
+    assert np.array_equal(input_fidelities(padded, inputs), got)
+
+
+def test_fidelity_contraction_rejects_states_outside_measurement_span():
+    # outcome probabilities sum to |g|_F^2 / 2: 4 for the stray state, 1.0201
+    # for the scaled row of the stack
+    stray = SharedState(PAPER, 2.0 * np.eye(2)[None])
+    g = np.stack([protect(p, ChannelSpec(k, r), PHYSICAL).branches for p, k, r in _KERNEL_GRID[:4]])
+    g[2] *= 1.01
+    for shared in (stray, g):
+        with pytest.raises(ValueError, match="outside the measurement span"):
+            input_fidelities(shared, design_inputs("haar"))
+        with pytest.raises(ValueError, match="outside the measurement span"):
+            average_fidelity(shared, "polar")
+    np.testing.assert_allclose(average_fidelity(g[:2]), [average_fidelity(SharedState(PHYSICAL, x))
+                                                        for x in g[:2]], rtol=0, atol=1e-15)
