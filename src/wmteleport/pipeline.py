@@ -143,14 +143,17 @@ def initial_state() -> np.ndarray:
 _PSI0 = initial_state().reshape(8, 2)
 
 
-def branch_grid(protocol: str, axis1, axis2, channel: ChannelSpec) -> np.ndarray:
+def branch_grid(
+    protocol: str, axis1, axis2, channel: ChannelSpec, out: np.ndarray | None = None
+) -> np.ndarray:
     """The four branch operators g_ij at every cell of a parameter
     grid: shape (n1, n2, 4, 2, 2), branch order (i=0,j=0), (0,1),
     (1,0), (1,1). The stages around the channel are diagonal, m_i
     depending on axis 1 only and n_i on axis 2 only, so
     g_ij[b, c] = n_i[b] * C_ij[b, c] * m_i[c] with C_ij = f_i e_j f_i.
     All three channels have real Kraus operators, so the branches are
-    real."""
+    real. `out`, if given, is a float array of shape (n1, n2, 16) that
+    receives the product; the result is then a view of it."""
     d1, d2 = stage_diagonals(protocol, axis1, axis2)
     # outcome 1 mirrors both diagonals; its flip sigma_x reverses the
     # rows and columns of e_j
@@ -163,7 +166,7 @@ def branch_grid(protocol: str, axis1, axis2, channel: ChannelSpec) -> np.ndarray
     # (n1, n2, 4, 2, 2) with size-2 inner axes is 4x slower at 401x401.
     left = (n[:, :, :, None] * core).reshape(1, -1, 16)
     right = np.tile(m, 2).reshape(-1, 1, 16)
-    return (left * right).reshape(len(d1), len(d2), 4, 2, 2)
+    return np.multiply(left, right, out=out).reshape(len(d1), len(d2), 4, 2, 2)
 
 
 def branch_operators(params: ProtocolParams, channel: ChannelSpec) -> np.ndarray:

@@ -100,35 +100,33 @@ SUPPLEMENTARY_CHECKS: tuple[SupplementaryCheck, ...] = (
 _MODES = (PipelineMode.PAPER_LITERAL, PipelineMode.PHYSICAL_MIXED)
 
 
-class _FmaxCache:
-    def __init__(self, resolution: int, measure: str):
-        self.resolution = resolution
-        self.measure = measure
-        self._store: dict[tuple, tuple] = {}
-
-    def get(self, protocol: str, channel: str, r: float, mode: PipelineMode):
-        key = (protocol, channel, r, mode)
-        if key not in self._store:
-            point = fmax_curve(
-                protocol,
-                channel,
-                r_values=np.array([r]),
-                resolution=self.resolution,
-                mode=mode,
-                measure=self.measure,
-            )[0]
-            self._store[key] = (point.fmax, point.param1, point.param2, point.baseline)
-        return self._store[key]
+def _fmax_table(resolution: int, measure: str) -> dict:
+    """The FmaxPoint of every (protocol, channel, r, mode) that a target
+    or supplementary check names, from one `fmax_curve` per (protocol,
+    channel, mode) over that pair's r values. Every r-slab is evaluated
+    on its own, so each point is bitwise the single-r curve's."""
+    r_values: dict[tuple[str, str], set[float]] = {}
+    for entry in REFERENCE_TARGETS + SUPPLEMENTARY_CHECKS:
+        r_values.setdefault((entry.protocol, entry.channel), set()).add(entry.r)
+    table = {}
+    for (protocol, channel), rs in r_values.items():
+        for mode in _MODES:
+            curve = fmax_curve(protocol, channel, r_values=np.array(sorted(rs)),
+                               resolution=resolution, mode=mode, measure=measure)
+            for point in curve:
+                table[protocol, channel, point.r, mode] = point
+    return table
 
 
-def _achieved_block(cache: _FmaxCache, protocol: str, channel: str, r: float):
+def _achieved_block(table: dict, protocol: str, channel: str, r: float):
     n1, n2 = _AXIS_NAMES[protocol]
     achieved = {}
     baseline = None
     for mode in _MODES:
-        fmax, p1, p2, base = cache.get(protocol, channel, r, mode)
-        achieved[mode.value] = {"fmax": fmax, "params": {n1: p1, n2: p2}}
-        baseline = base
+        point = table[protocol, channel, r, mode]
+        achieved[mode.value] = {"fmax": point.fmax,
+                                "params": {n1: point.param1, n2: point.param2}}
+        baseline = point.baseline
     return achieved, baseline
 
 
@@ -139,11 +137,11 @@ def build_manifest(
 ) -> dict:
     """Evaluate every target and supplementary check under both modes
     and return the manifest as a plain dict, ready for JSON."""
-    cache = _FmaxCache(resolution, measure)
+    table = _fmax_table(resolution, measure)
     targets = []
     failures = []
     for tgt in REFERENCE_TARGETS:
-        achieved, baseline = _achieved_block(cache, tgt.protocol, tgt.channel, tgt.r)
+        achieved, baseline = _achieved_block(table, tgt.protocol, tgt.channel, tgt.r)
         passed_by = [
             mode
             for mode, block in achieved.items()
@@ -168,7 +166,7 @@ def build_manifest(
         )
     supplementary = []
     for chk in SUPPLEMENTARY_CHECKS:
-        achieved, baseline = _achieved_block(cache, chk.protocol, chk.channel, chk.r)
+        achieved, baseline = _achieved_block(table, chk.protocol, chk.channel, chk.r)
         passed_by = []
         for mode, block in achieved.items():
             fmax = block["fmax"]

@@ -11,11 +11,19 @@ product of per-axis diagonals and constant 2x2 matrices. They are
 contracted against one small design matrix per input measure,
 amplitudes first and squares last, and the block's fidelities go
 straight into the result. Every cell is computed on its own, so the
-block size moves no bits. A 101x101 slab takes about 3 ms and a
-401x401 slab about 20-50 ms (2-vCPU x86 machine, numpy with
-OpenBLAS); cells agree with `protect` + `average_fidelity` run cell
-by cell to about 1e-15. The unprotected baseline goes through the
-same contraction.
+block size moves no bits. The unprotected baseline
+(`unprotected_baseline`) goes through the same contraction.
+
+Each thread keeps one workspace: a flat buffer each for the branch
+matrices, the paper-mode coherent sum, the squared amplitudes and one
+batch of amplitudes, which every block writes through `out=`. A buffer
+grows to the largest block it has served, never past one
+`_BLOCK_CELLS` block (4 MiB in all); a larger block, one axis-1 row
+wider than that, gets fresh arrays. No view of the workspace leaves
+`sweep`: the fidelities and the baseline are fresh arrays. A 101x101
+slab takes about 2-4 ms and a 401x401 slab about 25-50 ms (2-vCPU x86
+machine, numpy with OpenBLAS); cells agree with `protect` +
+`average_fidelity` run cell by cell to about 1e-15.
 
 Cells whose parameters annihilate every branch (which happens at
 degenerate corners such as omega=0 with q=0) are recorded as NaN and
@@ -25,6 +33,7 @@ excluded from the argmax rather than aborting the sweep.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -170,13 +179,38 @@ def _kraus(channel: str, r: float) -> np.ndarray:
 _BLOCK_CELLS = 16384
 
 
+# Each thread's workspace (see the module docstring). Reusing its buffers
+# keeps glibc from handing every slab's temporaries back to the kernel
+# and faulting them in again on the next slab. They are keyed by name,
+# not by shape, so coarse slabs and refinement windows share one buffer
+# each instead of fragmenting the heap.
+_workspace = threading.local()
+
+
+def _scratch(name: str, shape: tuple[int, ...], cells: int) -> np.ndarray:
+    """A scratch array of `shape` for a block of `cells` cells: a view of
+    the first elements of this thread's buffer `name`, valid until the
+    next block asks for it. A block larger than `_BLOCK_CELLS` gets a
+    fresh array, so the workspace never holds more than one such block."""
+    size = math.prod(shape)
+    if cells > _BLOCK_CELLS:
+        return np.empty(shape)
+    buf = getattr(_workspace, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_workspace, name, buf)
+    return buf[:size].reshape(shape)
+
+
 def _branch_slab(grid: SweepGrid, channel: str, r: float, rows: slice) -> np.ndarray:
     """All four branch operators at one r over the axis-1 rows `rows`,
     each 2x2 flattened row-major: shape (rows in the block, n2, 4, 4),
-    a view of `branch_grid`."""
+    written by `branch_grid` into the workspace."""
     axis1 = grid.axis1[rows]
-    g = branch_grid(grid.protocol, axis1, grid.axis2, ChannelSpec(channel, r))
-    return g.reshape(axis1.size, grid.axis2.size, 4, 4)
+    n1, n2 = axis1.size, grid.axis2.size
+    out = _scratch("branches", (n1, n2, 16), n1 * n2)
+    g = branch_grid(grid.protocol, axis1, grid.axis2, ChannelSpec(channel, r), out=out)
+    return g.reshape(n1, n2, 4, 4)
 
 
 # Rows of branch matrices per matmul: keeps the amplitude block in cache.
@@ -206,21 +240,24 @@ def _fidelity_slab(
     that nearly cancel accurate."""
     v = _design_matrix(measure)
     n1, n2, nk = branches.shape[:3]
-    g = branches.reshape(n1 * n2, nk, 4)
+    cells = n1 * n2
+    g = branches.reshape(cells, nk, 4)
     if mode is PipelineMode.PAPER_LITERAL:
-        g = np.einsum("xkc->xc", g)[:, None]
+        g = np.einsum("xkc->xc", g, out=_scratch("coherent", (cells, 4), cells))[:, None]
     den = 0.5 * np.einsum("xkc,xkc->x", g, g)
     rows = g.reshape(-1, 4)
-    sq = np.empty(rows.shape[0])
+    sq = _scratch("sq", (rows.shape[0],), cells)
+    amp = _scratch("amp", (min(rows.shape[0], _BATCH_ROWS), v.shape[1]), cells)
     for start in range(0, rows.shape[0], _BATCH_ROWS):
-        amp = rows[start:start + _BATCH_ROWS] @ v
+        batch = rows[start:start + _BATCH_ROWS]
+        a = np.matmul(batch, v, out=amp[:batch.shape[0]])
+        np.multiply(a, a, out=a)
         # pairwise row sum (not einsum's running sum): noiseless cells stay 1
-        sq[start:start + _BATCH_ROWS] = (amp * amp).sum(axis=1)
-    num = sq.reshape(n1 * n2, -1).sum(axis=1) / len(design_inputs(measure))
-    out = np.full(n1 * n2, np.nan)
-    ok = den >= ZERO_NORM_TOL
-    out[ok] = np.clip(num[ok] / den[ok], 0.0, 1.0)
-    return out.reshape(n1, n2)
+        np.add.reduce(a, axis=1, out=sq[start:start + _BATCH_ROWS])
+    num = sq.reshape(cells, -1).sum(axis=1) / len(design_inputs(measure))
+    out = np.full(cells, np.nan)
+    np.divide(num, den, out=out, where=den >= ZERO_NORM_TOL)
+    return np.clip(out, 0.0, 1.0, out=out).reshape(n1, n2)
 
 
 # Cells this close to the slab maximum tie: plateau ulps are rounding noise.
@@ -255,11 +292,19 @@ def sweep(grid: SweepGrid, channel: str, measure: str = "polar") -> SweepResult:
             branches = _branch_slab(grid, channel, float(r), rows)
             fidelity[rows, :, ir] = _fidelity_slab(branches, grid.mode, measure)
         argmax.append(_slab_argmax(grid, fidelity[:, :, ir]))
+    fidelity.setflags(write=False)
+    baseline = unprotected_baseline(grid, channel, measure)
+    return SweepResult(grid, channel, fidelity, tuple(argmax), baseline)
+
+
+def unprotected_baseline(grid: SweepGrid, channel: str, measure: str) -> np.ndarray:
+    """Average fidelity of the channel alone at each r of the grid, in
+    the grid's mode: its Kraus operators go through the same
+    contraction as the protected branches. Read-only, shape (nr,)."""
     kraus = np.stack([_kraus(channel, float(r)).reshape(2, 4) for r in grid.r_values])
     baseline = _fidelity_slab(kraus[:, None], grid.mode, measure)[:, 0]
-    fidelity.setflags(write=False)
     baseline.setflags(write=False)
-    return SweepResult(grid, channel, fidelity, tuple(argmax), baseline)
+    return baseline
 
 
 @dataclass(frozen=True)

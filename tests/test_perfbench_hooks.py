@@ -1,9 +1,9 @@
 """The benchmark's tracer hooks package functions by name. A refactor
 that renames or deletes a hooked function silently turns its layer
-into an absent one; these tests pin the set of absent layers (the
-unprotected baseline, folded into the sweep contraction, and the
-validation of the deleted `tensor` state containers) and the counts a
-traced surface reports."""
+into an absent one; these tests pin the set of absent layers (only the
+validation of the deleted `tensor` state containers; the unprotected
+baseline is the sweep's named `unprotected_baseline` step) and the
+counts a traced surface reports."""
 
 import importlib
 import sys
@@ -14,7 +14,7 @@ import pytest
 from wmteleport import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-ABSENT = {"teleport.baseline", "tensor.mixed_state"}
+ABSENT = {"tensor.mixed_state"}
 
 
 @pytest.fixture
@@ -28,7 +28,7 @@ def tracer(monkeypatch):
     return module
 
 
-def test_every_benchmark_layer_but_the_baseline_resolves(tracer):
+def test_every_benchmark_layer_but_the_tensor_layer_resolves(tracer):
     layers = {layer for _, _, layer in tracer.HOOKS}
     installed = {
         layer for module, path, layer in tracer.HOOKS if tracer._resolve(module, path)

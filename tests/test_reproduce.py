@@ -1,16 +1,20 @@
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from wmteleport.reproduce import (
+    _MODES,
     REFERENCE_TARGETS,
     SUPPLEMENTARY_CHECKS,
     TOLERANCE,
+    _fmax_table,
     build_manifest,
     manifest_json,
     manifest_lines,
 )
+from wmteleport.sweep import fmax_curve
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +141,14 @@ def test_manifest_lines_format(manifest):
     assert lines[-1] == "failing targets: adc_II_r0.5"
     for ln in pass_lines:
         assert "expected" in ln and "paper" in ln and "physical" in ln
+
+
+def test_batched_table_equals_single_r_curves():
+    table = _fmax_table(101, "polar")
+    keys = {(e.protocol, e.channel, e.r, mode)
+            for e in REFERENCE_TARGETS + SUPPLEMENTARY_CHECKS for mode in _MODES}
+    assert set(table) == keys
+    for protocol, channel, r, mode in sorted(keys):
+        single = fmax_curve(protocol, channel, r_values=np.array([r]), mode=mode)[0]
+        got = table[protocol, channel, r, mode]
+        assert [x.hex() for x in astuple(got)] == [x.hex() for x in astuple(single)]

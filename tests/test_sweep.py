@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,3 +450,70 @@ def test_cached_arrays_are_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] *= 1.0
+
+
+def test_back_to_back_sweeps_leave_the_first_result_alone():
+    # A refinement-sized window between two 101 x 101 grids, each sweep in
+    # another mode or measure, so every workspace buffer is reused.
+    first = sweep(default_grid("I", [0.3, 0.9], 101), "adc", "polar")
+    fidelity, baseline = first.fidelity.tobytes(), first.baseline.tobytes()
+    sweep(default_grid("II", [0.5], 21, mode=PAPER), "pfc", "haar")
+    sweep(default_grid("II", [0.1, 0.5, 0.7], 101, mode=PAPER), "bfc", "haar")
+    assert first.fidelity.tobytes() == fidelity
+    assert first.baseline.tobytes() == baseline
+    assert not first.fidelity.flags.writeable and not first.baseline.flags.writeable
+
+
+def test_concurrent_sweeps_match_sequential_ones():
+    jobs = [
+        (default_grid("I", [0.2, 0.5, 0.9], 101), "adc", "polar"),
+        (default_grid("II", [0.3, 0.6, 0.8, 1.0], 77, mode=PAPER), "bfc", "haar"),
+        (default_grid("I", [0.4, 0.7], 61, mode=PAPER), "pfc", "polar"),
+        (default_grid("II", [0.1, 0.9], 121), "pfc", "haar"),
+    ]
+    want = [sweep(*job) for job in jobs]
+    got = {}
+    start = threading.Barrier(len(jobs))
+
+    def run(i):
+        start.wait(timeout=30)
+        got[i] = [sweep(*jobs[i]) for _ in range(3)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(got) == list(range(len(jobs)))
+    for i, expected in enumerate(want):
+        for result in got[i]:
+            assert result.fidelity.tobytes() == expected.fidelity.tobytes()
+            assert result.baseline.tobytes() == expected.baseline.tobytes()
+            assert result.argmax == expected.argmax
+
+
+def test_workspace_holds_at_most_one_block(monkeypatch):
+    # One axis-1 row of twice _BLOCK_CELLS cells: a block too large for the
+    # workspace, which must then keep nothing of its size.
+    cells = sweep_module._BLOCK_CELLS
+    grid = SweepGrid("I", np.array([0.3]), np.linspace(0.0, 1.0, 2 * cells), np.array([0.5]))
+    # Per cell: 16 branch entries, 4 of the paper-mode sum and 4 squared
+    # amplitudes; plus one batch of amplitudes.
+    one_block = 8 * (24 * cells + sweep_module._BATCH_ROWS * _design_matrix("haar").shape[1])
+    monkeypatch.setattr(sweep_module, "_workspace", threading.local())
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = sweep(grid, "adc", "haar")
+        assert result.fidelity.shape == (1, 2 * cells, 1)
+        del result
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before <= one_block
