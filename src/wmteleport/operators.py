@@ -2,10 +2,11 @@
 
 The two weak-measurement protocols with their reversals, the three
 noise channels' Kraus sets, and the four outcome-correction unitaries.
-Both protection stages are diagonal: `stage_diagonals` maps a grid of
-protocol parameters to their outcome-0 diagonals, and `wm`/`wmr` are
-its one-point views. Every operator is returned as a fresh 2x2 complex
-numpy array.
+Both protection stages are diagonal, so they exist only as diagonals:
+`stage_diagonals` maps a grid of protocol parameters to their outcome-0
+diagonals, and there are no one-point 2x2 views. Every channel's Kraus
+operators are real, so `kraus_set` returns one real (2, 2, 2) stack;
+the correction unitaries are fresh 2x2 complex arrays.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ __all__ = [
     "ChannelSpec",
     "stage_diagonals",
     "parameter_point",
-    "wm",
-    "wmr",
     "kraus_set",
     "correction_unitary",
 ]
@@ -105,12 +104,6 @@ class ChannelSpec:
             raise ValueError(f"r must be in [0, 1], got {self.r}")
 
 
-def _check_bit(i) -> int:
-    if i not in (0, 1):
-        raise ValueError(f"outcome bit must be 0 or 1, got {i!r}")
-    return int(i)
-
-
 def stage_diagonals(protocol: str, axis1, axis2) -> tuple[np.ndarray, np.ndarray]:
     """Outcome-0 diagonals of the protection stages over a parameter
     grid: the weak measurement m_0 over axis 1, shape (n1, 2), and the
@@ -142,42 +135,20 @@ def parameter_point(params: ProtocolParams) -> tuple[str, float, float]:
     raise ValueError(f"unsupported protocol parameters: {params!r}")
 
 
-def _stage(params: ProtocolParams, stage: int, i) -> np.ndarray:
-    i = _check_bit(i)
-    kind, a1, a2 = parameter_point(params)
-    d = stage_diagonals(kind, [a1], [a2])[stage][0]
-    return np.diag((d if i == 0 else d[::-1]).astype(complex))
-
-
-def wm(params: ProtocolParams, i) -> np.ndarray:
-    """Weak-measurement POVM element for outcome i."""
-    return _stage(params, 0, i)
-
-
-def wmr(params: ProtocolParams, i) -> np.ndarray:
-    """Weak-measurement reversal element for outcome i.
-
-    For ProtocolI this is the filter diag(q, 1) / diag(1, q); for
-    ProtocolII it is a completed POVM element like `wm`.
-    """
-    return _stage(params, 1, i)
-
-
-def kraus_set(spec: ChannelSpec) -> list[np.ndarray]:
-    """Kraus operators {e0, e1} of the channel; sum(e^dag e) = I."""
-    if not isinstance(spec, ChannelSpec):
-        spec = ChannelSpec(*spec)
+def kraus_set(spec: ChannelSpec) -> np.ndarray:
+    """Kraus operators (e0, e1) of the channel as one real (2, 2, 2)
+    array; sum(e^T e) = I."""
     r = spec.r
     if spec.kind == "adc":
-        e0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - r)]], dtype=complex)
-        e1 = np.array([[0.0, math.sqrt(r)], [0.0, 0.0]], dtype=complex)
+        e0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - r)]])
+        e1 = np.array([[0.0, math.sqrt(r)], [0.0, 0.0]])
     elif spec.kind == "bfc":
-        e0 = math.sqrt(1.0 - r) * PAULI_I
-        e1 = math.sqrt(r) * PAULI_X
+        e0 = math.sqrt(1.0 - r) * PAULI_I.real
+        e1 = math.sqrt(r) * PAULI_X.real
     else:
-        e0 = math.sqrt(1.0 - r) * PAULI_I
-        e1 = math.sqrt(r) * PAULI_Z
-    return [e0, e1]
+        e0 = math.sqrt(1.0 - r) * PAULI_I.real
+        e1 = math.sqrt(r) * PAULI_Z.real
+    return np.stack([e0, e1])
 
 
 _CORRECTIONS = {

@@ -58,7 +58,6 @@ __all__ = [
     "branch_operators",
     "normalize_branches",
     "protect",
-    "channel_only_shared",
 ]
 
 
@@ -159,7 +158,7 @@ def branch_grid(
     # rows and columns of e_j
     m = np.stack([d1, d1, d1[:, ::-1], d1[:, ::-1]], axis=1)
     n = np.stack([d2, d2, d2[:, ::-1], d2[:, ::-1]], axis=1)
-    e = np.stack(kraus_set(channel)).real
+    e = kraus_set(channel)
     core = np.concatenate([e, e[:, ::-1, ::-1]])
     # flattened entry 2b+c: n_i[b] * C_ij[b, c] from `left`, m_i[c] from
     # `right`. One flat 16-wide product: the same broadcast over
@@ -202,23 +201,14 @@ _ANNIHILATED = {
 }
 
 
-def _shared_from_branches(branches: np.ndarray, mode: PipelineMode) -> SharedState:
-    normalized, retained, annihilated = normalize_branches(branches, mode)
+def protect(params: ProtocolParams, channel: ChannelSpec, mode) -> SharedState:
+    """Push the resource through the protection sequence."""
+    mode = _coerce_mode(mode)
+    normalized, retained, annihilated = normalize_branches(
+        branch_operators(params, channel), mode
+    )
     if annihilated:
         raise ValueError(_ANNIHILATED[mode])
     if mode is PipelineMode.PAPER_LITERAL:
         return SharedState(mode, normalized)
     return SharedState(mode, normalized, success_probability=min(float(retained), 1.0))
-
-
-def protect(params: ProtocolParams, channel: ChannelSpec, mode) -> SharedState:
-    """Push the resource through the protection sequence."""
-    mode = _coerce_mode(mode)
-    return _shared_from_branches(branch_operators(params, channel), mode)
-
-
-def channel_only_shared(channel: ChannelSpec, mode) -> SharedState:
-    """Resource after the noise channel alone, with no protection
-    stages; branch operators are just the Kraus elements."""
-    mode = _coerce_mode(mode)
-    return _shared_from_branches(np.stack(kraus_set(channel)), mode)

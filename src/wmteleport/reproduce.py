@@ -13,7 +13,7 @@ nine.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -43,7 +43,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReferenceTarget:
-    """One quoted maximum-fidelity value to reproduce."""
+    """One quoted maximum-fidelity value to reproduce: kind "value",
+    passed when |achieved - expected| <= tolerance."""
 
     name: str
     protocol: str
@@ -51,6 +52,8 @@ class ReferenceTarget:
     r: float
     expected: float
     tolerance: float = TOLERANCE
+
+    kind = "value"
 
     @property
     def source(self) -> str:
@@ -118,16 +121,35 @@ def _fmax_table(resolution: int, measure: str) -> dict:
     return table
 
 
-def _achieved_block(table: dict, protocol: str, channel: str, r: float):
-    n1, n2 = _AXIS_NAMES[protocol]
+def _passes(kind: str, fmax: float, expected, tolerance: float, baseline: float) -> bool:
+    """The pass rule of one reference entry for one achieved F_max."""
+    if kind == "floor":
+        return fmax >= expected
+    if kind == "matches_baseline":
+        return abs(fmax - baseline) <= tolerance
+    if kind == "value":
+        return abs(fmax - expected) <= tolerance
+    raise ValueError(f"unknown reference kind {kind!r}")
+
+
+def _evaluate(entry, table: dict) -> dict:
+    """The manifest entry of one target or supplementary check: its
+    fields, the achieved F_max and parameters under both modes, the
+    baseline, and the modes that pass the entry's rule."""
+    n1, n2 = _AXIS_NAMES[entry.protocol]
     achieved = {}
-    baseline = None
     for mode in _MODES:
-        point = table[protocol, channel, r, mode]
+        point = table[entry.protocol, entry.channel, entry.r, mode]
         achieved[mode.value] = {"fmax": point.fmax,
                                 "params": {n1: point.param1, n2: point.param2}}
-        baseline = point.baseline
-    return achieved, baseline
+    baseline = point.baseline
+    passed_by = [
+        mode
+        for mode, block in achieved.items()
+        if _passes(entry.kind, block["fmax"], entry.expected, entry.tolerance, baseline)
+    ]
+    return {**asdict(entry), "achieved": achieved, "baseline": baseline,
+            "passed": bool(passed_by), "passed_by": passed_by}
 
 
 def build_manifest(
@@ -138,63 +160,9 @@ def build_manifest(
     """Evaluate every target and supplementary check under both modes
     and return the manifest as a plain dict, ready for JSON."""
     table = _fmax_table(resolution, measure)
-    targets = []
-    failures = []
-    for tgt in REFERENCE_TARGETS:
-        achieved, baseline = _achieved_block(table, tgt.protocol, tgt.channel, tgt.r)
-        passed_by = [
-            mode
-            for mode, block in achieved.items()
-            if abs(block["fmax"] - tgt.expected) <= tgt.tolerance
-        ]
-        if not passed_by:
-            failures.append(tgt.name)
-        targets.append(
-            {
-                "name": tgt.name,
-                "protocol": tgt.protocol,
-                "channel": tgt.channel,
-                "r": tgt.r,
-                "expected": tgt.expected,
-                "tolerance": tgt.tolerance,
-                "source": tgt.source,
-                "achieved": achieved,
-                "baseline": baseline,
-                "passed": bool(passed_by),
-                "passed_by": passed_by,
-            }
-        )
-    supplementary = []
-    for chk in SUPPLEMENTARY_CHECKS:
-        achieved, baseline = _achieved_block(table, chk.protocol, chk.channel, chk.r)
-        passed_by = []
-        for mode, block in achieved.items():
-            fmax = block["fmax"]
-            if chk.kind == "floor":
-                ok = fmax >= chk.expected
-            elif chk.kind == "matches_baseline":
-                ok = abs(fmax - baseline) <= chk.tolerance
-            elif chk.kind == "value":
-                ok = abs(fmax - chk.expected) <= chk.tolerance
-            else:
-                raise ValueError(f"unknown supplementary kind {chk.kind!r}")
-            if ok:
-                passed_by.append(mode)
-        supplementary.append(
-            {
-                "name": chk.name,
-                "protocol": chk.protocol,
-                "channel": chk.channel,
-                "r": chk.r,
-                "kind": chk.kind,
-                "expected": chk.expected,
-                "tolerance": chk.tolerance,
-                "achieved": achieved,
-                "baseline": baseline,
-                "passed": bool(passed_by),
-                "passed_by": passed_by,
-            }
-        )
+    targets = [{**_evaluate(tgt, table), "source": tgt.source} for tgt in REFERENCE_TARGETS]
+    supplementary = [_evaluate(chk, table) for chk in SUPPLEMENTARY_CHECKS]
+    failures = [tgt["name"] for tgt in targets if not tgt["passed"]]
     manifest = {
         "schema": 1,
         "input_measure": measure,
@@ -261,7 +229,7 @@ def manifest_lines(manifest: dict) -> list[str]:
             f"physical {ach['physical']['fmax']:.4f}"
         )
     n_pass = sum(1 for t in manifest["targets"] if t["passed"])
-    lines.append(f"{n_pass}/9 targets reproduced")
+    lines.append(f"{n_pass}/{len(manifest['targets'])} targets reproduced")
     if manifest["failures"]:
         lines.append("failing targets: " + ", ".join(manifest["failures"]))
     return lines

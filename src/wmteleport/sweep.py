@@ -11,8 +11,8 @@ product of per-axis diagonals and constant 2x2 matrices. They are
 contracted against one small design matrix per input measure,
 amplitudes first and squares last, and the block's fidelities go
 straight into the result. Every cell is computed on its own, so the
-block size moves no bits. The unprotected baseline
-(`unprotected_baseline`) goes through the same contraction.
+block size moves no bits. The package's one unprotected baseline,
+`unprotected_baseline`, contracts the bare Kraus operators the same way.
 
 Each thread keeps one workspace: a flat buffer each for the branch
 matrices, the paper-mode coherent sum, the squared amplitudes and one
@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import CHANNEL_KINDS, ChannelSpec, kraus_set
-from .pipeline import ZERO_NORM_TOL, PipelineMode, branch_grid
+from .pipeline import ZERO_NORM_TOL, PipelineMode, _coerce_mode, branch_grid
 from .teleport import MEASURES, _overlap_matrix, design_inputs
 
 DEFAULT_RESOLUTION = 101
@@ -66,6 +66,7 @@ __all__ = [
     "default_grid",
     "default_r_values",
     "sweep",
+    "unprotected_baseline",
     "fmax_curve",
     "compare_protocols",
 ]
@@ -101,7 +102,7 @@ class SweepGrid:
             raise ValueError(f"unknown protocol kind {self.protocol!r}")
         names = _AXIS_NAMES[self.protocol]
         (lo1, hi1), (lo2, hi2) = _AXIS_RANGES[self.protocol]
-        object.__setattr__(self, "mode", PipelineMode(self.mode))
+        object.__setattr__(self, "mode", _coerce_mode(self.mode))
         a1 = _validate_axis(names[0], self.axis1, lo1, hi1)
         a2 = _validate_axis(names[1], self.axis2, lo2, hi2)
         rv = _validate_axis("r", self.r_values, 0.0, 1.0)
@@ -164,13 +165,6 @@ class SweepResult:
     fidelity: np.ndarray
     argmax: tuple[tuple[float, float, float], ...]
     baseline: np.ndarray
-
-
-def _kraus(channel: str, r: float) -> np.ndarray:
-    """The channel's two Kraus operators, shape (2, 2, 2). All three
-    channels have real Kraus operators, so every branch matrix and the
-    whole sweep stay real."""
-    return np.stack(kraus_set(ChannelSpec(channel, r))).real
 
 
 # Cells per sweep block: 2 MiB of branch matrices (128 B a cell). A
@@ -293,16 +287,19 @@ def sweep(grid: SweepGrid, channel: str, measure: str = "polar") -> SweepResult:
             fidelity[rows, :, ir] = _fidelity_slab(branches, grid.mode, measure)
         argmax.append(_slab_argmax(grid, fidelity[:, :, ir]))
     fidelity.setflags(write=False)
-    baseline = unprotected_baseline(grid, channel, measure)
+    baseline = unprotected_baseline(channel, grid.r_values, grid.mode, measure)
     return SweepResult(grid, channel, fidelity, tuple(argmax), baseline)
 
 
-def unprotected_baseline(grid: SweepGrid, channel: str, measure: str) -> np.ndarray:
-    """Average fidelity of the channel alone at each r of the grid, in
-    the grid's mode: its Kraus operators go through the same
-    contraction as the protected branches. Read-only, shape (nr,)."""
-    kraus = np.stack([_kraus(channel, float(r)).reshape(2, 4) for r in grid.r_values])
-    baseline = _fidelity_slab(kraus[:, None], grid.mode, measure)[:, 0]
+def unprotected_baseline(channel: str, r_values, mode, measure: str) -> np.ndarray:
+    """Average fidelity with every protection stage replaced by the
+    identity, at each of the r values: the channel's Kraus operators go
+    through the same contraction as the protected branches, under the
+    mode's summation semantics. Read-only, shape (len(r_values),)."""
+    mode = _coerce_mode(mode)
+    kraus = np.stack([kraus_set(ChannelSpec(channel, float(r))).reshape(2, 4)
+                      for r in r_values])
+    baseline = _fidelity_slab(kraus[:, None], mode, measure)[:, 0]
     baseline.setflags(write=False)
     return baseline
 

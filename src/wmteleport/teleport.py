@@ -13,7 +13,8 @@ its fidelity term p_k f_k is sum_b |vec(g_b) . v_k(in)|^2 with
 v_k(in)[B, c] = conj(w_k[B]) u_k[c], w_k = U_k^dagger in: the sweep's
 design contraction, for any inputs and stack of states at once. Every
 fidelity is a view on it; `_outcome_kernel` adds the receiver's states
-for `teleport`. The span check runs once per stack: the outcome
+for `teleport`. The unprotected baseline is `sweep.unprotected_baseline`,
+the sweep's own contraction of the bare Kraus operators. The span check runs once per stack: the outcome
 probabilities sum to |g|_F^2 / 2 at every input, which must be 1.
 """
 
@@ -25,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import ChannelSpec, correction_unitary
-from .pipeline import _PSI0, SharedState, channel_only_shared
+from .operators import correction_unitary
+from .pipeline import _PSI0, SharedState
 
 SPAN_TOL = 1e-8
 OUTCOME_FLOOR = 1e-14
@@ -39,11 +40,9 @@ __all__ = [
     "TeleportOutcome",
     "eta_basis",
     "teleport",
-    "input_fidelity",
     "input_fidelities",
     "design_inputs",
     "average_fidelity",
-    "unprotected_baseline",
 ]
 
 
@@ -178,11 +177,6 @@ def teleport(shared: SharedState, input_qubit: InputQubit) -> list[TeleportOutco
     return outcomes
 
 
-def input_fidelity(shared: SharedState, input_qubit: InputQubit) -> float:
-    """Outcome-probability-weighted fidelity for one input state."""
-    return float(input_fidelities(shared, input_qubit.vector[None])[0])
-
-
 def input_fidelities(shared: SharedState | np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Outcome-weighted fidelity at each of n normalized input vectors,
     shape (n, 2), for one SharedState (result (n,)) or a stack of
@@ -229,9 +223,3 @@ def average_fidelity(shared: SharedState | np.ndarray, measure: str = "haar"):
     f = input_fidelities(shared, design_inputs(measure)).mean(axis=-1)
     return float(f) if isinstance(shared, SharedState) else f
 
-
-def unprotected_baseline(channel: ChannelSpec, mode, measure: str = "haar") -> float:
-    """Average fidelity with every protection stage replaced by the
-    identity: the channel acts alone under the selected mode's
-    summation semantics."""
-    return average_fidelity(channel_only_shared(channel, mode), measure)

@@ -116,7 +116,17 @@ def brute_branch_vectors(protocol, a, b, kind, r):
 
 def brute_protect(protocol, a, b, kind, r, mode):
     """Returns ("pure", vec) or ("mixed", rho), normalized."""
-    vecs = brute_branch_vectors(protocol, a, b, kind, r)
+    return _brute_state(brute_branch_vectors(protocol, a, b, kind, r), mode)
+
+
+def brute_baseline(kind, r, mode):
+    """The unprotected resource: the channel alone on qubit 3, no
+    weak measurement, flip or reversal. Same return as brute_protect."""
+    psi0 = brute_initial()
+    return _brute_state([lift_naive(e, 4, 3) @ psi0 for e in brute_kraus(kind, r)], mode)
+
+
+def _brute_state(vecs, mode):
     if mode == "paper":
         total = sum(vecs)
         nrm = np.linalg.norm(total)

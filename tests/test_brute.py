@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wmteleport.operators import ChannelSpec, ProtocolI, kraus_set, wm
+from wmteleport.operators import ChannelSpec, kraus_set, stage_diagonals
 
 from brute import ETA, lift_naive, partial_trace_naive
 
@@ -66,7 +66,8 @@ def test_lift_trivial_kraus_is_identity():
 
 def test_apply_weak_measurement_balanced():
     psi = resource_vector()
-    out = lift_naive(wm(ProtocolI(np.pi / 2, 0.5), 0), 4, 3) @ psi
+    m0 = np.diag(stage_diagonals("I", [np.pi / 2], [0.5])[0][0])
+    out = lift_naive(m0, 4, 3) @ psi
     np.testing.assert_allclose(out, psi / np.sqrt(2.0))
 
 

@@ -15,8 +15,6 @@ from wmteleport.operators import (
     kraus_set,
     parameter_point,
     stage_diagonals,
-    wm,
-    wmr,
 )
 
 from brute import brute_kraus, brute_wm, brute_wmr
@@ -25,59 +23,48 @@ KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 
 
-def test_stages_reject_non_bit():
-    for stage in (wm, wmr):
-        with pytest.raises(ValueError, match="outcome bit"):
-            stage(ProtocolI(0.5, 0.5), 2)
-
-
-@pytest.mark.parametrize(
-    "params", [ProtocolI(0.9, 0.4), ProtocolI(np.pi, 0.0), ProtocolII(0.6, -0.2)]
-)
-def test_wm_wmr_are_one_point_views_of_stage_diagonals(params):
+def _stages(params, i):
+    """(m_i, n_i) at one parameter point as 2x2 matrices, read from
+    `stage_diagonals`: outcome 1 mirrors both outcome-0 diagonals."""
     kind, a1, a2 = parameter_point(params)
-    d1, d2 = stage_diagonals(kind, [a1, 0.5], [a2])
-    assert d1.shape == (2, 2) and d2.shape == (1, 2)
-    np.testing.assert_array_equal(wm(params, 0), np.diag(d1[0]))
-    np.testing.assert_array_equal(wmr(params, 0), np.diag(d2[0]))
-    # outcome 1 mirrors both diagonals
-    np.testing.assert_array_equal(wm(params, 1), np.diag(d1[0, ::-1]))
-    np.testing.assert_array_equal(wmr(params, 1), np.diag(d2[0, ::-1]))
+    d1, d2 = stage_diagonals(kind, [a1], [a2])
+    order = slice(None, None, 1 if i == 0 else -1)
+    return np.diag(d1[0, order]), np.diag(d2[0, order])
 
 
 def test_wm_protocol_one_action_on_zero():
     omega = 0.7
-    out = wm(ProtocolI(omega, 0.5), 0) @ KET0
+    out = _stages(ProtocolI(omega, 0.5), 0)[0] @ KET0
     np.testing.assert_allclose(out, np.cos(omega / 2.0) * KET0)
 
 
 def test_wm_protocol_one_balanced_point():
     params = ProtocolI(np.pi / 2, 0.5)
     for i in (0, 1):
-        np.testing.assert_allclose(wm(params, i), PAULI_I / np.sqrt(2.0))
+        np.testing.assert_allclose(_stages(params, i)[0], PAULI_I / np.sqrt(2.0))
 
 
 def test_wm_protocol_two_balanced_point():
     params = ProtocolII(0.0, 0.5)
     for i in (0, 1):
-        np.testing.assert_allclose(wm(params, i), PAULI_I / np.sqrt(2.0))
+        np.testing.assert_allclose(_stages(params, i)[0], PAULI_I / np.sqrt(2.0))
 
 
 def test_wmr_protocol_one_filters_zero():
     q = 0.3
-    out = wmr(ProtocolI(1.0, q), 0) @ KET0
+    out = _stages(ProtocolI(1.0, q), 0)[1] @ KET0
     np.testing.assert_allclose(out, q * KET0)
 
 
 def test_wmr_protocol_one_transparent_at_unit_strength():
     params = ProtocolI(1.0, 1.0)
-    np.testing.assert_allclose(wmr(params, 0), PAULI_I)
-    np.testing.assert_allclose(wmr(params, 1), PAULI_I)
+    for i in (0, 1):
+        np.testing.assert_allclose(_stages(params, i)[1], PAULI_I)
 
 
 def test_wmr_protocol_two_projective_limit():
     np.testing.assert_allclose(
-        wmr(ProtocolII(0.5, 1.0), 0), np.diag([1.0, 0.0]).astype(complex)
+        _stages(ProtocolII(0.5, 1.0), 0)[1], np.diag([1.0, 0.0])
     )
 
 
@@ -129,7 +116,7 @@ def test_correction_rejects_bad_outcome():
 @given(st.floats(min_value=0.0, max_value=np.pi), st.floats(min_value=0.0, max_value=1.0))
 def test_povm_completeness_protocol_one(omega, q):
     params = ProtocolI(omega, q)
-    total = sum(wm(params, i).conj().T @ wm(params, i) for i in (0, 1))
+    total = sum(m.T @ m for m, _ in (_stages(params, i) for i in (0, 1)))
     np.testing.assert_allclose(total, PAULI_I, atol=1e-12)
 
 
@@ -138,9 +125,9 @@ def test_povm_completeness_protocol_one(omega, q):
     st.floats(min_value=-1.0, max_value=1.0),
 )
 def test_povm_completeness_protocol_two(k1, k2):
-    params = ProtocolII(k1, k2)
-    for op in (wm, wmr):
-        total = sum(op(params, i).conj().T @ op(params, i) for i in (0, 1))
+    stages = [_stages(ProtocolII(k1, k2), i) for i in (0, 1)]
+    for stage in (0, 1):
+        total = sum(pair[stage].T @ pair[stage] for pair in stages)
         np.testing.assert_allclose(total, PAULI_I, atol=1e-12)
 
 
@@ -148,7 +135,7 @@ def test_povm_completeness_protocol_two(k1, k2):
 def test_protocol_one_reversal_is_a_filter(q):
     # deliberately incomplete: the sum is (1 + q^2) I, not I
     params = ProtocolI(0.8, q)
-    total = sum(wmr(params, i).conj().T @ wmr(params, i) for i in (0, 1))
+    total = sum(n.T @ n for _, n in (_stages(params, i) for i in (0, 1)))
     np.testing.assert_allclose(total, (1.0 + q**2) * PAULI_I, atol=1e-12)
 
 
@@ -163,6 +150,7 @@ def test_kraus_completeness(kind, r):
 def test_kraus_matches_independent_table(kind):
     for r in (0.0, 0.25, 0.8, 1.0):
         ours = kraus_set(ChannelSpec(kind, r))
+        assert ours.shape == (2, 2, 2) and ours.dtype == np.float64
         theirs = brute_kraus(kind, r)
         for a, b in zip(ours, theirs):
             np.testing.assert_allclose(a, b, atol=1e-15)
@@ -170,24 +158,17 @@ def test_kraus_matches_independent_table(kind):
 
 def test_wm_wmr_match_independent_table():
     for i in (0, 1):
-        np.testing.assert_allclose(
-            wm(ProtocolI(0.9, 0.4), i), brute_wm("I", 0.9, 0.4, i), atol=1e-15
-        )
-        np.testing.assert_allclose(
-            wmr(ProtocolI(0.9, 0.4), i), brute_wmr("I", 0.9, 0.4, i), atol=1e-15
-        )
-        np.testing.assert_allclose(
-            wm(ProtocolII(0.6, 0.2), i), brute_wm("II", 0.6, 0.2, i), atol=1e-15
-        )
-        np.testing.assert_allclose(
-            wmr(ProtocolII(0.6, 0.2), i), brute_wmr("II", 0.6, 0.2, i), atol=1e-15
-        )
+        for protocol, params in (("I", ProtocolI(0.9, 0.4)), ("II", ProtocolII(0.6, 0.2))):
+            m, n = _stages(params, i)
+            _, a1, a2 = parameter_point(params)
+            np.testing.assert_allclose(m, brute_wm(protocol, a1, a2, i), atol=1e-15)
+            np.testing.assert_allclose(n, brute_wmr(protocol, a1, a2, i), atol=1e-15)
 
 
 def test_protocol_two_split_amplitudes():
-    (k1_plus, k1_minus), (k2_plus, k2_minus) = (
-        d[0] for d in stage_diagonals("II", [0.28], [-0.64])
-    )
+    d1, d2 = stage_diagonals("II", [0.28, 0.5], [-0.64])
+    assert d1.shape == (2, 2) and d2.shape == (1, 2)
+    (k1_plus, k1_minus), (k2_plus, k2_minus) = d1[0], d2[0]
     np.testing.assert_almost_equal(k1_plus, np.sqrt((1 + 0.28) / 2))
     np.testing.assert_almost_equal(k1_minus, np.sqrt((1 - 0.28) / 2))
     np.testing.assert_almost_equal(k2_plus, np.sqrt((1 - 0.64) / 2))
@@ -195,15 +176,17 @@ def test_protocol_two_split_amplitudes():
 
 
 def test_measurement_operators_are_exactly_diagonal():
-    # structural zeros, not just small numbers
+    # structural zeros, not just small numbers: the package keeps only the
+    # stage diagonals, so the independent table's full matrices must have
+    # nothing off the diagonal
     def is_diagonal(m):
         return m[0, 1] == 0.0 and m[1, 0] == 0.0
 
     for i in (0, 1):
-        assert is_diagonal(wm(ProtocolI(0.77, 0.31), i))
-        assert is_diagonal(wmr(ProtocolI(0.77, 0.31), i))
-        assert is_diagonal(wm(ProtocolII(0.5, 0.5), i))
-        assert is_diagonal(wmr(ProtocolII(0.5, 0.5), i))
+        assert is_diagonal(brute_wm("I", 0.77, 0.31, i))
+        assert is_diagonal(brute_wmr("I", 0.77, 0.31, i))
+        assert is_diagonal(brute_wm("II", 0.5, 0.5, i))
+        assert is_diagonal(brute_wmr("II", 0.5, 0.5, i))
     e0, e1 = kraus_set(ChannelSpec("adc", 0.37))
     assert is_diagonal(e0)
     assert e1[0, 0] == 0.0 and e1[1, 0] == 0.0 and e1[1, 1] == 0.0

@@ -1,11 +1,14 @@
 import ast
+import importlib
 import itertools
+import pkgutil
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wmteleport
 from wmteleport.operators import CHANNEL_KINDS, ChannelSpec, ProtocolI, ProtocolII
 from wmteleport.pipeline import (
     GHZ_INDICES,
@@ -13,7 +16,6 @@ from wmteleport.pipeline import (
     SharedState,
     branch_grid,
     branch_operators,
-    channel_only_shared,
     initial_state,
     normalize_branches,
     protect,
@@ -268,6 +270,16 @@ def test_package_imports_only_stdlib_and_numpy():
                 assert top in sys.stdlib_module_names or top == "numpy", (path.name, name)
 
 
+@pytest.mark.parametrize(
+    "name", [m.name for m in pkgutil.iter_modules(wmteleport.__path__) if m.name != "__main__"]
+)
+def test_every_exported_name_resolves(name):
+    # a definition deleted while its name stays in __all__ breaks
+    # `from wmteleport.<module> import *` only when someone tries it
+    module = importlib.import_module(f"wmteleport.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
 @pytest.mark.parametrize("proto_params", [ProtocolI(np.pi / 2, 1.0), ProtocolII(0.0, 0.0)])
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_modes_coincide_with_single_effective_branch_noiseless(proto_params, kind):
@@ -373,37 +385,6 @@ def test_paper_mode_damping_amplitude_groups():
 def test_degenerate_parameters_annihilate(mode):
     with pytest.raises(ValueError, match="annihilate"):
         protect(ProtocolI(0.0, 0.0), ChannelSpec("pfc", 0.5), mode)
-
-
-def test_channel_only_shared_noiseless_is_resource():
-    for kind in CHANNEL_KINDS:
-        shared = channel_only_shared(ChannelSpec(kind, 0.0), PAPER)
-        overlap = abs(np.vdot(shared.pure, initial_state()))
-        np.testing.assert_almost_equal(overlap, 1.0, decimal=12)
-        mixed = channel_only_shared(ChannelSpec(kind, 0.0), PHYSICAL)
-        np.testing.assert_almost_equal(mixed.success_probability, 1.0, decimal=12)
-
-
-def test_channel_only_shared_is_not_the_protection_locus():
-    # the unprotected baseline omits the outcome-conditioned flips, so
-    # it only agrees with zero-strength protection when the channel
-    # commutes with those flips (bit flip: always; phase flip: in the
-    # mixture reading, where the branch sign is invisible)
-    for kind, mode, agrees in [
-        ("bfc", PAPER, True),
-        ("bfc", PHYSICAL, True),
-        ("pfc", PHYSICAL, True),
-        ("pfc", PAPER, False),
-        ("adc", PAPER, False),
-        ("adc", PHYSICAL, False),
-    ]:
-        a = channel_only_shared(ChannelSpec(kind, 0.4), mode)
-        b = protect(ProtocolII(0.0, 0.0), ChannelSpec(kind, 0.4), mode)
-        if mode is PHYSICAL:
-            close = abs(a.rho - b.rho).max() < 1e-12
-        else:
-            close = abs(np.vdot(a.pure, b.pure)) ** 2 > 1.0 - 1e-12
-        assert close == agrees, (kind, mode)
 
 
 def _amplitude_groups(params, channel):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brute import brute_fidelities_batch, brute_protect
+from brute import brute_baseline, brute_fidelities_batch, brute_protect
 from wmteleport import sweep as sweep_module
 from wmteleport.checks import _quadrature_grid
 from wmteleport.operators import CHANNEL_KINDS, ChannelSpec, ProtocolI, ProtocolII
@@ -24,13 +24,13 @@ from wmteleport.sweep import (
     default_r_values,
     fmax_curve,
     sweep,
+    unprotected_baseline,
 )
 from wmteleport.teleport import (
     _corrections,
     _eta_states,
     average_fidelity,
     design_inputs,
-    unprotected_baseline,
 )
 
 PAPER = PipelineMode.PAPER_LITERAL
@@ -68,6 +68,8 @@ def test_grid_axis_names_fill_in():
     grid2 = default_grid("II", np.array([0.5]), resolution=3)
     assert (grid2.axis1_name, grid2.axis2_name) == ("k1", "k2")
     assert grid2.shape == (3, 3, 1)
+    # the mode goes through the pipeline's coercion, as in `protect`
+    assert default_grid("I", [0.5], 5, "PAPER").mode is PAPER
 
 
 def test_single_point_noiseless_grid():
@@ -298,18 +300,6 @@ def test_sweep_rejects_unknown_channel_and_measure():
         sweep(grid, "adc", measure="cube")
 
 
-@pytest.mark.parametrize("measure", ["haar", "polar"])
-@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
-@pytest.mark.parametrize("kind", CHANNEL_KINDS)
-def test_sweep_baseline_matches_scalar_baseline(kind, mode, measure):
-    r_values = np.array([0.0, 0.3, 0.5, 0.9, 1.0])
-    grid = default_grid("I", r_values, resolution=2, mode=mode)
-    result = sweep(grid, kind, measure=measure)
-    for r, got in zip(r_values, result.baseline):
-        want = unprotected_baseline(ChannelSpec(kind, float(r)), mode, measure)
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-
 def test_slab_argmax_takes_lowest_index_among_near_ties():
     grid = SweepGrid("II", np.array([0.0, 0.5]), np.array([0.0, 0.5, 1.0]), np.array([0.5]))
     slab = np.array([[np.nan, 0.5, 1.0 - 1e-16], [1.0, 1.0, 0.2]])
@@ -364,6 +354,23 @@ def _assert_grid_matches_oracle(grid, kind, measure="polar"):
             assert math.isnan(got), (i1, i2, ir)
         else:
             assert abs(got - want) <= 1e-12, (i1, i2, ir, got, want)
+
+
+@pytest.mark.parametrize("measure", ["haar", "polar"])
+@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_sweep_baseline_matches_scalar_baseline(kind, mode, measure):
+    """The baseline over all r at once against the brute-force oracle's,
+    one r at a time; a sweep reports exactly that baseline."""
+    r_values = np.array([0.0, 0.3, 0.5, 0.9, 1.0])
+    baseline = unprotected_baseline(kind, r_values, mode, measure)
+    assert baseline.shape == (5,) and not baseline.flags.writeable
+    for r, got in zip(r_values, baseline):
+        state = brute_baseline(kind, float(r), mode.value)
+        want = brute_fidelities_batch(state, _DESIGNS[measure]).mean()
+        assert abs(got - want) <= 1e-12, (r, got, want)
+    grid = default_grid("I", r_values, resolution=2, mode=mode)
+    np.testing.assert_array_equal(sweep(grid, kind, measure=measure).baseline, baseline)
 
 
 def test_phase_flip_coherent_sum_near_cancellation_matches_oracle():

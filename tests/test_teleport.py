@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from wmteleport import teleport as teleport_module
 from wmteleport.operators import CHANNEL_KINDS, ChannelSpec, ProtocolI, ProtocolII
 from wmteleport.pipeline import PipelineMode, protect
+from wmteleport.sweep import unprotected_baseline
 from wmteleport.teleport import (
     OUTCOME_FLOOR,
     InputQubit,
@@ -17,9 +18,7 @@ from wmteleport.teleport import (
     design_inputs,
     eta_basis,
     input_fidelities,
-    input_fidelity,
     teleport,
-    unprotected_baseline,
 )
 
 from brute import (
@@ -97,7 +96,7 @@ def test_noiseless_paper_mode_is_ideal_for_any_input():
     for out in outs:
         np.testing.assert_almost_equal(out.probability, 0.25, decimal=12)
         np.testing.assert_almost_equal(out.per_outcome_fidelity, 1.0, decimal=12)
-    np.testing.assert_almost_equal(input_fidelity(shared, inp), 1.0, decimal=12)
+    np.testing.assert_almost_equal(input_fidelities(shared, inp.vector[None])[0], 1.0, decimal=12)
 
 
 def test_noiseless_physical_mode_is_ideal_at_no_protection_locus():
@@ -117,7 +116,7 @@ def test_noiseless_physical_mode_is_ideal_at_no_protection_locus():
 def test_noiseless_physical_mode_is_ideal_for_generic_params():
     shared = protect(ProtocolI(1.0, 0.5), ChannelSpec("adc", 0.0), PHYSICAL)
     inp = InputQubit(1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0))
-    np.testing.assert_almost_equal(input_fidelity(shared, inp), 1.0, decimal=10)
+    np.testing.assert_almost_equal(input_fidelities(shared, inp.vector[None])[0], 1.0, decimal=10)
 
 
 def test_noiseless_physical_mode_probabilities_stay_uniform():
@@ -162,10 +161,10 @@ def test_outcome_bookkeeping(mode):
 
 def test_paper_mode_phase_flip_is_perfect_per_outcome():
     shared = protect(ProtocolI(0.8, 0.4), ChannelSpec("pfc", 0.6), PAPER)
-    outs = teleport(shared, InputQubit(0.48, 0.6 + 0.64j))
-    for o in outs:
+    inp = InputQubit(0.48, 0.6 + 0.64j)
+    for o in teleport(shared, inp):
         np.testing.assert_almost_equal(o.per_outcome_fidelity, 1.0, decimal=12)
-    np.testing.assert_almost_equal(input_fidelity(shared, InputQubit(0.48, 0.6 + 0.64j)), 1.0)
+    np.testing.assert_almost_equal(input_fidelities(shared, inp.vector[None])[0], 1.0)
 
 
 @pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
@@ -199,10 +198,8 @@ def test_outcomes_match_brute_force(mode, params, kind, r):
 def test_global_phase_invariance(phase, x):
     shared = protect(ProtocolI(0.9, 0.5), ChannelSpec("adc", 0.3), PHYSICAL)
     a, b = np.sqrt(x), np.sqrt(1.0 - x) * 1j
-    base = input_fidelity(shared, InputQubit(a, b))
-    rotated = input_fidelity(
-        shared, InputQubit(a * np.exp(1j * phase), b * np.exp(1j * phase))
-    )
+    inputs = np.array([[a, b], [a * np.exp(1j * phase), b * np.exp(1j * phase)]])
+    base, rotated = input_fidelities(shared, inputs)
     np.testing.assert_almost_equal(base, rotated, decimal=12)
 
 
@@ -212,7 +209,7 @@ def test_vectorized_fidelities_match_loop(mode):
     rng = np.random.default_rng(5)
     xs = sample_inputs(rng, 8)
     batch = input_fidelities(shared, xs)
-    loop = np.array([input_fidelity(shared, InputQubit(x[0], x[1])) for x in xs])
+    loop = np.array([input_fidelities(shared, x[None])[0] for x in xs])
     np.testing.assert_allclose(batch, loop, atol=1e-12)
 
 
@@ -256,27 +253,27 @@ def test_design_average_equals_quadrature(measure, params, kind, r, mode):
 
 def test_frozen_baselines_polar():
     np.testing.assert_almost_equal(
-        unprotected_baseline(ChannelSpec("bfc", 0.5), PHYSICAL, measure="polar"),
+        unprotected_baseline("bfc", [0.5], PHYSICAL, "polar")[0],
         23.0 / 30.0,
         decimal=12,
     )
     np.testing.assert_almost_equal(
-        unprotected_baseline(ChannelSpec("bfc", 0.9), PHYSICAL, measure="polar"),
+        unprotected_baseline("bfc", [0.9], PHYSICAL, "polar")[0],
         0.58,
         decimal=12,
     )
     np.testing.assert_almost_equal(
-        unprotected_baseline(ChannelSpec("pfc", 0.5), PHYSICAL, measure="polar"),
+        unprotected_baseline("pfc", [0.5], PHYSICAL, "polar")[0],
         11.0 / 15.0,
         decimal=12,
     )
     np.testing.assert_almost_equal(
-        unprotected_baseline(ChannelSpec("pfc", 0.9), PHYSICAL, measure="polar"),
+        unprotected_baseline("pfc", [0.9], PHYSICAL, "polar")[0],
         0.52,
         decimal=12,
     )
     np.testing.assert_almost_equal(
-        unprotected_baseline(ChannelSpec("adc", 0.5), PHYSICAL, measure="polar"),
+        unprotected_baseline("adc", [0.5], PHYSICAL, "polar")[0],
         0.8052284749830794,
         decimal=12,
     )
@@ -284,22 +281,22 @@ def test_frozen_baselines_polar():
 
 def test_frozen_baselines_haar():
     np.testing.assert_almost_equal(
-        unprotected_baseline(ChannelSpec("bfc", 1.0), PHYSICAL, measure="haar"),
+        unprotected_baseline("bfc", [1.0], PHYSICAL, "haar")[0],
         1.0 / 3.0,
         decimal=12,
     )
     np.testing.assert_almost_equal(
-        unprotected_baseline(ChannelSpec("bfc", 0.9), PHYSICAL, measure="haar"),
+        unprotected_baseline("bfc", [0.9], PHYSICAL, "haar")[0],
         0.4,
         decimal=12,
     )
     np.testing.assert_almost_equal(
-        unprotected_baseline(ChannelSpec("pfc", 0.5), PHYSICAL, measure="haar"),
+        unprotected_baseline("pfc", [0.5], PHYSICAL, "haar")[0],
         2.0 / 3.0,
         decimal=12,
     )
     np.testing.assert_almost_equal(
-        unprotected_baseline(ChannelSpec("adc", 0.5), PHYSICAL, measure="haar"),
+        unprotected_baseline("adc", [0.5], PHYSICAL, "haar")[0],
         0.8190355937288491,
         decimal=12,
     )
@@ -308,10 +305,10 @@ def test_frozen_baselines_haar():
 @pytest.mark.parametrize("measure", ["haar", "polar"])
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_baseline_is_mode_independent(measure, kind):
-    for r in (0.2, 0.5, 0.9):
-        a = unprotected_baseline(ChannelSpec(kind, r), PAPER, measure=measure)
-        b = unprotected_baseline(ChannelSpec(kind, r), PHYSICAL, measure=measure)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+    r_values = (0.2, 0.5, 0.9)
+    a = unprotected_baseline(kind, r_values, PAPER, measure)
+    b = unprotected_baseline(kind, r_values, PHYSICAL, measure)
+    np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_teleport_rejects_states_outside_measurement_span():
