@@ -13,10 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import ChannelSpec, ProtocolI, ProtocolII, kraus_set, stage_diagonals
+from .operators import CHANNEL_KINDS, ChannelSpec, kraus_set, stage_diagonals
 from .pipeline import PipelineMode, branch_grid, normalize_branches, protect
 from .teleport import (
-    InputQubit,
     _outcome_kernel,
     average_fidelity,
     eta_basis,
@@ -59,7 +58,7 @@ def _check_reversal_completeness():
 
 def _check_kraus_completeness(inject_fault):
     worst = 0.0
-    for kind in ("adc", "bfc", "pfc"):
+    for kind in CHANNEL_KINDS:
         for r in np.linspace(0.0, 1.0, 11):
             e0, e1 = kraus_set(ChannelSpec(kind, float(r)))
             if inject_fault == "kraus_completeness":
@@ -82,7 +81,7 @@ _PROB_AXES = {
     "II": ((0.0, 0.3, 0.6, 0.9), (0.0, 0.3, 0.6, 0.9)),
 }
 _PROB_CHANNELS = [
-    ChannelSpec(kind, r) for kind in ("adc", "bfc", "pfc") for r in (0.0, 0.3, 0.6, 0.9)
+    ChannelSpec(kind, r) for kind in CHANNEL_KINDS for r in (0.0, 0.3, 0.6, 0.9)
 ]
 
 
@@ -90,7 +89,7 @@ def _check_probability_sums():
     """Outcome probabilities sum to 1 over every parameter grid x
     channel cell, in one stack per protocol and mode. An annihilated
     cell stays unscaled and fails the kernel's span check."""
-    inp = InputQubit(0.6, 0.8).vector[None]
+    inp = np.array([[0.6, 0.8]], dtype=complex)
     worst = 0.0
     for protocol, (axis1, axis2) in _PROB_AXES.items():
         raw = np.stack([branch_grid(protocol, axis1, axis2, ch) for ch in _PROB_CHANNELS])
@@ -125,7 +124,7 @@ def _check_r0_limits(rng):
     stacks = []
     for protocol, locus in (("I", (np.pi / 2, 1.0)), ("II", (0.0, 0.0))):
         g = []
-        for kind in ("adc", "bfc", "pfc"):
+        for kind in CHANNEL_KINDS:
             a1, a2 = np.array([_random_point(rng, protocol) for _ in range(5)] + [locus]).T
             g.append(branch_grid(protocol, a1, a2, ChannelSpec(kind, 0.0))[range(6), range(6)])
         g = np.stack(g)
@@ -136,9 +135,9 @@ def _check_r0_limits(rng):
     return worst <= 1e-10, f"max |F - 1| at r=0 {worst:.3e}"
 
 
-def _mode_fidelity(params, channel):
-    vec = protect(params, channel, PipelineMode.PAPER_LITERAL).pure
-    rho = protect(params, channel, PipelineMode.PHYSICAL_MIXED).rho
+def _mode_fidelity(point, channel):
+    vec = protect(*point, channel, PipelineMode.PAPER_LITERAL).pure
+    rho = protect(*point, channel, PipelineMode.PHYSICAL_MIXED).rho
     return float((vec.conj() @ rho @ vec).real)
 
 
@@ -147,8 +146,8 @@ def _check_mode_coincidence():
     branch operators are all proportional: identity channel, and the
     fully bit-flipped channel, with both protection stages trivial."""
     worst = 0.0
-    for locus in (ProtocolI(np.pi / 2, 1.0), ProtocolII(0.0, 0.0)):
-        for kind in ("adc", "bfc", "pfc"):
+    for locus in (("I", np.pi / 2, 1.0), ("II", 0.0, 0.0)):
+        for kind in CHANNEL_KINDS:
             worst = max(worst, 1.0 - _mode_fidelity(locus, ChannelSpec(kind, 0.0)))
         worst = max(worst, 1.0 - _mode_fidelity(locus, ChannelSpec("bfc", 1.0)))
     return worst <= 1e-10, f"max state infidelity {worst:.3e}"
@@ -156,15 +155,15 @@ def _check_mode_coincidence():
 
 def _random_shared(rng):
     protocol = "I" if rng.integers(2) == 0 else "II"
-    params = (ProtocolI if protocol == "I" else ProtocolII)(*_random_point(rng, protocol))
-    kind = ("adc", "bfc", "pfc")[int(rng.integers(3))]
+    a1, a2 = _random_point(rng, protocol)
+    kind = CHANNEL_KINDS[int(rng.integers(3))]
     r = float(rng.uniform(0.0, 0.5))
     mode = (
         PipelineMode.PAPER_LITERAL
         if rng.integers(2) == 0
         else PipelineMode.PHYSICAL_MIXED
     )
-    return protect(params, ChannelSpec(kind, r), mode)
+    return protect(protocol, a1, a2, ChannelSpec(kind, r), mode)
 
 
 def _check_global_phase(rng):
@@ -175,8 +174,8 @@ def _check_global_phase(rng):
         alpha = np.cos(theta / 2.0)
         beta = np.exp(1j * phi) * np.sin(theta / 2.0)
         phase = np.exp(1j * gamma)
-        outs_a = teleport(shared, InputQubit(alpha, beta))
-        outs_b = teleport(shared, InputQubit(phase * alpha, phase * beta))
+        outs_a = teleport(shared, np.array([alpha, beta]))
+        outs_b = teleport(shared, np.array([phase * alpha, phase * beta]))
         for a, b in zip(outs_a, outs_b):
             worst = max(worst, abs(a.probability - b.probability))
             worst = max(worst, abs(a.per_outcome_fidelity - b.per_outcome_fidelity))

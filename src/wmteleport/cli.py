@@ -23,6 +23,8 @@ import sys
 import numpy as np
 
 from .checks import FAULT_NAMES, run_checks
+from .operators import CHANNEL_KINDS, PROTOCOL_AXES
+from .pipeline import PipelineMode
 from .reproduce import build_manifest, manifest_json, manifest_lines
 from .sweep import (
     DEFAULT_RESOLUTION,
@@ -32,6 +34,7 @@ from .sweep import (
     fmax_curve,
     sweep,
 )
+from .teleport import MEASURES
 
 _FMT = "%.17g"
 # Rows formatted and written per block, so the text of at most this many
@@ -96,15 +99,10 @@ def _seed(text: str) -> int:
 
 def _add_common(sub, protocol=True):
     if protocol:
-        sub.add_argument("--protocol", required=True, choices=("I", "II"))
-    sub.add_argument(
-        "--channel",
-        required=True,
-        type=str.lower,
-        choices=("adc", "bfc", "pfc"),
-    )
-    sub.add_argument("--mode", choices=("paper", "physical"), default="physical")
-    sub.add_argument("--measure", choices=("haar", "polar"), default="polar")
+        sub.add_argument("--protocol", required=True, choices=tuple(PROTOCOL_AXES))
+    sub.add_argument("--channel", required=True, type=str.lower, choices=CHANNEL_KINDS)
+    sub.add_argument("--mode", choices=tuple(m.value for m in PipelineMode), default="physical")
+    sub.add_argument("--measure", choices=MEASURES, default="polar")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "reproduce", help="evaluate the bundled reference table"
     )
     p_repro.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
-    p_repro.add_argument("--measure", choices=("haar", "polar"), default="polar")
+    p_repro.add_argument("--measure", choices=MEASURES, default="polar")
     p_repro.add_argument("--out", required=True)
     p_repro.add_argument(
         "--seed",

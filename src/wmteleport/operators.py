@@ -2,18 +2,20 @@
 
 The two weak-measurement protocols with their reversals, the three
 noise channels' Kraus sets, and the four outcome-correction unitaries.
-Both protection stages are diagonal, so they exist only as diagonals:
-`stage_diagonals` maps a grid of protocol parameters to their outcome-0
-diagonals, and there are no one-point 2x2 views. Every channel's Kraus
-operators are real, so `kraus_set` returns one real (2, 2, 2) stack;
-the correction unitaries are fresh 2x2 complex arrays.
+A parameter point is written (protocol, axis-1 value, axis-2 value)
+everywhere; `PROTOCOL_AXES` names each protocol's axes and their ranges,
+and `check_parameters` is the one range rule. Both protection stages
+are diagonal, so they exist only as diagonals: `stage_diagonals` maps a
+grid of protocol parameters to their outcome-0 diagonals, and there are
+no one-point 2x2 views. Every channel's Kraus operators are real, so
+`kraus_set` returns one real (2, 2, 2) stack; the correction unitaries
+are fresh 2x2 complex arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -23,65 +25,26 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 CHANNEL_KINDS = ("adc", "bfc", "pfc")
 
+# Each protocol's two parameter axes as (name, lowest, highest value).
+# Protocol I is the WM-flip-reversal pair (omega, q); protocol II is the
+# modified WMR pair (K1, K2).
+PROTOCOL_AXES = {
+    "I": (("omega", 0.0, math.pi), ("q", 0.0, 1.0)),
+    "II": (("k1", -1.0, 1.0), ("k2", -1.0, 1.0)),
+}
+
 __all__ = [
     "PAULI_I",
     "PAULI_X",
     "PAULI_Z",
     "CHANNEL_KINDS",
-    "ProtocolI",
-    "ProtocolII",
-    "ProtocolParams",
+    "PROTOCOL_AXES",
     "ChannelSpec",
+    "check_parameters",
     "stage_diagonals",
-    "parameter_point",
     "kraus_set",
     "correction_unitary",
 ]
-
-
-@dataclass(frozen=True)
-class ProtocolI:
-    """Weak-measurement protocol with strength angle omega and reversal
-    strength q.
-
-    The measurement pair is diag(cos w/2, sin w/2) and its mirror; the
-    reversal pair diag(q, 1) / diag(1, q) is a filter, not a completed
-    POVM: the two elements sum to (1 + q**2) I.
-    """
-
-    omega: float
-    q: float
-
-    kind = "I"
-
-    def __post_init__(self):
-        if not (np.isfinite(self.omega) and 0.0 <= self.omega <= math.pi):
-            raise ValueError(f"omega must be in [0, pi], got {self.omega}")
-        if not (np.isfinite(self.q) and 0.0 <= self.q <= 1.0):
-            raise ValueError(f"q must be in [0, 1], got {self.q}")
-
-
-@dataclass(frozen=True)
-class ProtocolII:
-    """Weak-measurement protocol parameterized by two strengths K1, K2.
-
-    Both the measurement pair and the reversal pair are built from
-    K+- = sqrt((1 +- K)/2) (see `stage_diagonals`), so each pair is a
-    completed POVM.
-    """
-
-    k1: float
-    k2: float
-
-    kind = "II"
-
-    def __post_init__(self):
-        for name, value in (("k1", self.k1), ("k2", self.k2)):
-            if not (np.isfinite(value) and -1.0 <= value <= 1.0):
-                raise ValueError(f"{name} must be in [-1, 1], got {value}")
-
-
-ProtocolParams = Union[ProtocolI, ProtocolII]
 
 
 @dataclass(frozen=True)
@@ -104,14 +67,29 @@ class ChannelSpec:
             raise ValueError(f"r must be in [0, 1], got {self.r}")
 
 
+def check_parameters(protocol: str, axis1, axis2) -> None:
+    """Raise ValueError unless `protocol` is a key of PROTOCOL_AXES and
+    every value of `axis1` and `axis2` (scalars or arrays) lies in its
+    axis's closed range. NaN and infinities lie in no range."""
+    if protocol not in PROTOCOL_AXES:
+        raise ValueError(f"unknown protocol kind {protocol!r}")
+    for (name, lo, hi), values in zip(PROTOCOL_AXES[protocol], (axis1, axis2)):
+        arr = np.asarray(values, dtype=float)
+        outside = arr[~((lo <= arr) & (arr <= hi))]
+        if outside.size:
+            raise ValueError(f"{name} must be in [{lo}, {hi}], got {float(outside[0])}")
+
+
 def stage_diagonals(protocol: str, axis1, axis2) -> tuple[np.ndarray, np.ndarray]:
     """Outcome-0 diagonals of the protection stages over a parameter
     grid: the weak measurement m_0 over axis 1, shape (n1, 2), and the
     reversal n_0 over axis 2, shape (n2, 2). Outcome 1 mirrors both.
 
     Protocol "I" has axes (omega, q): m_0 = diag(cos w/2, sin w/2) and
-    n_0 = diag(q, 1). Protocol "II" has axes (K1, K2), each stage
-    diag(K+, K-) with K+- = sqrt((1 +- K)/2).
+    n_0 = diag(q, 1); its reversal pair is a filter, not a completed
+    POVM, summing to (1 + q**2) I. Protocol "II" has axes (K1, K2), each
+    stage diag(K+, K-) with K+- = sqrt((1 +- K)/2), a completed POVM.
+    Values are not range-checked here; see `check_parameters`.
     """
     a1 = np.asarray(axis1, dtype=float)
     a2 = np.asarray(axis2, dtype=float)
@@ -124,15 +102,6 @@ def stage_diagonals(protocol: str, axis1, axis2) -> tuple[np.ndarray, np.ndarray
     else:
         raise ValueError(f"unknown protocol kind {protocol!r}")
     return d1, d2
-
-
-def parameter_point(params: ProtocolParams) -> tuple[str, float, float]:
-    """(protocol kind, axis-1 value, axis-2 value) of one parameter set."""
-    if isinstance(params, ProtocolI):
-        return "I", params.omega, params.q
-    if isinstance(params, ProtocolII):
-        return "II", params.k1, params.k2
-    raise ValueError(f"unsupported protocol parameters: {params!r}")
 
 
 def kraus_set(spec: ChannelSpec) -> np.ndarray:

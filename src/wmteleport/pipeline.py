@@ -36,13 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .operators import (
-    ChannelSpec,
-    ProtocolParams,
-    kraus_set,
-    parameter_point,
-    stage_diagonals,
-)
+from .operators import ChannelSpec, check_parameters, kraus_set, stage_diagonals
 
 ZERO_NORM_TOL = 1e-14
 
@@ -168,10 +162,11 @@ def branch_grid(
     return np.multiply(left, right, out=out).reshape(len(d1), len(d2), 4, 2, 2)
 
 
-def branch_operators(params: ProtocolParams, channel: ChannelSpec) -> np.ndarray:
-    """The four 2x2 branch operators g_ij at one parameter point,
-    stacked in order (i, j) = (0,0), (0,1), (1,0), (1,1)."""
-    protocol, a1, a2 = parameter_point(params)
+def branch_operators(protocol: str, a1: float, a2: float, channel: ChannelSpec) -> np.ndarray:
+    """The four 2x2 branch operators g_ij at the parameter point (a1, a2)
+    of `protocol`, stacked in order (i, j) = (0,0), (0,1), (1,0), (1,1).
+    Points outside the protocol's ranges raise ValueError."""
+    check_parameters(protocol, a1, a2)
     return branch_grid(protocol, [a1], [a2], channel)[0, 0]
 
 
@@ -201,11 +196,12 @@ _ANNIHILATED = {
 }
 
 
-def protect(params: ProtocolParams, channel: ChannelSpec, mode) -> SharedState:
-    """Push the resource through the protection sequence."""
+def protect(protocol: str, a1: float, a2: float, channel: ChannelSpec, mode) -> SharedState:
+    """Push the resource through the protection sequence at the
+    parameter point (a1, a2) of `protocol`."""
     mode = _coerce_mode(mode)
     normalized, retained, annihilated = normalize_branches(
-        branch_operators(params, channel), mode
+        branch_operators(protocol, a1, a2, channel), mode
     )
     if annihilated:
         raise ValueError(_ANNIHILATED[mode])

@@ -18,8 +18,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from .operators import PROTOCOL_AXES
 from .pipeline import PipelineMode
-from .sweep import _AXIS_NAMES, _DEFAULT_SPANS, DEFAULT_RESOLUTION, fmax_curve
+from .sweep import _DEFAULT_SPANS, DEFAULT_RESOLUTION, fmax_curve
 
 TOLERANCE = 0.02
 
@@ -136,7 +137,7 @@ def _evaluate(entry, table: dict) -> dict:
     """The manifest entry of one target or supplementary check: its
     fields, the achieved F_max and parameters under both modes, the
     baseline, and the modes that pass the entry's rule."""
-    n1, n2 = _AXIS_NAMES[entry.protocol]
+    n1, n2 = (name for name, _, _ in PROTOCOL_AXES[entry.protocol])
     achieved = {}
     for mode in _MODES:
         point = table[entry.protocol, entry.channel, entry.r, mode]
@@ -172,9 +173,9 @@ def build_manifest(
             **{
                 f"protocol_{protocol}": {
                     name: list(span)
-                    for name, span in zip(names, _DEFAULT_SPANS[protocol])
+                    for (name, _, _), span in zip(axes, _DEFAULT_SPANS[protocol])
                 }
-                for protocol, names in _AXIS_NAMES.items()
+                for protocol, axes in PROTOCOL_AXES.items()
             },
             "refinement": "one 10x local pass around each coarse argmax",
         },

@@ -39,18 +39,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import CHANNEL_KINDS, ChannelSpec, kraus_set
+from .operators import CHANNEL_KINDS, PROTOCOL_AXES, ChannelSpec, check_parameters, kraus_set
 from .pipeline import ZERO_NORM_TOL, PipelineMode, _coerce_mode, branch_grid
 from .teleport import MEASURES, _overlap_matrix, design_inputs
 
 DEFAULT_RESOLUTION = 101
 DEFAULT_R_COUNT = 21
 
-_AXIS_NAMES = {"I": ("omega", "q"), "II": ("k1", "k2")}
-_AXIS_RANGES = {
-    "I": ((0.0, math.pi), (0.0, 1.0)),
-    "II": ((-1.0, 1.0), (-1.0, 1.0)),
-}
 _DEFAULT_SPANS = {
     "I": ((0.0, math.pi / 2.0), (0.0, 1.0)),
     "II": ((0.0, 1.0), (0.0, 1.0)),
@@ -72,7 +67,9 @@ __all__ = [
 ]
 
 
-def _validate_axis(name: str, values, lo: float, hi: float) -> np.ndarray:
+def _validate_axis(name: str, values) -> np.ndarray:
+    """A nonempty, finite, strictly ascending 1-D axis as a read-only
+    float array; the caller checks its range."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"axis {name} must be a nonempty 1-D array")
@@ -80,8 +77,6 @@ def _validate_axis(name: str, values, lo: float, hi: float) -> np.ndarray:
         raise ValueError(f"axis {name} must be finite")
     if arr.size > 1 and not (np.diff(arr) > 0).all():
         raise ValueError(f"axis {name} must be strictly ascending")
-    if arr[0] < lo - 1e-12 or arr[-1] > hi + 1e-12:
-        raise ValueError(f"axis {name} must lie within [{lo}, {hi}]")
     arr.setflags(write=False)
     return arr
 
@@ -98,25 +93,24 @@ class SweepGrid:
     mode: PipelineMode = PipelineMode.PHYSICAL_MIXED
 
     def __post_init__(self):
-        if self.protocol not in _AXIS_NAMES:
-            raise ValueError(f"unknown protocol kind {self.protocol!r}")
-        names = _AXIS_NAMES[self.protocol]
-        (lo1, hi1), (lo2, hi2) = _AXIS_RANGES[self.protocol]
+        check_parameters(self.protocol, self.axis1, self.axis2)
         object.__setattr__(self, "mode", _coerce_mode(self.mode))
-        a1 = _validate_axis(names[0], self.axis1, lo1, hi1)
-        a2 = _validate_axis(names[1], self.axis2, lo2, hi2)
-        rv = _validate_axis("r", self.r_values, 0.0, 1.0)
+        a1 = _validate_axis(self.axis1_name, self.axis1)
+        a2 = _validate_axis(self.axis2_name, self.axis2)
+        rv = _validate_axis("r", self.r_values)
+        if rv[0] < 0.0 or rv[-1] > 1.0:
+            raise ValueError("axis r must lie within [0, 1]")
         object.__setattr__(self, "axis1", a1)
         object.__setattr__(self, "axis2", a2)
         object.__setattr__(self, "r_values", rv)
 
     @property
     def axis1_name(self) -> str:
-        return _AXIS_NAMES[self.protocol][0]
+        return PROTOCOL_AXES[self.protocol][0][0]
 
     @property
     def axis2_name(self) -> str:
-        return _AXIS_NAMES[self.protocol][1]
+        return PROTOCOL_AXES[self.protocol][1][0]
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -295,8 +289,12 @@ def unprotected_baseline(channel: str, r_values, mode, measure: str) -> np.ndarr
     """Average fidelity with every protection stage replaced by the
     identity, at each of the r values: the channel's Kraus operators go
     through the same contraction as the protected branches, under the
-    mode's summation semantics. Read-only, shape (len(r_values),)."""
+    mode's summation semantics. A bare float is one r value; an empty
+    sequence raises ValueError. Read-only, shape (len(r_values),)."""
     mode = _coerce_mode(mode)
+    r_values = np.atleast_1d(np.asarray(r_values, dtype=float))
+    if r_values.ndim != 1 or r_values.size == 0:
+        raise ValueError("axis r must be a nonempty 1-D array")
     kraus = np.stack([kraus_set(ChannelSpec(channel, float(r))).reshape(2, 4)
                       for r in r_values])
     baseline = _fidelity_slab(kraus[:, None], mode, measure)[:, 0]

@@ -31,12 +31,13 @@ from .pipeline import _PSI0, SharedState
 
 SPAN_TOL = 1e-8
 OUTCOME_FLOOR = 1e-14
+# Largest |sum |x_i|^2 - 1| of an input vector from a caller.
+INPUT_NORM_TOL = 1e-12
 
 MEASURES = ("haar", "polar")
 
 __all__ = [
     "MEASURES",
-    "InputQubit",
     "TeleportOutcome",
     "eta_basis",
     "teleport",
@@ -44,27 +45,6 @@ __all__ = [
     "design_inputs",
     "average_fidelity",
 ]
-
-
-@dataclass(frozen=True)
-class InputQubit:
-    """Normalized single-qubit input alpha|0> + beta|1>."""
-
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        a, b = complex(self.alpha), complex(self.beta)
-        if not (np.isfinite([a, b]).all()):
-            raise ValueError("input amplitudes must be finite")
-        if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
-            raise ValueError("input state must be normalized")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta], dtype=complex)
 
 
 _ETA_SUPPORT = (
@@ -116,12 +96,30 @@ def _span_check(g: np.ndarray) -> None:
     """Branch stacks (..., K, 2, 2) whose outcome probabilities, which sum
     to |g|_F^2 / 2 at every input, do not sum to 1 raise ValueError."""
     totals = 0.5 * (g.real**2 + g.imag**2).sum(axis=(-3, -2, -1))
-    outside = totals[np.abs(totals - 1.0) > SPAN_TOL]
+    # written so that NaN totals are flagged too
+    outside = totals[~(np.abs(totals - 1.0) <= SPAN_TOL)]
     if outside.size:
         raise ValueError(
             "joint state has support outside the measurement span "
             f"(outcome probabilities sum to {float(outside[0])!r})"
         )
+
+
+def _checked_inputs(inputs, ndim: int) -> np.ndarray:
+    """A caller's input vectors as a complex array: shape (n, 2) for
+    ndim 2, (2,) for ndim 1. Each vector must be finite and of unit norm
+    within INPUT_NORM_TOL; anything else raises ValueError."""
+    x = np.asarray(inputs, dtype=complex)
+    if x.ndim != ndim or x.shape[-1] != 2:
+        shape = "(n, 2)" if ndim == 2 else "(2,)"
+        raise ValueError(f"inputs must have shape {shape}, got {x.shape}")
+    # one norm pass over the (re, im) pairs; a non-finite entry gives a
+    # non-finite norm, which fails the test
+    parts = np.ascontiguousarray(x).view(float)
+    norms = np.einsum("...i,...i->...", parts, parts)
+    if not (np.abs(norms - 1.0) <= INPUT_NORM_TOL).all():
+        raise ValueError("inputs must be finite vectors of unit norm")
+    return x
 
 
 # eta_k^dagger contracted with the resource: (outcome, input bit, B).
@@ -160,14 +158,15 @@ def _outcome_kernel(g: np.ndarray, inputs: np.ndarray):
     return probs, np.where(probs < OUTCOME_FLOOR, 0.0, fids), raw
 
 
-def teleport(shared: SharedState, input_qubit: InputQubit) -> list[TeleportOutcome]:
-    """Run one teleportation; returns the four outcome branches.
+def teleport(shared: SharedState, x) -> list[TeleportOutcome]:
+    """Run one teleportation of the normalized input vector x, shape
+    (2,); returns the four outcome branches.
 
     Outcomes with probability below 1e-14 get fidelity 0 and a zero
     corrected state; they carry no weight in any average.
     """
-    kernel = _outcome_kernel(shared.branches[None], input_qubit.vector[None])
-    probs, fids, raw = (x[0, 0] for x in kernel)
+    kernel = _outcome_kernel(shared.branches[None], _checked_inputs(x, 1)[None])
+    probs, fids, raw = (arr[0, 0] for arr in kernel)
     outcomes: list[TeleportOutcome] = []
     for k, u in enumerate(_corrections()):
         p = float(probs[k])
@@ -179,12 +178,13 @@ def teleport(shared: SharedState, input_qubit: InputQubit) -> list[TeleportOutco
 
 def input_fidelities(shared: SharedState | np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Outcome-weighted fidelity at each of n normalized input vectors,
-    shape (n, 2), for one SharedState (result (n,)) or a stack of
-    normalized branch operators (..., K, 2, 2) (result (..., n))."""
-    inputs = np.asarray(inputs, dtype=complex)
+    shape (n, 2) and checked as in `teleport`, for one SharedState
+    (result (n,)) or a stack of normalized branch operators
+    (..., K, 2, 2) (result (..., n))."""
+    inputs = _checked_inputs(inputs, 2)
     g = shared.branches if isinstance(shared, SharedState) else np.asarray(shared)
-    if inputs.ndim != 2 or inputs.shape[1] != 2 or g.ndim < 3 or g.shape[-2:] != (2, 2):
-        raise ValueError("inputs must have shape (n, 2) and branches (..., K, 2, 2)")
+    if g.ndim < 3 or g.shape[-2:] != (2, 2):
+        raise ValueError(f"branches must have shape (..., K, 2, 2), got {g.shape}")
     return np.clip(_fidelity_terms(g, inputs).sum(axis=-1), 0.0, 1.0)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from wmteleport.checks import run_checks
-from wmteleport.operators import CHANNEL_KINDS, ChannelSpec, ProtocolI, ProtocolII
+from wmteleport.operators import CHANNEL_KINDS, ChannelSpec
 from wmteleport.pipeline import GHZ_INDICES, PipelineMode, protect
 from wmteleport.reproduce import TOLERANCE, build_manifest
 from wmteleport.sweep import compare_protocols
@@ -24,7 +24,7 @@ from brute import brute_mc_average, brute_protect
 PAPER = PipelineMode.PAPER_LITERAL
 PHYSICAL = PipelineMode.PHYSICAL_MIXED
 
-LOCUS = (ProtocolI(np.pi / 2, 1.0), ProtocolII(0.0, 0.0))
+LOCUS = (("I", np.pi / 2, 1.0), ("II", 0.0, 0.0))
 
 
 def _random_tuples(rng, n):
@@ -32,8 +32,8 @@ def _random_tuples(rng, n):
     corners that annihilate the branch sum."""
     out = []
     for _ in range(n // 2):
-        out.append(ProtocolI(rng.uniform(0.05, np.pi - 0.05), rng.uniform(0.05, 1.0)))
-        out.append(ProtocolII(rng.uniform(-0.95, 0.95), rng.uniform(-0.95, 0.95)))
+        out.append(("I", rng.uniform(0.05, np.pi - 0.05), rng.uniform(0.05, 1.0)))
+        out.append(("II", rng.uniform(-0.95, 0.95), rng.uniform(-0.95, 0.95)))
     return out
 
 
@@ -56,7 +56,7 @@ def test_criterion_2_noiseless_limit_paper_mode():
     rng = np.random.default_rng(2024)
     for params in _random_tuples(rng, 100):
         for kind in CHANNEL_KINDS:
-            shared = protect(params, ChannelSpec(kind, 0.0), PAPER)
+            shared = protect(*params, ChannelSpec(kind, 0.0), PAPER)
             assert abs(average_fidelity(shared, measure="haar") - 1.0) <= 1e-10
 
 
@@ -70,7 +70,7 @@ def test_criterion_2_noiseless_limit_physical_mode():
     rng = np.random.default_rng(2024)
     for params in _random_tuples(rng, 100):
         for kind in CHANNEL_KINDS:
-            shared = protect(params, ChannelSpec(kind, 0.0), PHYSICAL)
+            shared = protect(*params, ChannelSpec(kind, 0.0), PHYSICAL)
             assert abs(average_fidelity(shared, measure="haar") - 1.0) <= 1e-10
 
 
@@ -81,16 +81,16 @@ def test_criterion_3_mode_coincidence_single_branch_channels():
     # strict xfail below)
     for params in LOCUS:
         for kind in CHANNEL_KINDS:
-            a = protect(params, ChannelSpec(kind, 0.0), PAPER)
-            b = protect(params, ChannelSpec(kind, 0.0), PHYSICAL)
+            a = protect(*params, ChannelSpec(kind, 0.0), PAPER)
+            b = protect(*params, ChannelSpec(kind, 0.0), PHYSICAL)
             assert _state_fidelity(a, b) >= 1.0 - 1e-10
-        a = protect(params, ChannelSpec("bfc", 1.0), PAPER)
-        b = protect(params, ChannelSpec("bfc", 1.0), PHYSICAL)
+        a = protect(*params, ChannelSpec("bfc", 1.0), PAPER)
+        b = protect(*params, ChannelSpec("bfc", 1.0), PHYSICAL)
         assert _state_fidelity(a, b) >= 1.0 - 1e-10
         # saturated phase flip has no coherent-sum state to compare:
         # the two branches cancel exactly
         with pytest.raises(ValueError, match="annihilate"):
-            protect(params, ChannelSpec("pfc", 1.0), PAPER)
+            protect(*params, ChannelSpec("pfc", 1.0), PAPER)
 
 
 @pytest.mark.xfail(
@@ -100,10 +100,10 @@ def test_criterion_3_mode_coincidence_single_branch_channels():
     "from the branch mixture",
 )
 def test_criterion_3_mode_coincidence_generic_parameters():
-    for params in (ProtocolI(0.8, 0.4), ProtocolII(0.5, 0.3)):
+    for params in (("I", 0.8, 0.4), ("II", 0.5, 0.3)):
         for kind in CHANNEL_KINDS:
-            a = protect(params, ChannelSpec(kind, 0.0), PAPER)
-            b = protect(params, ChannelSpec(kind, 0.0), PHYSICAL)
+            a = protect(*params, ChannelSpec(kind, 0.0), PAPER)
+            b = protect(*params, ChannelSpec(kind, 0.0), PHYSICAL)
             assert _state_fidelity(a, b) >= 1.0 - 1e-10
 
 
@@ -160,15 +160,13 @@ def test_criterion_6_oracle_equivalence():
         proto = rng.choice(["I", "II"])
         if proto == "I":
             a, b = rng.uniform(0.1, np.pi - 0.1), rng.uniform(0.05, 1.0)
-            params = ProtocolI(a, b)
         else:
             a, b = rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)
-            params = ProtocolII(a, b)
         kind = rng.choice(list(CHANNEL_KINDS))
         r = float(rng.uniform(0.0, 0.9))
         mode = rng.choice(["paper", "physical"])
         try:
-            shared = protect(params, ChannelSpec(kind, r), PipelineMode(mode))
+            shared = protect(proto, a, b, ChannelSpec(kind, r), PipelineMode(mode))
         except ValueError:
             continue
         engine = average_fidelity(shared, measure="haar")
@@ -182,9 +180,9 @@ def test_criterion_6_oracle_equivalence():
 
 def test_criterion_7_phase_flip_support():
     outside = [i for i in range(16) if i not in GHZ_INDICES]
-    for params in (ProtocolI(0.8, 0.4), ProtocolII(0.5, 0.3)):
+    for params in (("I", 0.8, 0.4), ("II", 0.5, 0.3)):
         for mode in (PAPER, PHYSICAL):
-            shared = protect(params, ChannelSpec("pfc", 0.6), mode)
+            shared = protect(*params, ChannelSpec("pfc", 0.6), mode)
             if mode is PAPER:
                 residual = max(abs(shared.pure[i]) for i in outside)
             else:

@@ -8,14 +8,15 @@ from wmteleport.operators import (
     PAULI_I,
     PAULI_X,
     PAULI_Z,
+    PROTOCOL_AXES,
     ChannelSpec,
-    ProtocolI,
-    ProtocolII,
+    check_parameters,
     correction_unitary,
     kraus_set,
-    parameter_point,
     stage_diagonals,
 )
+from wmteleport.pipeline import PipelineMode, branch_operators, protect
+from wmteleport.sweep import SweepGrid
 
 from brute import brute_kraus, brute_wm, brute_wmr
 
@@ -24,9 +25,10 @@ KET1 = np.array([0.0, 1.0], dtype=complex)
 
 
 def _stages(params, i):
-    """(m_i, n_i) at one parameter point as 2x2 matrices, read from
-    `stage_diagonals`: outcome 1 mirrors both outcome-0 diagonals."""
-    kind, a1, a2 = parameter_point(params)
+    """(m_i, n_i) at one parameter point (protocol, a1, a2) as 2x2
+    matrices, read from `stage_diagonals`: outcome 1 mirrors both
+    outcome-0 diagonals."""
+    kind, a1, a2 = params
     d1, d2 = stage_diagonals(kind, [a1], [a2])
     order = slice(None, None, 1 if i == 0 else -1)
     return np.diag(d1[0, order]), np.diag(d2[0, order])
@@ -34,37 +36,37 @@ def _stages(params, i):
 
 def test_wm_protocol_one_action_on_zero():
     omega = 0.7
-    out = _stages(ProtocolI(omega, 0.5), 0)[0] @ KET0
+    out = _stages(("I", omega, 0.5), 0)[0] @ KET0
     np.testing.assert_allclose(out, np.cos(omega / 2.0) * KET0)
 
 
 def test_wm_protocol_one_balanced_point():
-    params = ProtocolI(np.pi / 2, 0.5)
+    params = ("I", np.pi / 2, 0.5)
     for i in (0, 1):
         np.testing.assert_allclose(_stages(params, i)[0], PAULI_I / np.sqrt(2.0))
 
 
 def test_wm_protocol_two_balanced_point():
-    params = ProtocolII(0.0, 0.5)
+    params = ("II", 0.0, 0.5)
     for i in (0, 1):
         np.testing.assert_allclose(_stages(params, i)[0], PAULI_I / np.sqrt(2.0))
 
 
 def test_wmr_protocol_one_filters_zero():
     q = 0.3
-    out = _stages(ProtocolI(1.0, q), 0)[1] @ KET0
+    out = _stages(("I", 1.0, q), 0)[1] @ KET0
     np.testing.assert_allclose(out, q * KET0)
 
 
 def test_wmr_protocol_one_transparent_at_unit_strength():
-    params = ProtocolI(1.0, 1.0)
+    params = ("I", 1.0, 1.0)
     for i in (0, 1):
         np.testing.assert_allclose(_stages(params, i)[1], PAULI_I)
 
 
 def test_wmr_protocol_two_projective_limit():
     np.testing.assert_allclose(
-        _stages(ProtocolII(0.5, 1.0), 0)[1], np.diag([1.0, 0.0])
+        _stages(("II", 0.5, 1.0), 0)[1], np.diag([1.0, 0.0])
     )
 
 
@@ -115,7 +117,7 @@ def test_correction_rejects_bad_outcome():
 
 @given(st.floats(min_value=0.0, max_value=np.pi), st.floats(min_value=0.0, max_value=1.0))
 def test_povm_completeness_protocol_one(omega, q):
-    params = ProtocolI(omega, q)
+    params = ("I", omega, q)
     total = sum(m.T @ m for m, _ in (_stages(params, i) for i in (0, 1)))
     np.testing.assert_allclose(total, PAULI_I, atol=1e-12)
 
@@ -125,7 +127,7 @@ def test_povm_completeness_protocol_one(omega, q):
     st.floats(min_value=-1.0, max_value=1.0),
 )
 def test_povm_completeness_protocol_two(k1, k2):
-    stages = [_stages(ProtocolII(k1, k2), i) for i in (0, 1)]
+    stages = [_stages(("II", k1, k2), i) for i in (0, 1)]
     for stage in (0, 1):
         total = sum(pair[stage].T @ pair[stage] for pair in stages)
         np.testing.assert_allclose(total, PAULI_I, atol=1e-12)
@@ -134,7 +136,7 @@ def test_povm_completeness_protocol_two(k1, k2):
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_protocol_one_reversal_is_a_filter(q):
     # deliberately incomplete: the sum is (1 + q^2) I, not I
-    params = ProtocolI(0.8, q)
+    params = ("I", 0.8, q)
     total = sum(n.T @ n for _, n in (_stages(params, i) for i in (0, 1)))
     np.testing.assert_allclose(total, (1.0 + q**2) * PAULI_I, atol=1e-12)
 
@@ -158,9 +160,9 @@ def test_kraus_matches_independent_table(kind):
 
 def test_wm_wmr_match_independent_table():
     for i in (0, 1):
-        for protocol, params in (("I", ProtocolI(0.9, 0.4)), ("II", ProtocolII(0.6, 0.2))):
+        for params in (("I", 0.9, 0.4), ("II", 0.6, 0.2)):
             m, n = _stages(params, i)
-            _, a1, a2 = parameter_point(params)
+            protocol, a1, a2 = params
             np.testing.assert_allclose(m, brute_wm(protocol, a1, a2, i), atol=1e-15)
             np.testing.assert_allclose(n, brute_wmr(protocol, a1, a2, i), atol=1e-15)
 
@@ -192,25 +194,60 @@ def test_measurement_operators_are_exactly_diagonal():
     assert e1[0, 0] == 0.0 and e1[1, 0] == 0.0 and e1[1, 1] == 0.0
 
 
+# Exact bounds of every axis, each with the other axis at an interior value.
+_ON_BOUNDS = [
+    ("I", 0.0, 0.5), ("I", np.pi, 0.5), ("I", 0.7, 0.0), ("I", 0.7, 1.0),
+    ("II", -1.0, 0.3), ("II", 1.0, 0.3), ("II", 0.3, -1.0), ("II", 0.3, 1.0),
+]
+# Just outside a bound, far outside, and non-finite.
+_OFF_BOUNDS = [
+    ("I", np.pi + 1e-13, 0.5), ("I", -1e-13, 0.5), ("I", 0.7, 1.0 + 5e-13),
+    ("II", 1.0 + 5e-13, 0.3), ("II", -1.0 - 5e-13, 0.3),
+    ("II", 0.3, 1.0 + 5e-13), ("II", 0.3, -1.0 - 5e-13),
+    ("I", -0.1, 0.5), ("I", np.pi + 0.1, 0.5), ("I", 0.5, 1.2),
+    ("II", 1.0001, 0.0), ("II", 0.0, -1.0001),
+    ("I", np.nan, 0.5), ("II", 0.0, np.inf),
+]
+
+
+def _point_consumers(protocol, a1, a2):
+    """Every entry point that takes a parameter point or a grid of them."""
+    channel = ChannelSpec("bfc", 0.3)
+    return (
+        lambda: check_parameters(protocol, a1, a2),
+        lambda: branch_operators(protocol, a1, a2, channel),
+        lambda: protect(protocol, a1, a2, channel, PipelineMode.PHYSICAL_MIXED),
+        lambda: SweepGrid(protocol, [a1], [a2], [0.5]),
+    )
+
+
+@pytest.mark.parametrize("point", _ON_BOUNDS)
+def test_every_entry_point_accepts_the_exact_bounds(point):
+    for consume in _point_consumers(*point):
+        consume()
+
+
+@pytest.mark.parametrize("point", _OFF_BOUNDS)
+def test_every_entry_point_rejects_points_outside_the_bounds(point):
+    for consume in _point_consumers(*point):
+        with pytest.raises(ValueError, match="must be in"):
+            consume()
+
+
+def test_protocol_table_names_and_ranges():
+    assert tuple(PROTOCOL_AXES) == ("I", "II")
+    assert PROTOCOL_AXES["I"] == (("omega", 0.0, np.pi), ("q", 0.0, 1.0))
+    assert PROTOCOL_AXES["II"] == (("k1", -1.0, 1.0), ("k2", -1.0, 1.0))
+    for consume in _point_consumers("III", 0.5, 0.5):
+        with pytest.raises(ValueError, match="unknown protocol"):
+            consume()
+
+
 def test_parameter_domains():
-    with pytest.raises(ValueError):
-        ProtocolI(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        ProtocolI(np.pi + 0.1, 0.5)
-    with pytest.raises(ValueError):
-        ProtocolI(0.5, 1.2)
-    with pytest.raises(ValueError):
-        ProtocolII(1.0001, 0.0)
-    with pytest.raises(ValueError):
-        ProtocolII(0.0, -1.0001)
+    # the channel's kind and r; the protocol axes are covered above
     with pytest.raises(ValueError):
         ChannelSpec("adc", -0.01)
     with pytest.raises(ValueError):
         ChannelSpec("adc", 1.01)
     with pytest.raises(ValueError):
         ChannelSpec("xyz", 0.5)
-
-
-def test_protocol_kinds():
-    assert ProtocolI(0.5, 0.5).kind == "I"
-    assert ProtocolII(0.5, 0.5).kind == "II"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wmteleport
-from wmteleport.operators import CHANNEL_KINDS, ChannelSpec, ProtocolI, ProtocolII
+from wmteleport.operators import CHANNEL_KINDS, ChannelSpec
 from wmteleport.pipeline import (
     GHZ_INDICES,
     PipelineMode,
@@ -30,17 +30,11 @@ PHYSICAL = PipelineMode.PHYSICAL_MIXED
 FLIPPED_INDICES = (0b0001, 0b0100, 0b1011, 0b1110)
 
 ALL_PARAMS = [
-    ProtocolI(0.8, 0.4),
-    ProtocolI(1.2, 0.9),
-    ProtocolII(0.5, 0.3),
-    ProtocolII(0.9, 0.7),
+    ("I", 0.8, 0.4),
+    ("I", 1.2, 0.9),
+    ("II", 0.5, 0.3),
+    ("II", 0.9, 0.7),
 ]
-
-
-def _brute_args(params):
-    if params.kind == "I":
-        return "I", params.omega, params.q
-    return "II", params.k1, params.k2
 
 
 def _state_fidelity(shared_a, shared_b):
@@ -64,7 +58,7 @@ def test_initial_state_amplitudes():
 @pytest.mark.parametrize("params", ALL_PARAMS)
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_paper_mode_noiseless_returns_resource(params, kind):
-    shared = protect(params, ChannelSpec(kind, 0.0), PAPER)
+    shared = protect(*params, ChannelSpec(kind, 0.0), PAPER)
     overlap = abs(np.vdot(shared.pure, initial_state()))
     np.testing.assert_almost_equal(overlap, 1.0, decimal=12)
 
@@ -79,10 +73,9 @@ def test_paper_mode_normalized_and_eight_ket_support(kind):
     annihilated = 0
     for proto, pairs in grids.items():
         for a, b in pairs:
-            params = ProtocolI(a, b) if proto == "I" else ProtocolII(a, b)
             for r in np.linspace(0.0, 1.0, 5):
                 try:
-                    shared = protect(params, ChannelSpec(kind, float(r)), PAPER)
+                    shared = protect(proto, a, b, ChannelSpec(kind, float(r)), PAPER)
                 except ValueError:
                     annihilated += 1
                     continue
@@ -97,7 +90,7 @@ def test_paper_mode_normalized_and_eight_ket_support(kind):
 @pytest.mark.parametrize("params", ALL_PARAMS)
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_physical_mode_density_is_valid(params, kind):
-    shared = protect(params, ChannelSpec(kind, 0.6), PHYSICAL)
+    shared = protect(*params, ChannelSpec(kind, 0.6), PHYSICAL)
     rho = shared.rho
     np.testing.assert_almost_equal(np.trace(rho).real, 1.0, decimal=12)
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
@@ -107,7 +100,7 @@ def test_physical_mode_density_is_valid(params, kind):
 
 def test_success_probability_bit_flip_closed_form():
     omega, q, r = 0.9, 0.35, 0.55
-    shared = protect(ProtocolI(omega, q), ChannelSpec("bfc", r), PHYSICAL)
+    shared = protect("I", omega, q, ChannelSpec("bfc", r), PHYSICAL)
     c2 = np.cos(omega / 2.0) ** 2
     s2 = np.sin(omega / 2.0) ** 2
     expected = (1.0 - r) * (q**2 * c2 + s2) + r * (q**2 * s2 + c2)
@@ -118,11 +111,8 @@ def test_success_probability_bit_flip_closed_form():
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_success_probability_matches_branch_norms(params, kind):
     r = 0.45
-    shared = protect(params, ChannelSpec(kind, r), PHYSICAL)
-    proto, a, b = _brute_args(params)
-    total = sum(
-        np.linalg.norm(v) ** 2 for v in brute_branch_vectors(proto, a, b, kind, r)
-    )
+    shared = protect(*params, ChannelSpec(kind, r), PHYSICAL)
+    total = sum(np.linalg.norm(v) ** 2 for v in brute_branch_vectors(*params, kind, r))
     np.testing.assert_almost_equal(shared.success_probability, total, decimal=12)
 
 
@@ -131,9 +121,8 @@ def test_success_probability_matches_branch_norms(params, kind):
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_protect_matches_brute_force(mode, params, kind):
     r = 0.3
-    shared = protect(params, ChannelSpec(kind, r), mode)
-    proto, a, b = _brute_args(params)
-    tag, payload = brute_protect(proto, a, b, kind, r, mode.value)
+    shared = protect(*params, ChannelSpec(kind, r), mode)
+    tag, payload = brute_protect(*params, kind, r, mode.value)
     if tag == "pure":
         overlap = abs(np.vdot(shared.pure, payload))
         np.testing.assert_almost_equal(overlap, 1.0, decimal=12)
@@ -145,7 +134,7 @@ def test_branch_operators_shape_and_halved_gram():
     # each 8x2 branch matrix g as a 2x2 operator satisfies
     # <(I(x)g) psi0, (I(x)h) psi0> = Tr(g^dag h)/2; check the identity
     # operator case through the resource marginal
-    branches = branch_operators(ProtocolI(0.8, 0.4), ChannelSpec("adc", 0.3))
+    branches = branch_operators("I", 0.8, 0.4, ChannelSpec("adc", 0.3))
     assert branches.shape == (4, 2, 2)
 
 
@@ -162,7 +151,6 @@ _STACK_AXES = {
 @pytest.mark.parametrize("protocol", ["I", "II"])
 def test_stacked_normalization_matches_oracle_and_protect(protocol, mode):
     axis1, axis2 = _STACK_AXES[protocol]
-    make = ProtocolI if protocol == "I" else ProtocolII
     flagged = 0
     for kind, r in itertools.product(CHANNEL_KINDS, (0.0, 0.37, 1.0)):
         channel = ChannelSpec(kind, r)
@@ -179,7 +167,7 @@ def test_stacked_normalization_matches_oracle_and_protect(protocol, mode):
                 want = sum(np.linalg.norm(v) ** 2 for v in vecs)
             np.testing.assert_allclose(retained[i1, i2], want, rtol=0, atol=1e-12)
             try:
-                protect(make(a, b), channel, mode)
+                protect(protocol, a, b, channel, mode)
             except ValueError:
                 assert annihilated[i1, i2] and want < 1e-14
                 flagged += 1
@@ -229,8 +217,8 @@ def test_shared_state_copies_and_freezes_its_branches():
 def test_derived_state_only_in_its_own_mode():
     for params, kind in itertools.product(ALL_PARAMS, CHANNEL_KINDS):
         channel = ChannelSpec(kind, 0.3)
-        paper = protect(params, channel, PAPER)
-        physical = protect(params, channel, PHYSICAL)
+        paper = protect(*params, channel, PAPER)
+        physical = protect(*params, channel, PHYSICAL)
         assert paper.rho is None and paper.success_probability is None
         assert physical.pure is None
         assert paper.branches.shape == (1, 2, 2)
@@ -280,29 +268,29 @@ def test_every_exported_name_resolves(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
-@pytest.mark.parametrize("proto_params", [ProtocolI(np.pi / 2, 1.0), ProtocolII(0.0, 0.0)])
+@pytest.mark.parametrize("proto_params", [("I", np.pi / 2, 1.0), ("II", 0.0, 0.0)])
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_modes_coincide_with_single_effective_branch_noiseless(proto_params, kind):
     # at the no-protection parameter locus the two summation semantics
     # agree wherever the channel keeps a single effective Kraus branch
-    a = protect(proto_params, ChannelSpec(kind, 0.0), PAPER)
-    b = protect(proto_params, ChannelSpec(kind, 0.0), PHYSICAL)
+    a = protect(*proto_params, ChannelSpec(kind, 0.0), PAPER)
+    b = protect(*proto_params, ChannelSpec(kind, 0.0), PHYSICAL)
     assert _state_fidelity(a, b) >= 1.0 - 1e-10
 
 
-@pytest.mark.parametrize("proto_params", [ProtocolI(np.pi / 2, 1.0), ProtocolII(0.0, 0.0)])
+@pytest.mark.parametrize("proto_params", [("I", np.pi / 2, 1.0), ("II", 0.0, 0.0)])
 def test_modes_coincide_saturated_bit_flip(proto_params):
-    a = protect(proto_params, ChannelSpec("bfc", 1.0), PAPER)
-    b = protect(proto_params, ChannelSpec("bfc", 1.0), PHYSICAL)
+    a = protect(*proto_params, ChannelSpec("bfc", 1.0), PAPER)
+    b = protect(*proto_params, ChannelSpec("bfc", 1.0), PHYSICAL)
     assert _state_fidelity(a, b) >= 1.0 - 1e-10
 
 
-@pytest.mark.parametrize("proto_params", [ProtocolI(np.pi / 2, 1.0), ProtocolII(0.0, 0.0)])
+@pytest.mark.parametrize("proto_params", [("I", np.pi / 2, 1.0), ("II", 0.0, 0.0)])
 def test_saturated_phase_flip_annihilates_paper_mode(proto_params):
     # the coherent branch sum cancels exactly: f0 Z f0 + f1 Z f1 = 0
     with pytest.raises(ValueError, match="annihilate"):
-        protect(proto_params, ChannelSpec("pfc", 1.0), PAPER)
-    shared = protect(proto_params, ChannelSpec("pfc", 1.0), PHYSICAL)
+        protect(*proto_params, ChannelSpec("pfc", 1.0), PAPER)
+    shared = protect(*proto_params, ChannelSpec("pfc", 1.0), PHYSICAL)
     assert abs(np.trace(shared.rho).real - 1.0) <= 1e-12
 
 
@@ -312,8 +300,8 @@ def test_saturated_phase_flip_annihilates_paper_mode(proto_params):
     "parameter locus; generic parameters split them even at r=0",
 )
 def test_modes_coincide_noiseless_generic_params():
-    a = protect(ProtocolI(0.8, 0.4), ChannelSpec("adc", 0.0), PAPER)
-    b = protect(ProtocolI(0.8, 0.4), ChannelSpec("adc", 0.0), PHYSICAL)
+    a = protect("I", 0.8, 0.4, ChannelSpec("adc", 0.0), PAPER)
+    b = protect("I", 0.8, 0.4, ChannelSpec("adc", 0.0), PHYSICAL)
     assert _state_fidelity(a, b) >= 1.0 - 1e-10
 
 
@@ -323,8 +311,8 @@ def test_modes_coincide_noiseless_generic_params():
     "parameters still split the two summation semantics",
 )
 def test_modes_coincide_saturated_bit_flip_generic_params():
-    a = protect(ProtocolI(np.pi / 2, 0.5), ChannelSpec("bfc", 1.0), PAPER)
-    b = protect(ProtocolI(np.pi / 2, 0.5), ChannelSpec("bfc", 1.0), PHYSICAL)
+    a = protect("I", np.pi / 2, 0.5, ChannelSpec("bfc", 1.0), PAPER)
+    b = protect("I", np.pi / 2, 0.5, ChannelSpec("bfc", 1.0), PHYSICAL)
     assert _state_fidelity(a, b) >= 1.0 - 1e-10
 
 
@@ -333,8 +321,8 @@ def test_saturated_bit_flip_generic_params_exact_split():
     # omega=pi/2, bfc r=1: ((q s + c)^2) / (2 (q^2 s^2 + c^2)) with
     # c = s = 1/sqrt(2)
     q = 0.5
-    a = protect(ProtocolI(np.pi / 2, q), ChannelSpec("bfc", 1.0), PAPER)
-    b = protect(ProtocolI(np.pi / 2, q), ChannelSpec("bfc", 1.0), PHYSICAL)
+    a = protect("I", np.pi / 2, q, ChannelSpec("bfc", 1.0), PAPER)
+    b = protect("I", np.pi / 2, q, ChannelSpec("bfc", 1.0), PHYSICAL)
     expected = (q + 1.0) ** 2 / (2.0 * (q**2 + 1.0))
     np.testing.assert_almost_equal(_state_fidelity(a, b), expected, decimal=12)
     np.testing.assert_almost_equal(_state_fidelity(a, b), 0.9, decimal=12)
@@ -346,18 +334,18 @@ def test_saturated_bit_flip_generic_params_exact_split():
     "measurement and reversal stages around a non-commuting channel",
 )
 def test_paper_mode_damping_strength_swap_symmetry():
-    a = protect(ProtocolII(0.3, 0.7), ChannelSpec("adc", 0.5), PAPER)
-    b = protect(ProtocolII(0.7, 0.3), ChannelSpec("adc", 0.5), PAPER)
+    a = protect("II", 0.3, 0.7, ChannelSpec("adc", 0.5), PAPER)
+    b = protect("II", 0.7, 0.3, ChannelSpec("adc", 0.5), PAPER)
     overlap = abs(np.vdot(a.pure, b.pure))
     np.testing.assert_almost_equal(overlap, 1.0, decimal=12)
 
 
 @pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
 @pytest.mark.parametrize(
-    "params", [ProtocolI(0.8, 0.4), ProtocolII(0.5, 0.3)]
+    "params", [("I", 0.8, 0.4), ("II", 0.5, 0.3)]
 )
 def test_phase_flip_output_stays_on_resource_support(mode, params):
-    shared = protect(params, ChannelSpec("pfc", 0.6), mode)
+    shared = protect(*params, ChannelSpec("pfc", 0.6), mode)
     outside = [i for i in range(16) if i not in GHZ_INDICES]
     if mode is PAPER:
         residual = max(abs(shared.pure[i]) for i in outside)
@@ -372,7 +360,7 @@ def test_phase_flip_output_stays_on_resource_support(mode, params):
 
 
 def test_paper_mode_damping_amplitude_groups():
-    shared = protect(ProtocolI(0.8, 0.4), ChannelSpec("adc", 0.5), PAPER)
+    shared = protect("I", 0.8, 0.4, ChannelSpec("adc", 0.5), PAPER)
     amps = shared.pure
     ghz = np.array([amps[i] for i in GHZ_INDICES])
     flipped = np.array([amps[i] for i in FLIPPED_INDICES])
@@ -384,13 +372,13 @@ def test_paper_mode_damping_amplitude_groups():
 @pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
 def test_degenerate_parameters_annihilate(mode):
     with pytest.raises(ValueError, match="annihilate"):
-        protect(ProtocolI(0.0, 0.0), ChannelSpec("pfc", 0.5), mode)
+        protect("I", 0.0, 0.0, ChannelSpec("pfc", 0.5), mode)
 
 
 def _amplitude_groups(params, channel):
     """Paper-mode amplitudes on the GHZ kets, on the flipped kets, and
     on the eight kets outside both groups."""
-    amps = protect(params, channel, PAPER).pure
+    amps = protect(*params, channel, PAPER).pure
     np.testing.assert_allclose(amps.imag, 0.0, atol=1e-12)
     outside = [i for i in range(16) if i not in GHZ_INDICES + FLIPPED_INDICES]
     return amps[list(GHZ_INDICES)].real, amps[list(FLIPPED_INDICES)].real, amps[outside]
@@ -407,7 +395,7 @@ class TestClosedFormCheck:
         c, s, q = np.cos(0.4), np.sin(0.4), 1.0
         printed = (c * q + s) / np.sqrt(2.0 * (c * c * q * q + s * s))
         np.testing.assert_almost_equal(printed, (np.cos(0.4) + np.sin(0.4)) / np.sqrt(2.0))
-        ghz, flipped, _ = _amplitude_groups(ProtocolI(0.8, 1.0), ChannelSpec("adc", 0.0))
+        ghz, flipped, _ = _amplitude_groups(("I", 0.8, 1.0), ChannelSpec("adc", 0.0))
         np.testing.assert_allclose(2.0 * ghz, 1.0, rtol=0, atol=1e-12)
         assert abs(printed - 2.0 * ghz.mean()) > 0.05
         # the two-group ratio is not even finite: the flipped group is empty
@@ -418,19 +406,19 @@ class TestClosedFormCheck:
         c, s = np.cos(omega / 2.0), np.sin(omega / 2.0)
         lam1 = 0.5 * ((1.0 - r) * s * s + q * q * (1.0 - r) * c * c)
         lam2 = 0.5 * (r * q * q * s * s + r * c * c)
-        g = branch_operators(ProtocolI(omega, q), ChannelSpec("bfc", r))
+        g = branch_operators("I", omega, q, ChannelSpec("bfc", r))
         weights = 0.5 * np.einsum("bij,bij->b", g, g.conj()).real
         np.testing.assert_allclose(weights[:2], [lam1, lam2], rtol=1e-12, atol=0)
 
     def test_phase_flip_support_entries(self):
-        ghz, flipped, outside = _amplitude_groups(ProtocolII(0.5, 0.3), ChannelSpec("pfc", 0.6))
+        ghz, flipped, outside = _amplitude_groups(("II", 0.5, 0.3), ChannelSpec("pfc", 0.6))
         np.testing.assert_allclose(ghz, ghz.mean(), rtol=0, atol=1e-12)
         assert np.abs(flipped).max() < 1e-12 and np.abs(outside).max() < 1e-12
 
     def test_group_uniformity_entries_always_consistent(self):
         for params, kind in [
-            (ProtocolI(0.7, 0.2), "adc"),
-            (ProtocolII(0.4, 0.8), "bfc"),
+            (("I", 0.7, 0.2), "adc"),
+            (("II", 0.4, 0.8), "bfc"),
         ]:
             ghz, flipped, outside = _amplitude_groups(params, ChannelSpec(kind, 0.3))
             np.testing.assert_allclose(ghz, ghz.mean(), rtol=0, atol=1e-12)

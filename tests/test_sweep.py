@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from brute import brute_baseline, brute_fidelities_batch, brute_protect
 from wmteleport import sweep as sweep_module
 from wmteleport.checks import _quadrature_grid
-from wmteleport.operators import CHANNEL_KINDS, ChannelSpec, ProtocolI, ProtocolII
+from wmteleport.operators import CHANNEL_KINDS, ChannelSpec
 from wmteleport.pipeline import PipelineMode, protect
 from wmteleport.sweep import (
     SweepGrid,
@@ -39,9 +39,8 @@ PHYSICAL = PipelineMode.PHYSICAL_MIXED
 
 def _honest_cell(protocol, a, b, kind, r, mode, measure):
     """Single grid cell through the object pipeline, no vectorization."""
-    params = ProtocolI(a, b) if protocol == "I" else ProtocolII(a, b)
     try:
-        shared = protect(params, ChannelSpec(kind, r), mode)
+        shared = protect(protocol, a, b, ChannelSpec(kind, r), mode)
     except ValueError:
         return np.nan
     return average_fidelity(shared, measure=measure)
@@ -267,9 +266,7 @@ def test_paper_mode_phase_flip_surface_is_one_where_defined():
 
 def test_fmax_point_parameters_evaluate_to_fmax():
     point = fmax_curve("II", "adc", r_values=np.array([0.5]), resolution=31)[0]
-    shared = protect(
-        ProtocolII(point.param1, point.param2), ChannelSpec("adc", 0.5), PHYSICAL
-    )
+    shared = protect("II", point.param1, point.param2, ChannelSpec("adc", 0.5), PHYSICAL)
     np.testing.assert_allclose(
         average_fidelity(shared, measure="polar"), point.fmax, atol=1e-12
     )
@@ -371,6 +368,17 @@ def test_sweep_baseline_matches_scalar_baseline(kind, mode, measure):
         assert abs(got - want) <= 1e-12, (r, got, want)
     grid = default_grid("I", r_values, resolution=2, mode=mode)
     np.testing.assert_array_equal(sweep(grid, kind, measure=measure).baseline, baseline)
+
+
+def test_baseline_r_values_are_checked():
+    with pytest.raises(ValueError, match="axis r"):
+        unprotected_baseline("bfc", [], PHYSICAL, "polar")
+    one = unprotected_baseline("bfc", 0.5, PHYSICAL, "polar")
+    assert one.shape == (1,)
+    np.testing.assert_array_equal(one, unprotected_baseline("bfc", [0.5], PHYSICAL, "polar"))
+    # a grid's r axis follows the channel's range rule: no slack past 1
+    with pytest.raises(ValueError, match="axis r"):
+        SweepGrid("I", [0.5], [0.5], [1.0 + 5e-13])
 
 
 def test_phase_flip_coherent_sum_near_cancellation_matches_oracle():

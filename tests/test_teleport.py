@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wmteleport import teleport as teleport_module
-from wmteleport.operators import CHANNEL_KINDS, ChannelSpec, ProtocolI, ProtocolII
+from wmteleport.operators import CHANNEL_KINDS, ChannelSpec
 from wmteleport.pipeline import PipelineMode, protect
 from wmteleport.sweep import unprotected_baseline
 from wmteleport.teleport import (
     OUTCOME_FLOOR,
-    InputQubit,
     SharedState,
     _outcome_kernel,
     average_fidelity,
@@ -73,35 +72,29 @@ def test_eta_basis_amplitudes():
     np.testing.assert_almost_equal(states[2][0b0000], 0.0)
 
 
-def test_input_qubit_requires_normalization():
-    InputQubit(0.6, 0.8)
-    with pytest.raises(ValueError):
-        InputQubit(0.6, 0.9)
-
-
 @pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
-@pytest.mark.parametrize("params", [ProtocolI(0.9, 0.3), ProtocolII(0.7, 0.2)])
+@pytest.mark.parametrize("params", [("I", 0.9, 0.3), ("II", 0.7, 0.2)])
 def test_noiseless_teleports_ground_state_exactly(mode, params):
-    shared = protect(params, ChannelSpec("adc", 0.0), mode)
+    shared = protect(*params, ChannelSpec("adc", 0.0), mode)
     ground = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    for out in teleport(shared, InputQubit(1.0, 0.0)):
+    for out in teleport(shared, np.array([1.0, 0.0])):
         np.testing.assert_allclose(out.bob_state_corrected, ground, atol=1e-12)
         np.testing.assert_almost_equal(out.per_outcome_fidelity, 1.0, decimal=12)
 
 
 def test_noiseless_paper_mode_is_ideal_for_any_input():
-    shared = protect(ProtocolI(1.0, 0.5), ChannelSpec("adc", 0.0), PAPER)
-    inp = InputQubit(1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0))
+    shared = protect("I", 1.0, 0.5, ChannelSpec("adc", 0.0), PAPER)
+    inp = np.array([1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)])
     outs = teleport(shared, inp)
     for out in outs:
         np.testing.assert_almost_equal(out.probability, 0.25, decimal=12)
         np.testing.assert_almost_equal(out.per_outcome_fidelity, 1.0, decimal=12)
-    np.testing.assert_almost_equal(input_fidelities(shared, inp.vector[None])[0], 1.0, decimal=12)
+    np.testing.assert_almost_equal(input_fidelities(shared, inp[None])[0], 1.0, decimal=12)
 
 
 def test_noiseless_physical_mode_is_ideal_at_no_protection_locus():
-    shared = protect(ProtocolI(np.pi / 2, 1.0), ChannelSpec("adc", 0.0), PHYSICAL)
-    inp = InputQubit(1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0))
+    shared = protect("I", np.pi / 2, 1.0, ChannelSpec("adc", 0.0), PHYSICAL)
+    inp = np.array([1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)])
     for out in teleport(shared, inp):
         np.testing.assert_almost_equal(out.probability, 0.25, decimal=12)
         np.testing.assert_almost_equal(out.per_outcome_fidelity, 1.0, decimal=12)
@@ -114,16 +107,16 @@ def test_noiseless_physical_mode_is_ideal_at_no_protection_locus():
     "is not exact in the mixture reading",
 )
 def test_noiseless_physical_mode_is_ideal_for_generic_params():
-    shared = protect(ProtocolI(1.0, 0.5), ChannelSpec("adc", 0.0), PHYSICAL)
-    inp = InputQubit(1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0))
-    np.testing.assert_almost_equal(input_fidelities(shared, inp.vector[None])[0], 1.0, decimal=10)
+    shared = protect("I", 1.0, 0.5, ChannelSpec("adc", 0.0), PHYSICAL)
+    inp = np.array([1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)])
+    np.testing.assert_almost_equal(input_fidelities(shared, inp[None])[0], 1.0, decimal=10)
 
 
 def test_noiseless_physical_mode_probabilities_stay_uniform():
     # even where the fidelity drops below 1, the outcome probabilities
     # at r=0 remain 1/4
-    shared = protect(ProtocolI(1.0, 0.5), ChannelSpec("adc", 0.0), PHYSICAL)
-    for out in teleport(shared, InputQubit(1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0))):
+    shared = protect("I", 1.0, 0.5, ChannelSpec("adc", 0.0), PHYSICAL)
+    for out in teleport(shared, np.array([1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)])):
         np.testing.assert_almost_equal(out.probability, 0.25, decimal=12)
 
 
@@ -134,12 +127,12 @@ def test_outcome_bookkeeping(mode):
     s = 1.0 / np.sqrt(2.0)
     below_floor = 0
     for params, kind, r, inp in itertools.product(
-        (ProtocolII(0.5, 0.3), ProtocolI(0.8, 0.4), ProtocolI(np.pi / 2, 0.5)),
+        (("II", 0.5, 0.3), ("I", 0.8, 0.4), ("I", np.pi / 2, 0.5)),
         CHANNEL_KINDS,
         (0.4, 1.0),
-        (InputQubit(0.6, 0.8j), InputQubit(s, s)),
+        (np.array([0.6, 0.8j]), np.array([s, s])),
     ):
-        outs = teleport(protect(params, ChannelSpec(kind, r), mode), inp)
+        outs = teleport(protect(*params, ChannelSpec(kind, r), mode), inp)
         assert [o.outcome for o in outs] == [1, 2, 3, 4]
         np.testing.assert_almost_equal(sum(o.probability for o in outs), 1.0, decimal=10)
         for o in outs:
@@ -160,31 +153,27 @@ def test_outcome_bookkeeping(mode):
 
 
 def test_paper_mode_phase_flip_is_perfect_per_outcome():
-    shared = protect(ProtocolI(0.8, 0.4), ChannelSpec("pfc", 0.6), PAPER)
-    inp = InputQubit(0.48, 0.6 + 0.64j)
+    shared = protect("I", 0.8, 0.4, ChannelSpec("pfc", 0.6), PAPER)
+    inp = np.array([0.48, 0.6 + 0.64j])
     for o in teleport(shared, inp):
         np.testing.assert_almost_equal(o.per_outcome_fidelity, 1.0, decimal=12)
-    np.testing.assert_almost_equal(input_fidelities(shared, inp.vector[None])[0], 1.0)
+    np.testing.assert_almost_equal(input_fidelities(shared, inp[None])[0], 1.0)
 
 
 @pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
 @pytest.mark.parametrize(
     "params,kind,r",
     [
-        (ProtocolI(0.8, 0.4), "adc", 0.5),
-        (ProtocolI(1.2, 0.9), "pfc", 0.6),
-        (ProtocolII(0.5, 0.3), "bfc", 0.7),
+        (("I", 0.8, 0.4), "adc", 0.5),
+        (("I", 1.2, 0.9), "pfc", 0.6),
+        (("II", 0.5, 0.3), "bfc", 0.7),
     ],
 )
 def test_outcomes_match_brute_force(mode, params, kind, r):
-    shared = protect(params, ChannelSpec(kind, r), mode)
-    if params.kind == "I":
-        args = ("I", params.omega, params.q)
-    else:
-        args = ("II", params.k1, params.k2)
-    bstate = brute_protect(*args, kind, r, mode.value)
+    shared = protect(*params, ChannelSpec(kind, r), mode)
+    bstate = brute_protect(*params, kind, r, mode.value)
     x = np.array([0.6, 0.64 + 0.48j], dtype=complex)
-    outs = teleport(shared, InputQubit(x[0], x[1]))
+    outs = teleport(shared, x)
     for o, (bp, bf) in zip(outs, brute_teleport_outcomes(bstate, x)):
         np.testing.assert_almost_equal(o.probability, bp, decimal=12)
         np.testing.assert_almost_equal(o.per_outcome_fidelity, bf, decimal=12)
@@ -196,7 +185,7 @@ def test_outcomes_match_brute_force(mode, params, kind, r):
     st.floats(min_value=0.05, max_value=0.95),
 )
 def test_global_phase_invariance(phase, x):
-    shared = protect(ProtocolI(0.9, 0.5), ChannelSpec("adc", 0.3), PHYSICAL)
+    shared = protect("I", 0.9, 0.5, ChannelSpec("adc", 0.3), PHYSICAL)
     a, b = np.sqrt(x), np.sqrt(1.0 - x) * 1j
     inputs = np.array([[a, b], [a * np.exp(1j * phase), b * np.exp(1j * phase)]])
     base, rotated = input_fidelities(shared, inputs)
@@ -205,7 +194,7 @@ def test_global_phase_invariance(phase, x):
 
 @pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
 def test_vectorized_fidelities_match_loop(mode):
-    shared = protect(ProtocolII(0.6, 0.4), ChannelSpec("adc", 0.5), mode)
+    shared = protect("II", 0.6, 0.4, ChannelSpec("adc", 0.5), mode)
     rng = np.random.default_rng(5)
     xs = sample_inputs(rng, 8)
     batch = input_fidelities(shared, xs)
@@ -240,12 +229,12 @@ def test_design_inputs_rejects_unknown_measure():
 @pytest.mark.parametrize(
     "params,kind,r,mode",
     [
-        (ProtocolI(0.9, 0.4), "adc", 0.45, PHYSICAL),
-        (ProtocolII(0.4, 0.7), "bfc", 0.3, PAPER),
+        (("I", 0.9, 0.4), "adc", 0.45, PHYSICAL),
+        (("II", 0.4, 0.7), "bfc", 0.3, PAPER),
     ],
 )
 def test_design_average_equals_quadrature(measure, params, kind, r, mode):
-    shared = protect(params, ChannelSpec(kind, r), mode)
+    shared = protect(*params, ChannelSpec(kind, r), mode)
     design = average_fidelity(shared, measure=measure)
     dense = _quadrature_average(shared, measure)
     np.testing.assert_allclose(design, dense, atol=1e-9)
@@ -315,11 +304,63 @@ def test_teleport_rejects_states_outside_measurement_span():
     # outcome probabilities sum to |g|_F^2 / 2 = 4
     stray = SharedState(PAPER, 2.0 * np.eye(2)[None])
     with pytest.raises(ValueError, match="span"):
-        teleport(stray, InputQubit(1.0, 0.0))
+        teleport(stray, np.array([1.0, 0.0]))
+
+
+_SHARED = ("I", 0.7, 0.6, ChannelSpec("bfc", 0.4), PHYSICAL)
+_HAAR = design_inputs("haar")
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        0.9 * _HAAR,
+        np.where(np.arange(6)[:, None] == 2, np.nan, _HAAR),
+        np.where(np.arange(6)[:, None] == 5, np.inf, _HAAR),
+        _HAAR[:, :1],
+        _HAAR[None],
+        _HAAR[0],
+    ],
+    ids=["scaled", "nan", "inf", "one-column", "3-D", "one-vector"],
+)
+def test_input_fidelities_rejects_bad_inputs(inputs):
+    # unchecked, 0.9 * the six design states averaged 0.3896 here against
+    # the true 0.5938, and a NaN row gave NaN
+    shared = protect(*_SHARED)
+    with pytest.raises(ValueError, match="inputs must"):
+        input_fidelities(shared, inputs)
+    with pytest.raises(ValueError, match="inputs must"):
+        input_fidelities(shared.branches[None], inputs)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [[0.6, 0.9], 0.9 * np.array([0.6, 0.8j]), [np.nan, 1.0], [1.0, np.inf],
+     [1.0], [[1.0, 0.0]], [1.0, 0.0, 0.0]],
+    ids=["unnormalized", "scaled", "nan", "inf", "one-entry", "2-D", "three-entries"],
+)
+def test_teleport_rejects_bad_inputs(x):
+    with pytest.raises(ValueError, match="inputs must"):
+        teleport(protect(*_SHARED), x)
+
+
+def test_inputs_within_the_norm_tolerance_pass():
+    shared = protect(*_SHARED)
+    x = np.array([0.6, 0.8j]) * np.sqrt(1.0 + 5e-13)
+    assert len(teleport(shared, x)) == 4
+    assert input_fidelities(shared, x[None]).shape == (1,)
+    np.testing.assert_allclose(input_fidelities(shared, _HAAR).mean(),
+                               average_fidelity(shared, "haar"), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf])
+def test_span_check_flags_non_finite_stacks(fill):
+    with pytest.raises(ValueError, match="outside the measurement span"):
+        input_fidelities(np.full((1, 1, 2, 2), fill), _HAAR)
 
 
 def test_monte_carlo_consistency_small():
-    shared = protect(ProtocolI(0.7, 0.6), ChannelSpec("bfc", 0.4), PHYSICAL)
+    shared = protect("I", 0.7, 0.6, ChannelSpec("bfc", 0.4), PHYSICAL)
     rng = np.random.default_rng(17)
     xs = sample_inputs(rng, 4000)
     mc = float(input_fidelities(shared, xs).mean())
@@ -327,36 +368,30 @@ def test_monte_carlo_consistency_small():
     assert abs(mc - exact) < 0.02
 
 
-def _brute_args(params):
-    if params.kind == "I":
-        return ("I", params.omega, params.q)
-    return ("II", params.k1, params.k2)
-
-
 # Protocol x channel x r; the stack gets one more state per mode, on which
 # two outcomes vanish for the input |+> and fall just below OUTCOME_FLOOR
 # (p ~ 5e-16) for a slightly rotated |+>.
 _KERNEL_GRID = [
     (params, kind, r)
-    for params in (ProtocolI(0.9, 0.4), ProtocolII(0.5, -0.3))
+    for params in (("I", 0.9, 0.4), ("II", 0.5, -0.3))
     for kind in CHANNEL_KINDS
     for r in (0.1, 0.5, 0.9, 1.0)
 ]
-_VANISHING = (ProtocolI(np.pi / 2, 0.5), "adc", 1.0)
+_VANISHING = (("I", np.pi / 2, 0.5), "adc", 1.0)
 
 
 @pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
 def test_stacked_kernel_matches_oracle(mode):
     states, oracle = [], []
     for params, kind, r in _KERNEL_GRID:
-        states.append(protect(params, ChannelSpec(kind, r), mode))
-        oracle.append(brute_protect(*_brute_args(params), kind, r, mode.value))
+        states.append(protect(*params, ChannelSpec(kind, r), mode))
+        oracle.append(brute_protect(*params, kind, r, mode.value))
     params, kind, r = _VANISHING
-    vanishing = protect(params, ChannelSpec(kind, r), PAPER)
+    vanishing = protect(*params, ChannelSpec(kind, r), PAPER)
     if mode is PHYSICAL:
         vanishing = SharedState(PHYSICAL, vanishing.branches)
     states.append(vanishing)
-    oracle.append(brute_protect(*_brute_args(params), kind, r, "paper"))
+    oracle.append(brute_protect(*params, kind, r, "paper"))
     if mode is PHYSICAL:
         vec = oracle[-1][1]
         oracle[-1] = ("mixed", np.outer(vec, vec.conj()))
@@ -382,7 +417,7 @@ def test_stacked_kernel_matches_oracle(mode):
 
 @pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
 def test_stacked_kernel_rejects_one_state_outside_span(mode):
-    g = np.stack([protect(p, ChannelSpec(k, r), mode).branches for p, k, r in _KERNEL_GRID[:6]])
+    g = np.stack([protect(*p, ChannelSpec(k, r), mode).branches for p, k, r in _KERNEL_GRID[:6]])
     # a stack whose outcome probabilities sum to 1.0201
     g = np.insert(g, 3, 1.01 * g[3], axis=0)
     with pytest.raises(ValueError, match="outside the measurement span"):
@@ -427,9 +462,9 @@ def _random_cases(n, seed=11):
     rng = np.random.default_rng(seed)
     for _ in range(n):
         if rng.integers(2):
-            params = ProtocolI(float(rng.uniform(0.0, np.pi)), float(rng.uniform()))
+            params = ("I", float(rng.uniform(0.0, np.pi)), float(rng.uniform()))
         else:
-            params = ProtocolII(*map(float, rng.uniform(-0.95, 0.95, size=2)))
+            params = ("II", *map(float, rng.uniform(-0.95, 0.95, size=2)))
         kind = CHANNEL_KINDS[int(rng.integers(3))]
         r = float(rng.choice([0.0, 1.0, rng.uniform()]))
         yield params, ChannelSpec(kind, r), (PAPER, PHYSICAL)[int(rng.integers(2))]
@@ -440,7 +475,7 @@ def test_haar_average_matches_entanglement_fidelity(params, channel, mode):
     """Closed form of the uniform average for a qubit channel,
     F = (2 F_e + 1) / 3 (Horodecki; Nielsen, quant-ph/0205035): a
     design-free route to the six-state Haar average."""
-    shared = protect(params, channel, mode)
+    shared = protect(*params, channel, mode)
     closed = (2.0 * _entanglement_fidelity(shared) + 1.0) / 3.0
     design = average_fidelity(shared, "haar")
     np.testing.assert_allclose(design, closed, rtol=0, atol=1e-12)
@@ -495,7 +530,7 @@ def test_fidelity_contraction_rejects_states_outside_measurement_span():
     # outcome probabilities sum to |g|_F^2 / 2: 4 for the stray state, 1.0201
     # for the scaled row of the stack
     stray = SharedState(PAPER, 2.0 * np.eye(2)[None])
-    g = np.stack([protect(p, ChannelSpec(k, r), PHYSICAL).branches for p, k, r in _KERNEL_GRID[:4]])
+    g = np.stack([protect(*p, ChannelSpec(k, r), PHYSICAL).branches for p, k, r in _KERNEL_GRID[:4]])
     g[2] *= 1.01
     for shared in (stray, g):
         with pytest.raises(ValueError, match="outside the measurement span"):
