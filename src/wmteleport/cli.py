@@ -9,15 +9,20 @@ compare    both protocols' F_max curves side by side, verdict on stdout
 reproduce  evaluate the bundled reference table, write JSON manifest
 
 Exit codes: 0 success, 1 check or reproduction failure, 2 usage error.
-All numeric CSV fields use 17-significant-digit decimals so values
+All numeric CSV fields are the `%.17g` text of their value, so values
 round-trip to the same doubles. A CSV is formatted and written one
-block of rows at a time, column by column: within a block, each
-distinct value is formatted once. No whole-file text is ever built.
+block of rows at a time, and no whole-file text is ever built. A block
+formats only the values it touches (an axis value once, not once per
+row), in one numpy pass whose bytes are those of `%.17g`; only edge
+cases, such as exact rounding ties, zeros and non-finite values, go
+through `%` one value at a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 
 import numpy as np
@@ -37,15 +42,23 @@ from .sweep import (
 from .teleport import MEASURES
 
 _FMT = "%.17g"
+# Bytes of one formatted value: the longest `_FMT` text is 24 bytes
+# (-2.2250738585072014e-308). A CSV block is laid out as one cell per
+# field, its NUL-padded text and the comma or newline after it; dropping
+# the NULs leaves the CSV text.
+_FIELD = 24
+_CELL = [("text", f"V{_FIELD}"), ("end", "S1")]
+_WORD = "<u8"
 # Rows formatted and written per block, so the text of at most this many
 # rows exists at once.
 _CSV_BLOCK_ROWS = 4096
 
 # Largest grid a sweep subcommand accepts. The sweep and the CSV both
 # work in bounded blocks, so a surface run's memory grows only with its
-# 8 B-per-cell result: a fresh 401x401 surface peaks at ~36 MiB and a
-# 1024x1024 one at ~43 MiB (the import alone is ~30 MiB). The limit
-# bounds run time: 1024x1024 takes ~3-4 s (2-vCPU x86).
+# 8 B-per-cell result: a fresh 401x401 surface peaks at ~37 MiB and a
+# 1024x1024 one at ~44 MiB (the import alone is ~30 MiB). The limit
+# bounds run time: a fresh 1024x1024 surface takes ~1.0-1.3 s (2-vCPU
+# x86), of which ~0.3 s is the sweep.
 MAX_GRID_CELLS = 1024 * 1024
 
 
@@ -55,33 +68,196 @@ def _write_text(path: str, texts) -> None:
         fh.writelines(texts)
 
 
-def _column_text(values: np.ndarray) -> list[str]:
-    """`_FMT` text of each float in `values`, formatting each distinct
-    bit pattern once. Bits, not values, so -0.0 and 0.0 keep their own
-    text."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = list(map(_FMT.__mod__, bits.view(np.float64).tolist()))
-    return list(map(texts.__getitem__, inverse.tolist()))
+@functools.cache
+def _text_tables():
+    """Lookup tables of `_field_text`, built on the first CSV block."""
+    # per four-digit group 0-9999: its ASCII bytes in string order as a
+    # little-endian word, and its trailing zeros
+    group = np.arange(10000, dtype=np.uint64)
+    ascii4 = sum((group // 10**(3 - i) % 10 + ord("0")) << (8 * i) for i in range(4))
+    zeros4 = sum((group % 10**i == 0) for i in range(1, 5)).astype(np.int64)
+    # 10**k, exact as a double for k <= 22
+    pow10 = np.array([float(10**k) for k in range(23)])
+    # keep[:, n]: the three words that mask the first n bytes of a text
+    keep = np.tril(np.full((_FIELD + 1, _FIELD), 0xFF, np.uint8), -1)
+    keep = keep.view(_WORD).T.copy()
+    # Per (decimal exponent X, sign): the sign, "0." and point bytes; the
+    # mask of the digits before the point; the shifts that place the
+    # digits before and after it. X = 16 stands for every value with no
+    # fraction digits left, which prints no point.
+    prefix = np.zeros((21, 2, _FIELD), np.uint8)
+    before = np.zeros((21, 2, 3), _WORD)
+    shifts = np.zeros((21, 2, 2), _WORD)
+    for x in range(-4, 17):
+        for neg in (0, 1):
+            head = prefix[x + 4, neg]
+            head[0] = neg * ord("-")
+            if x < 0:
+                head[neg:neg + 1 - x] = ord("0")
+                head[neg + 1] = ord(".")
+                shifts[x + 4, neg] = 8 * neg, 8 * (neg + 1 - x)
+            else:
+                if x < 16:
+                    head[neg + x + 1] = ord(".")
+                before[x + 4, neg] = keep[:, x + 1]
+                shifts[x + 4, neg] = 8 * neg, 8 * (neg + 1)
+    return (ascii4.astype(_WORD), zeros4, pow10, keep,
+            prefix.view(_WORD).reshape(42, 3).T.copy(),
+            before.reshape(42, 3).T.copy(), shifts.reshape(42, 2).T.copy())
 
 
-def _csv(head: str, columns) -> str:
+def _two_product(v: np.ndarray, s: np.ndarray):
+    """(p, e) with p = fl(v * s) and p + e = v * s exactly: Dekker's
+    product of Veltkamp-split factors (Numer. Math. 18, 224, 1971)."""
+    p = v * s
+    c = 134217729.0 * v  # 2**27 + 1
+    vh = c - (c - v)
+    vl = v - vh
+    c = 134217729.0 * s
+    sh = c - (c - s)
+    sl = s - sh
+    return p, ((vh * sh - p) + vh * sl + vl * sh) + vl * sl
+
+
+def _below(p: np.ndarray, e: np.ndarray, bound: float) -> np.ndarray:
+    """Whether the exact p + e lies below `bound`."""
+    return (p < bound) | ((p == bound) & (e < 0))
+
+
+def _shift_bytes(words: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Each column of the (3, n) little-endian byte strings `words`
+    moved `bits` (a multiple of 8 below 64) toward its end."""
+    out = words << bits
+    out[1:] |= (words[:-1] >> 1) >> (63 - bits)
+    return out
+
+
+def _field_text(values: np.ndarray) -> np.ndarray:
+    """`_FMT` text of each float of `values`, NUL-padded to `_FIELD`
+    bytes, as a 1-D array of void items.
+
+    A value of magnitude in [1e-5, 1e17) takes an exact numpy path: its
+    decimal exponent X, then D = round(|x| * 10**(16 - X)), its 17
+    significant digits, from Dekker's exact product. Those print in the
+    fixed notation `%.17g` uses for X in [-4, 16], without trailing
+    fraction zeros. Exact ties in that rounding, X outside [-4, 16],
+    zeros, subnormals and non-finite values are formatted one by one."""
+    ascii4, zeros4, pow10, keep, prefix, before, shifts = _text_tables()
+    n = values.size
+    mag = np.abs(values)
+    fast = (mag >= 1e-5) & (mag < 1e17)
+    mag[~fast] = 1.0
+    x = np.minimum(np.floor(np.log10(mag)), 16).astype(np.int64)
+    p, e = _two_product(mag, pow10[16 - x])
+    # log10 can miss by one next to a power of ten: one correction step
+    off = np.flatnonzero((p <= 1e16) | (p >= 1e17))
+    if off.size:
+        po, eo = p[off], e[off]
+        x[off] += ~_below(po, eo, 1e17)
+        x[off] -= _below(po, eo, 1e16)
+        xo = x[off]
+        po, eo = _two_product(mag[off], pow10[np.clip(16 - xo, 0, 22)])
+        p[off], e[off] = po, eo
+        fast[off] &= (xo >= -4) & ~_below(po, eo, 1e16) & _below(po, eo, 1e17)
+    # p >= 1e16 > 2**53 is an integer, so round(p + e) = p + rint(e).
+    # Rounding up to 10**17 would step the exponent; no double in range
+    # lies that close below a power of ten, and `%` would take it.
+    r = np.rint(e)
+    fast &= np.abs(e - r) != 0.5
+    digits = p.astype(np.int64) + r.astype(np.int64)
+    fast &= (x >= -4) & (x <= 16) & (digits < 10**17)
+    # the 17 digits as bytes 0-16 of three little-endian words
+    head8, tail9 = np.divmod(digits, 10**9)
+    tail8, digit16 = np.divmod(tail9, 10)
+    words = np.empty((3, n), _WORD)
+    for word, eight in zip(words, (head8, tail8)):
+        q, m = np.divmod(eight, 10**4)
+        np.left_shift(ascii4[m], 32, out=word)
+        word |= ascii4[q]
+    np.add(digit16, ord("0"), out=words[2], casting="unsafe")
+    # the last digit printed: trailing zeros of the fraction drop
+    last = np.full(n, 16)
+    ends = np.flatnonzero(digit16 == 0)
+    if ends.size:
+        def zeros8(eight):
+            q, m = np.divmod(eight, 10**4)
+            return zeros4[m] + (m == 0) * zeros4[q]
+        tail = tail8[ends]
+        last[ends] = 15 - zeros8(tail) - (tail == 0) * zeros8(head8[ends])
+    np.maximum(last, x, out=last)
+    words &= keep.take(last + 1, axis=1)
+    key = np.where(last > x, x, 16) * 2 + (values < 0) + 8
+    key[~fast] = 0
+    whole = words & before.take(key, axis=1)
+    shift = shifts.take(key, axis=1)
+    text = prefix.take(key, axis=1)
+    text |= _shift_bytes(whole, shift[0])
+    text |= _shift_bytes(words ^ whole, shift[1])
+    out = np.empty((n, 3), _WORD)
+    out.T[...] = text
+    out = out.view(f"V{_FIELD}")[:, 0]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        out[slow] = np.array([_FMT % v for v in values[slow].tolist()], f"S{_FIELD}")
+    return out
+
+
+def _block_values(column: np.ndarray, shape, start: int, stop: int):
+    """The values of the C-contiguous `column` that rows `start` to
+    `stop` of its broadcast to `shape` (C order) touch, and each row's
+    index into them: None when the values are the rows, or one value is
+    all of them."""
+    if column.size in (1, math.prod(shape)):
+        return column.reshape(-1)[start:stop] if column.size > 1 else column.reshape(1), None
+    rows = np.arange(start, stop)
+    index = np.zeros_like(rows)
+    stride = 1
+    own = (1,) * (len(shape) - column.ndim) + column.shape
+    for n, m in zip(reversed(shape), reversed(own)):
+        if m > 1:
+            index += rows % n * stride
+            stride *= m
+        if n > 1:
+            rows //= n
+    low = index.min()
+    return column.reshape(-1)[low:index.max() + 1], index - low
+
+
+def _csv(head: str, columns, shape, start: int, cells: np.ndarray) -> str:
     """CSV text of one block: `head` (the header line, or "" after the
-    first block), then one line per element of the equal-length 1-D
-    float64 `columns`."""
-    lines = "\n".join(map(",".join, zip(*map(_column_text, columns))))
-    return head + lines + "\n" if lines else head
+    first block), then one line for each of the rows from `start` of the
+    float64 `columns` broadcast to `shape`, in C order. `cells` is the
+    block's (rows, columns) `_CELL` array with the separators in place;
+    its texts are overwritten. Only the values the block touches are
+    formatted, all in one call."""
+    if not cells.size:
+        return head
+    spans = [_block_values(c, shape, start, start + len(cells)) for c in columns]
+    text = _field_text(np.concatenate([values for values, _ in spans]))
+    end = 0
+    for texts, (values, index) in zip(cells["text"].T, spans):
+        part = text[end:end + values.size]
+        texts[...] = part if index is None else part[index]
+        end += values.size
+    raw = cells.view(np.uint8)
+    return head + str(raw[raw != 0], "ascii")
 
 
 def _csv_blocks(header: str, columns):
     """CSV text in blocks of `_CSV_BLOCK_ROWS` rows, the header line with
     the first: one row per element of the columns' common broadcast
     shape, in C order. Broadcasting lets an axis or a constant stand for
-    a whole column without being copied out."""
-    cols = np.broadcast_arrays(*(np.asarray(c, dtype=np.float64) for c in columns))
+    a whole column without being copied out or formatted per row."""
+    columns = [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    size = math.prod(shape)
+    cells = np.empty((min(size, _CSV_BLOCK_ROWS), len(columns)), _CELL)
+    cells["end"] = b","
+    cells["end"][:, -1] = b"\n"
     head = header + "\n"
     # at least one block, so a CSV with no rows still gets its header
-    for start in range(0, max(cols[0].size, 1), _CSV_BLOCK_ROWS):
-        yield _csv(head, [c.flat[start:start + _CSV_BLOCK_ROWS] for c in cols])
+    for start in range(0, max(size, 1), _CSV_BLOCK_ROWS):
+        yield _csv(head, columns, shape, start, cells[:size - start])
         head = ""
 
 

@@ -69,8 +69,9 @@ __all__ = [
 
 def _validate_axis(name: str, values) -> np.ndarray:
     """A nonempty, finite, strictly ascending 1-D axis as a read-only
-    float array; the caller checks its range."""
-    arr = np.asarray(values, dtype=float)
+    float copy, so the caller's own array stays writable; the caller
+    checks its range."""
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"axis {name} must be a nonempty 1-D array")
     if not np.isfinite(arr).all():

@@ -150,6 +150,70 @@ def test_csv_matches_reference_on_repeated_values(pool, picks, block_rows):
     assert got == reference_csv(header, zip(*columns))
 
 
+@pytest.mark.parametrize("block_rows", [1, 7, 4096])
+def test_csv_rows_follow_numpy_broadcasting(block_rows):
+    # a block may start mid-row of any axis; a column may broadcast along
+    # any subset of them
+    rng = np.random.default_rng(3)
+    columns = [rng.random((3, 1, 1)), rng.random((1, 4, 1)) - 0.5, rng.random((3, 4, 1)),
+               rng.random(5), np.array([0.25])]
+    rows = zip(*(c.reshape(-1) for c in np.broadcast_arrays(*columns)))
+    with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
+        got = "".join(cli._csv_blocks("a,b,c,d,e", columns))
+    assert got == reference_csv("a,b,c,d,e", rows)
+
+
+def _exactness_values():
+    """About 1.1M seeded doubles for the formatter: the bulk, both sides
+    of every edge of its exact path, and the values it leaves to `%`."""
+    rng = np.random.default_rng(20251019)
+    bulk = [
+        rng.random(400_000),  # fidelities
+        10.0 ** rng.uniform(-4.0, 16.0, 300_000),  # the fixed-notation span
+        -(10.0 ** rng.uniform(-7.0, 19.0, 200_000)),  # negatives, and both ends beyond it
+        rng.integers(1, 10**6, 50_000) * 10.0 ** rng.integers(0, 11, 50_000),  # integers
+    ]
+    # Exact ties of the 17-digit rounding: for an odd j below 2**53 and
+    # X in [-4, 15], x = j / 2**(17 - X) makes x * 10**(16 - X) = j * 5**(16 - X) / 2.
+    ties = []
+    for x in range(-4, 16):
+        scale = 2 ** (17 - x)
+        top = min(10.0 ** (x + 1) * scale, 2.0**53)
+        ties.append((2 * rng.integers(10.0**x * scale // 2, top // 2, 3_000) + 1) / scale)
+    ties = np.concatenate(ties)
+    # powers of ten, where log10 can miss and the exponent steps
+    tens = np.array([10.0**k for k in range(-7, 19)] + [float(f"1e{k}") for k in range(-7, 19)])
+    edges = np.concatenate([ties, tens, 9.5 * tens, 0.95 * tens])
+    near = [np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)]
+    axes = [np.linspace(0.0, math.pi / 2, n) for n in (401, 1024)]
+    axes += [np.linspace(-1.0, 1.0, n) for n in (401, 1024)]
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+               np.nextafter(2.2250738585072014e-308, 0.0), 1.0, np.nextafter(1.0, 0.0),
+               np.nextafter(0.1, 0.0), 1.7976931348623157e308, 2.0**53, 2.0**53 + 2.0,
+               100.0, 1200.0, 1e15, 123456789012340.0, 0.5, 0.25, 1e16 - 2.0]
+    return np.concatenate([*bulk, *near, *axes, special])
+
+
+def test_field_text_is_percent_17g():
+    values = _exactness_values()
+    assert values.size > 1_000_000
+    # in CSV-block-sized calls, as the writer makes them
+    blocks = np.array_split(values, values.size // cli._CSV_BLOCK_ROWS)
+    got = np.concatenate([cli._field_text(b) for b in blocks]).view(f"S{cli._FIELD}")
+    want = np.array(list(map("%.17g".__mod__, values.tolist())), dtype=got.dtype)
+    wrong = np.flatnonzero(got != want)
+    assert wrong.size == 0, [(values[i], got[i], want[i]) for i in wrong[:5]]
+
+
+def test_fidelities_take_the_exact_path():
+    # `%` formats only the edge cases, never the bulk: with `_FMT`
+    # swapped for repr, a value it formatted would read differently
+    values = np.random.default_rng(7).random(cli._CSV_BLOCK_ROWS)
+    with mock.patch.object(cli, "_FMT", "%r"):
+        got = cli._field_text(values).view(f"S{cli._FIELD}")
+    assert (got == np.array(["%.17g" % v for v in values.tolist()], dtype=got.dtype)).all()
+
+
 def _bits_equal(got, want):
     got, want = np.asarray(got, dtype=float), np.broadcast_to(want, np.shape(got))
     nan = np.isnan(want)
@@ -180,6 +244,22 @@ def test_surface_fields_are_the_sweep_bits(protocol, channel, mode, r, tmp_path,
     assert _bits_equal(got[2], grid.r_values[0])
     assert _bits_equal(got[3], result.fidelity.reshape(-1))
     assert _bits_equal(got[4], result.baseline[0])
+
+
+# 129 x 129 rows are five CSV blocks. Protocol II at r = 1 (bit flip)
+# has negative axis values and annihilated cells.
+@pytest.mark.parametrize("mode", ["paper", "physical"])
+@pytest.mark.parametrize("protocol, channel, r", [("I", "adc", "0.37"), ("II", "bfc", "1")])
+def test_surface_csv_is_the_row_wise_text(protocol, channel, r, mode, tmp_path, capsys):
+    out = tmp_path / "surface.csv"
+    n = 129
+    assert cli.main(["surface", "--protocol", protocol, "--channel", channel, "--mode", mode,
+                     "--r", r, "--resolution", str(n), "--out", str(out)]) == 0
+    grid = default_grid(protocol, [float(r)], n, mode)
+    result = sweep(grid, channel, "polar")
+    rows = zip(np.repeat(grid.axis1, n), np.tile(grid.axis2, n), [grid.r_values[0]] * n * n,
+               result.fidelity.reshape(-1), [result.baseline[0]] * n * n)
+    assert out.read_text() == reference_csv("axis1,axis2,r,fidelity,baseline", rows)
 
 
 def test_fmax_and_compare_csv_match_reference(tmp_path, capsys):

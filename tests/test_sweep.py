@@ -61,6 +61,16 @@ def test_grid_validation():
         default_grid("I", np.array([0.5]), resolution=0)
 
 
+def test_grid_copies_the_caller_axes():
+    # the grid freezes its own copies; the caller's arrays stay writable
+    a1, a2, r = np.linspace(0.0, 1.0, 5), np.array([0.5]), np.array([0.5])
+    grid = SweepGrid("I", a1, a2, r)
+    a1[0] = 0.1
+    r[0] = 0.9
+    assert grid.axis1[0] == 0.0 and grid.r_values[0] == 0.5
+    assert not (grid.axis1.flags.writeable or grid.axis2.flags.writeable)
+
+
 def test_grid_axis_names_fill_in():
     grid = default_grid("I", np.array([0.5]), resolution=3)
     assert (grid.axis1_name, grid.axis2_name) == ("omega", "q")
