@@ -81,29 +81,25 @@ def _text_tables():
     # keep[:, n]: the three words that mask the first n bytes of a text
     keep = np.tril(np.full((_FIELD + 1, _FIELD), 0xFF, np.uint8), -1)
     keep = keep.view(_WORD).T.copy()
-    # Per (decimal exponent X, sign): the sign, "0." and point bytes; the
-    # mask of the digits before the point; the shifts that place the
-    # digits before and after it. X = 16 stands for every value with no
-    # fraction digits left, which prints no point.
-    prefix = np.zeros((21, 2, _FIELD), np.uint8)
-    before = np.zeros((21, 2, 3), _WORD)
-    shifts = np.zeros((21, 2, 2), _WORD)
+    # Per decimal exponent X: the "0." or point bytes; the mask of the
+    # digits before the point; the shift that places the digits after
+    # it. X = 16 stands for every value with no fraction digits left,
+    # which prints no point.
+    prefix = np.zeros((21, _FIELD), np.uint8)
+    before = np.zeros((21, 3), _WORD)
+    shifts = np.zeros(21, _WORD)
     for x in range(-4, 17):
-        for neg in (0, 1):
-            head = prefix[x + 4, neg]
-            head[0] = neg * ord("-")
-            if x < 0:
-                head[neg:neg + 1 - x] = ord("0")
-                head[neg + 1] = ord(".")
-                shifts[x + 4, neg] = 8 * neg, 8 * (neg + 1 - x)
-            else:
-                if x < 16:
-                    head[neg + x + 1] = ord(".")
-                before[x + 4, neg] = keep[:, x + 1]
-                shifts[x + 4, neg] = 8 * neg, 8 * (neg + 1)
+        if x < 0:
+            prefix[x + 4, :1 - x] = ord("0")
+            prefix[x + 4, 1] = ord(".")
+            shifts[x + 4] = 8 * (1 - x)
+        else:
+            if x < 16:
+                prefix[x + 4, x + 1] = ord(".")
+            before[x + 4] = keep[:, x + 1]
+            shifts[x + 4] = 8
     return (ascii4.astype(_WORD), zeros4, pow10, keep,
-            prefix.view(_WORD).reshape(42, 3).T.copy(),
-            before.reshape(42, 3).T.copy(), shifts.reshape(42, 2).T.copy())
+            prefix.view(_WORD).T.copy(), before.T.copy(), shifts)
 
 
 def _two_product(v: np.ndarray, s: np.ndarray):
@@ -136,17 +132,17 @@ def _field_text(values: np.ndarray) -> np.ndarray:
     """`_FMT` text of each float of `values`, NUL-padded to `_FIELD`
     bytes, as a 1-D array of void items.
 
-    A value of magnitude in [1e-5, 1e17) takes an exact numpy path: its
-    decimal exponent X, then D = round(|x| * 10**(16 - X)), its 17
+    A value in [1e-5, 1e17) takes an exact numpy path: its decimal
+    exponent X, then D = round(x * 10**(16 - X)), its 17
     significant digits, from Dekker's exact product. Those print in the
     fixed notation `%.17g` uses for X in [-4, 16], without trailing
     fraction zeros. Exact ties in that rounding, X outside [-4, 16],
-    zeros, subnormals and non-finite values are formatted one by one."""
+    negative values, zeros, subnormals and non-finite values are
+    formatted one by one."""
     ascii4, zeros4, pow10, keep, prefix, before, shifts = _text_tables()
     n = values.size
-    mag = np.abs(values)
-    fast = (mag >= 1e-5) & (mag < 1e17)
-    mag[~fast] = 1.0
+    fast = (values >= 1e-5) & (values < 1e17)
+    mag = np.where(fast, values, 1.0)
     x = np.minimum(np.floor(np.log10(mag)), 16).astype(np.int64)
     p, e = _two_product(mag, pow10[16 - x])
     # log10 can miss by one next to a power of ten: one correction step
@@ -186,13 +182,11 @@ def _field_text(values: np.ndarray) -> np.ndarray:
         last[ends] = 15 - zeros8(tail) - (tail == 0) * zeros8(head8[ends])
     np.maximum(last, x, out=last)
     words &= keep.take(last + 1, axis=1)
-    key = np.where(last > x, x, 16) * 2 + (values < 0) + 8
+    key = np.where(last > x, x, 16) + 4
     key[~fast] = 0
     whole = words & before.take(key, axis=1)
-    shift = shifts.take(key, axis=1)
-    text = prefix.take(key, axis=1)
-    text |= _shift_bytes(whole, shift[0])
-    text |= _shift_bytes(words ^ whole, shift[1])
+    text = prefix.take(key, axis=1) | whole
+    text |= _shift_bytes(words ^ whole, shifts.take(key))
     out = np.empty((n, 3), _WORD)
     out.T[...] = text
     out = out.view(f"V{_FIELD}")[:, 0]

@@ -170,7 +170,8 @@ def _exactness_values():
     bulk = [
         rng.random(400_000),  # fidelities
         10.0 ** rng.uniform(-4.0, 16.0, 300_000),  # the fixed-notation span
-        -(10.0 ** rng.uniform(-7.0, 19.0, 200_000)),  # negatives, and both ends beyond it
+        10.0 ** rng.uniform(-7.0, 19.0, 100_000),  # both ends beyond it
+        -rng.random(50_000),  # negatives
         rng.integers(1, 10**6, 50_000) * 10.0 ** rng.integers(0, 11, 50_000),  # integers
     ]
     # Exact ties of the 17-digit rounding: for an odd j below 2**53 and
@@ -179,7 +180,7 @@ def _exactness_values():
     for x in range(-4, 16):
         scale = 2 ** (17 - x)
         top = min(10.0 ** (x + 1) * scale, 2.0**53)
-        ties.append((2 * rng.integers(10.0**x * scale // 2, top // 2, 3_000) + 1) / scale)
+        ties.append((2 * rng.integers(int(10.0**x * scale) // 2, int(top) // 2, 3_000) + 1) / scale)
     ties = np.concatenate(ties)
     # powers of ten, where log10 can miss and the exponent steps
     tens = np.array([10.0**k for k in range(-7, 19)] + [float(f"1e{k}") for k in range(-7, 19)])
