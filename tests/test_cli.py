@@ -248,7 +248,7 @@ def test_surface_fields_are_the_sweep_bits(protocol, channel, mode, r, tmp_path,
 
 
 # 129 x 129 rows are five CSV blocks. Protocol II at r = 1 (bit flip)
-# has negative axis values and annihilated cells.
+# has an annihilated cell.
 @pytest.mark.parametrize("mode", ["paper", "physical"])
 @pytest.mark.parametrize("protocol, channel, r", [("I", "adc", "0.37"), ("II", "bfc", "1")])
 def test_surface_csv_is_the_row_wise_text(protocol, channel, r, mode, tmp_path, capsys):
