@@ -11,11 +11,14 @@ reproduce  evaluate the bundled reference table, write JSON manifest
 Exit codes: 0 success, 1 check or reproduction failure, 2 usage error.
 All numeric CSV fields are the `%.17g` text of their value, so values
 round-trip to the same doubles. A CSV is formatted and written one
-block of rows at a time, and no whole-file text is ever built. A block
-formats only the values it touches (an axis value once, not once per
-row), in one numpy pass whose bytes are those of `%.17g`; only edge
-cases, such as exact rounding ties, zeros and non-finite values, go
-through `%` one value at a time.
+block of whole leading-axis rows at a time, and no whole-file text is
+ever built. A block formats only the values it touches (an axis value
+once, not once per row), in one numpy pass whose bytes are those of
+`%.17g`; only edge cases, such as exact rounding ties, zeros and
+non-finite values, go through `%` one value at a time. A column
+constant along the leading axis (a surface's axis2, r and baseline)
+is formatted once per file. Each block is laid out in one reused
+buffer, every cell as wide as its column's widest text in the block.
 """
 
 from __future__ import annotations
@@ -43,14 +46,11 @@ from .teleport import MEASURES
 
 _FMT = "%.17g"
 # Bytes of one formatted value: the longest `_FMT` text is 24 bytes
-# (-2.2250738585072014e-308). A CSV block is laid out as one cell per
-# field, its NUL-padded text and the comma or newline after it; dropping
-# the NULs leaves the CSV text.
+# (-2.2250738585072014e-308).
 _FIELD = 24
-_CELL = [("text", f"V{_FIELD}"), ("end", "S1")]
 _WORD = "<u8"
 # Rows formatted and written per block, so the text of at most this many
-# rows exists at once.
+# rows exists at once; more when one index of the leading axis spans more.
 _CSV_BLOCK_ROWS = 4096
 
 # Largest grid a sweep subcommand accepts. The sweep and the CSV both
@@ -87,7 +87,7 @@ def _text_tables():
     # which prints no point.
     prefix = np.zeros((21, _FIELD), np.uint8)
     before = np.zeros((21, 3), _WORD)
-    shifts = np.zeros(21, _WORD)
+    shifts = np.zeros(21, int)
     for x in range(-4, 17):
         if x < 0:
             prefix[x + 4, :1 - x] = ord("0")
@@ -99,7 +99,7 @@ def _text_tables():
             before[x + 4] = keep[:, x + 1]
             shifts[x + 4] = 8
     return (ascii4.astype(_WORD), zeros4, pow10, keep,
-            prefix.view(_WORD).T.copy(), before.T.copy(), shifts)
+            prefix.view(_WORD)[:, :, None], before[:, :, None], shifts.tolist())
 
 
 def _two_product(v: np.ndarray, s: np.ndarray):
@@ -120,25 +120,31 @@ def _below(p: np.ndarray, e: np.ndarray, bound: float) -> np.ndarray:
     return (p < bound) | ((p == bound) & (e < 0))
 
 
-def _shift_bytes(words: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Each column of the (3, n) little-endian byte strings `words`
-    moved `bits` (a multiple of 8 below 64) toward its end."""
-    out = words << bits
-    out[1:] |= (words[:-1] >> 1) >> (63 - bits)
-    return out
+def _lay_out(words: np.ndarray, prefix, before, shift: int) -> np.ndarray:
+    """The (3, n) little-endian byte strings `words` of digits laid out
+    for one decimal exponent: the digits `before` masks stay, `prefix`
+    fills in "0." or the point, and the rest move `shift` bits (a
+    multiple of 8 in [8, 40]) toward the end."""
+    whole = words & before
+    rest = words ^ whole
+    text = whole | prefix
+    text |= rest << shift
+    text[1:] |= rest[:-1] >> (64 - shift)
+    return text
 
 
-def _field_text(values: np.ndarray) -> np.ndarray:
+def _field_text(values: np.ndarray):
     """`_FMT` text of each float of `values`, NUL-padded to `_FIELD`
-    bytes, as a 1-D array of void items.
+    bytes, as the rows of an (n, `_FIELD`) uint8 matrix, and the length
+    of each text.
 
     A value in [1e-5, 1e17) takes an exact numpy path: its decimal
     exponent X, then D = round(x * 10**(16 - X)), its 17
     significant digits, from Dekker's exact product. Those print in the
     fixed notation `%.17g` uses for X in [-4, 16], without trailing
-    fraction zeros. Exact ties in that rounding, X outside [-4, 16],
-    negative values, zeros, subnormals and non-finite values are
-    formatted one by one."""
+    fraction zeros, laid out once per exponent the block has. Exact
+    ties in that rounding, X outside [-4, 16], negative values, zeros,
+    subnormals and non-finite values are formatted one by one."""
     ascii4, zeros4, pow10, keep, prefix, before, shifts = _text_tables()
     n = values.size
     fast = (values >= 1e-5) & (values < 1e17)
@@ -182,76 +188,98 @@ def _field_text(values: np.ndarray) -> np.ndarray:
         last[ends] = 15 - zeros8(tail) - (tail == 0) * zeros8(head8[ends])
     np.maximum(last, x, out=last)
     words &= keep.take(last + 1, axis=1)
-    key = np.where(last > x, x, 16) + 4
+    fraction = last > x
+    size = last + 1 + fraction - np.minimum(x, 0)
+    key = np.where(fraction, x, 16) + 4
     key[~fast] = 0
-    whole = words & before.take(key, axis=1)
-    text = prefix.take(key, axis=1) | whole
-    text |= _shift_bytes(words ^ whole, shifts.take(key))
+    # one layout per exponent: the commonest over all values, then the
+    # others over their own
+    counts = np.bincount(key, minlength=21)
+    common = int(counts.argmax())
+    text = _lay_out(words, prefix[common], before[common], shifts[common])
+    for k in np.flatnonzero(counts).tolist():
+        if k != common:
+            group = np.flatnonzero(key == k)
+            text[:, group] = _lay_out(words[:, group], prefix[k], before[k], shifts[k])
     out = np.empty((n, 3), _WORD)
     out.T[...] = text
-    out = out.view(f"V{_FIELD}")[:, 0]
     slow = np.flatnonzero(~fast)
     if slow.size:
-        out[slow] = np.array([_FMT % v for v in values[slow].tolist()], f"S{_FIELD}")
-    return out
+        texts = [_FMT % v for v in values[slow].tolist()]
+        out.view(f"S{_FIELD}")[slow, 0] = texts
+        size[slow] = list(map(len, texts))
+    return out.view(np.uint8), size
 
 
-def _block_values(column: np.ndarray, shape, start: int, stop: int):
-    """The values of the C-contiguous `column` that rows `start` to
-    `stop` of its broadcast to `shape` (C order) touch, and each row's
-    index into them: None when the values are the rows, or one value is
-    all of them."""
-    if column.size in (1, math.prod(shape)):
-        return column.reshape(-1)[start:stop] if column.size > 1 else column.reshape(1), None
-    rows = np.arange(start, stop)
-    index = np.zeros_like(rows)
-    stride = 1
-    own = (1,) * (len(shape) - column.ndim) + column.shape
-    for n, m in zip(reversed(shape), reversed(own)):
-        if m > 1:
-            index += rows % n * stride
-            stride *= m
-        if n > 1:
-            rows //= n
-    low = index.min()
-    return column.reshape(-1)[low:index.max() + 1], index - low
+class _Block:
+    """A CSV file's reused block buffer. A block is `step` indices of the
+    leading axis of `shape`, `step * tail` rows, laid out as (rows, W)
+    uint8: per column a cell as wide as its widest text in the block,
+    the text NUL-padded, then a comma or newline. Dropping the NULs
+    leaves the CSV text."""
+
+    def __init__(self, shape, columns: int):
+        self.shape = shape
+        self.tail = math.prod(shape[1:])
+        self.step = max(1, min(shape[0], _CSV_BLOCK_ROWS // max(self.tail, 1)))
+        self.buf = np.empty(self.step * self.tail * columns * (_FIELD + 1), np.uint8)
+        # per column: its texts, the widest one's length, and the shape
+        # that broadcasts to the block's
+        self.texts = [None] * columns
+        self.widths = None
 
 
-def _csv(head: str, columns, shape, start: int, cells: np.ndarray) -> str:
+def _csv(head: str, columns, start: int, block: _Block) -> str:
     """CSV text of one block: `head` (the header line, or "" after the
-    first block), then one line for each of the rows from `start` of the
-    float64 `columns` broadcast to `shape`, in C order. `cells` is the
-    block's (rows, columns) `_CELL` array with the separators in place;
-    its texts are overwritten. Only the values the block touches are
-    formatted, all in one call."""
-    if not cells.size:
+    first block), then one line for each row of the leading-axis
+    indices `start` to `start + block.step` of the float64 `columns`
+    broadcast to `block.shape`, in C order. Only the values the block
+    touches are formatted, all in one call. A column constant along the
+    leading axis has the same texts in every block: the first block
+    formats and places them, and later ones place them again only when
+    the cell widths change."""
+    parts = [c[start:start + block.step] for c in columns]
+    rows = (min(start + block.step, block.shape[0]) - start) * block.tail
+    if not rows:
         return head
-    spans = [_block_values(c, shape, start, start + len(cells)) for c in columns]
-    text = _field_text(np.concatenate([values for values, _ in spans]))
+    text, size = _field_text(np.concatenate([part.reshape(-1) for part in parts]))
     end = 0
-    for texts, (values, index) in zip(cells["text"].T, spans):
-        part = text[end:end + values.size]
-        texts[...] = part if index is None else part[index]
-        end += values.size
-    raw = cells.view(np.uint8)
+    for j, part in enumerate(parts):
+        if part.size:
+            stop = end + part.size
+            block.texts[j] = text[end:stop], int(size[end:stop].max()), part.shape
+            end = stop
+    widths = [width for _, width, _ in block.texts]
+    raw = block.buf[:block.step * block.tail * (sum(widths) + len(widths))]
+    raw = raw.reshape(block.step * block.tail, -1)[:rows]
+    ends = np.cumsum(widths) + np.arange(len(widths))
+    relaid = widths != block.widths
+    if relaid:
+        block.widths = widths
+        raw[:, ends] = ord(",")
+        raw[:, -1] = ord("\n")
+    for (text, width, shape), part, stop in zip(block.texts, parts, ends):
+        if relaid or part.size:
+            cells = raw[:, stop - width:stop].view(f"V{width}").reshape(-1, *block.shape[1:])
+            cells[...] = text[:, :width].view(f"V{width}").reshape(shape)
+    raw = raw.reshape(-1)
     return head + str(raw[raw != 0], "ascii")
 
 
 def _csv_blocks(header: str, columns):
-    """CSV text in blocks of `_CSV_BLOCK_ROWS` rows, the header line with
-    the first: one row per element of the columns' common broadcast
-    shape, in C order. Broadcasting lets an axis or a constant stand for
-    a whole column without being copied out or formatted per row."""
+    """CSV text in blocks of whole indices of the leading axis, about
+    `_CSV_BLOCK_ROWS` rows each, the header line with the first: one row
+    per element of the columns' common broadcast shape, in C order.
+    Broadcasting lets an axis or a constant stand for a whole column
+    without being copied out or formatted per row."""
     columns = [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
-    shape = np.broadcast_shapes(*(c.shape for c in columns))
-    size = math.prod(shape)
-    cells = np.empty((min(size, _CSV_BLOCK_ROWS), len(columns)), _CELL)
-    cells["end"] = b","
-    cells["end"][:, -1] = b"\n"
+    shape = np.broadcast_shapes((1,), *(c.shape for c in columns))
+    columns = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in columns]
+    block = _Block(shape, len(columns))
     head = header + "\n"
     # at least one block, so a CSV with no rows still gets its header
-    for start in range(0, max(size, 1), _CSV_BLOCK_ROWS):
-        yield _csv(head, columns, shape, start, cells[:size - start])
+    for start in range(0, max(shape[0], 1), block.step):
+        yield _csv(head, columns, start, block)
         head = ""
 
 

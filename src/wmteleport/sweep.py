@@ -15,15 +15,15 @@ block size moves no bits. The package's one unprotected baseline,
 `unprotected_baseline`, contracts the bare Kraus operators the same way.
 
 Each thread keeps one workspace: a flat buffer each for the branch
-matrices, the paper-mode coherent sum, the squared amplitudes and one
-batch of amplitudes, which every block writes through `out=`. A buffer
-grows to the largest block it has served, never past one
-`_BLOCK_CELLS` block (4 MiB in all); a larger block, one axis-1 row
-wider than that, gets fresh arrays. No view of the workspace leaves
-`sweep`: the fidelities and the baseline are fresh arrays. A 101x101
-slab takes about 2-4 ms and a 401x401 slab about 25-50 ms (2-vCPU x86
-machine, numpy with OpenBLAS); cells agree with `protect` +
-`average_fidelity` run cell by cell to about 1e-15.
+matrices, the paper-mode coherent sum, the squared amplitudes, each
+cell's norm and amplitude sum, and one batch of amplitudes, which every
+block writes through `out=`. A buffer grows to the largest block it has
+served, never past one `_BLOCK_CELLS` block (4.25 MiB in all); a larger
+block, one axis-1 row wider than that, gets fresh arrays. No view of the
+workspace leaves `sweep`: the fidelities and the baseline are fresh
+arrays. A 101x101 slab takes about 2-4 ms and a 401x401 slab about
+25-50 ms (2-vCPU x86 machine, numpy with OpenBLAS); cells agree with
+`protect` + `average_fidelity` run cell by cell to about 1e-15.
 
 Cells whose parameters annihilate every branch (which happens at
 degenerate corners such as omega=0 with q=0) are recorded as NaN and
@@ -233,7 +233,8 @@ def _fidelity_slab(
     g = branches.reshape(cells, nk, 4)
     if mode is PipelineMode.PAPER_LITERAL:
         g = np.einsum("xkc->xc", g, out=_scratch("coherent", (cells, 4), cells))[:, None]
-    den = 0.5 * np.einsum("xkc,xkc->x", g, g)
+    den = np.einsum("xkc,xkc->x", g, g, out=_scratch("den", (cells,), cells))
+    den *= 0.5
     rows = g.reshape(-1, 4)
     sq = _scratch("sq", (rows.shape[0],), cells)
     amp = _scratch("amp", (min(rows.shape[0], _BATCH_ROWS), v.shape[1]), cells)
@@ -243,7 +244,8 @@ def _fidelity_slab(
         np.multiply(a, a, out=a)
         # pairwise row sum (not einsum's running sum): noiseless cells stay 1
         np.add.reduce(a, axis=1, out=sq[start:start + _BATCH_ROWS])
-    num = sq.reshape(cells, -1).sum(axis=1) / len(design_inputs(measure))
+    num = np.add.reduce(sq.reshape(cells, -1), axis=1, out=_scratch("num", (cells,), cells))
+    num /= len(design_inputs(measure))
     out = np.full(cells, np.nan)
     np.divide(num, den, out=out, where=den >= ZERO_NORM_TOL)
     return np.clip(out, 0.0, 1.0, out=out).reshape(n1, n2)

@@ -163,6 +163,44 @@ def test_csv_rows_follow_numpy_broadcasting(block_rows):
     assert got == reference_csv("a,b,c,d,e", rows)
 
 
+_TINY = -2.2250738585072014e-308  # the longest `%.17g` text, 24 bytes
+# (block rows, columns): with 3 block rows and a trailing axis of 3, each
+# block is one index of the leading axis. Within a block a column's
+# cells are as wide as its widest text there, so the layout of the
+# reused buffer changes with the first column; the (1, n) columns are
+# the same in every block and are formatted and placed only once.
+_BUFFER_REUSE = {
+    "wide_then_narrow": (3, [
+        np.array([[_TINY], [0.5], [2.0]]),
+        np.array([[np.nan, -0.0, 1e-300]]),
+        np.array([[1e-300, 0.25, 0.5], [0.25, 1e-300, 0.5], [0.5, 0.5, 0.5]]),
+        np.array(1e22),
+    ]),
+    "narrow_then_wide": (3, [
+        np.array([[2.0], [0.5], [_TINY]]),
+        np.array([[-0.0, 1e-300, np.nan]]),
+        np.array([[0.5, 0.5, 0.5], [0.25, 0.5, 1e-300], [1e-300, 0.5, _TINY]]),
+        np.array(1e22),
+    ]),
+    # a trailing axis longer than a block: each block holds one whole index
+    "long_trailing_axis": (2, [
+        np.array([[0.5], [_TINY], [3.0]]),
+        np.array([[np.nan, -0.0, 1e-300, 0.5, 1.0 / 3.0]]),
+        np.arange(15.0).reshape(3, 5) / 7.0,
+    ]),
+}
+
+
+@pytest.mark.parametrize("block_rows, columns", _BUFFER_REUSE.values(), ids=_BUFFER_REUSE)
+def test_reused_block_buffer_keeps_no_stale_bytes(block_rows, columns):
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    rows = zip(*(c.reshape(-1) for c in np.broadcast_arrays(*columns)))
+    with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
+        blocks = list(cli._csv_blocks(header, columns))
+    assert len(blocks) == 3
+    assert "".join(blocks) == reference_csv(header, rows)
+
+
 def _exactness_values():
     """About 1.1M seeded doubles for the formatter: the bulk, both sides
     of every edge of its exact path, and the values it leaves to `%`."""
@@ -200,10 +238,12 @@ def test_field_text_is_percent_17g():
     assert values.size > 1_000_000
     # in CSV-block-sized calls, as the writer makes them
     blocks = np.array_split(values, values.size // cli._CSV_BLOCK_ROWS)
-    got = np.concatenate([cli._field_text(b) for b in blocks]).view(f"S{cli._FIELD}")
+    texts, sizes = zip(*map(cli._field_text, blocks))
+    got = np.concatenate(texts).view(f"S{cli._FIELD}")[:, 0]
     want = np.array(list(map("%.17g".__mod__, values.tolist())), dtype=got.dtype)
     wrong = np.flatnonzero(got != want)
     assert wrong.size == 0, [(values[i], got[i], want[i]) for i in wrong[:5]]
+    assert np.array_equal(np.concatenate(sizes), np.char.str_len(want))
 
 
 def test_fidelities_take_the_exact_path():
@@ -211,7 +251,7 @@ def test_fidelities_take_the_exact_path():
     # swapped for repr, a value it formatted would read differently
     values = np.random.default_rng(7).random(cli._CSV_BLOCK_ROWS)
     with mock.patch.object(cli, "_FMT", "%r"):
-        got = cli._field_text(values).view(f"S{cli._FIELD}")
+        got = cli._field_text(values)[0].view(f"S{cli._FIELD}")[:, 0]
     assert (got == np.array(["%.17g" % v for v in values.tolist()], dtype=got.dtype)).all()
 
 
@@ -280,11 +320,27 @@ def test_fmax_and_compare_csv_match_reference(tmp_path, capsys):
     )
 
 
-def test_surface_memory_does_not_grow_with_the_grid(tmp_path, capsys):
+def _spy_on_blocks(monkeypatch):
+    """Record each CSV block's buffer capacity and line count, in rows."""
+    seen = []
+    csv = cli._csv
+
+    def spy(head, columns, start, block):
+        text = csv(head, columns, start, block)
+        capacity = block.buf.size // (len(columns) * (cli._FIELD + 1))
+        seen.append((capacity, text.count("\n") - head.count("\n")))
+        return text
+
+    monkeypatch.setattr(cli, "_csv", spy)
+    return seen
+
+
+def test_surface_memory_does_not_grow_with_the_grid(tmp_path, capsys, monkeypatch):
     # The sweep and the CSV work in bounded blocks, so a 301 x 301 surface
     # traces only its 0.7 MiB result above a few MiB of block buffers.
     argv = ["surface", "--protocol", "I", "--channel", "adc", "--r", "0.5"]
     assert cli.main([*argv, "--resolution", "3", "--out", str(tmp_path / "warm.csv")]) == 0
+    seen = _spy_on_blocks(monkeypatch)
     tracemalloc.start()
     try:
         rc = cli.main([*argv, "--resolution", "301", "--out", str(tmp_path / "s.csv")])
@@ -293,6 +349,26 @@ def test_surface_memory_does_not_grow_with_the_grid(tmp_path, capsys):
         tracemalloc.stop()
     assert rc == 0
     assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    # blocks of whole axis-1 rows never hold more than the block rows
+    assert max(max(block) for block in seen) <= max(301, cli._CSV_BLOCK_ROWS)
+    assert sum(lines for _, lines in seen) == 301 * 301
+
+
+# (block rows, shape): blocks of whole leading-axis indices hold at most
+# max(trailing size, block rows) rows, and no more than the CSV has (or
+# one, for a CSV of no rows).
+@pytest.mark.parametrize("block_rows, shape", [(7, (5, 3)), (2, (3, 5)), (4096, (21,)),
+                                               (10, (4, 0)), (10, (0,))])
+def test_csv_block_rows_are_bounded(block_rows, shape, monkeypatch):
+    seen = _spy_on_blocks(monkeypatch)
+    columns = [np.arange(math.prod(shape), dtype=float).reshape(shape), np.array(0.5)]
+    with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
+        text = "".join(cli._csv_blocks("a,b", columns))
+    tail, size = math.prod(shape[1:]), math.prod(shape)
+    assert max(capacity for capacity, _ in seen) <= min(max(tail, block_rows), max(size, 1))
+    assert all(lines % max(tail, 1) == 0 for _, lines in seen[:-1])
+    rows = zip(*(c.reshape(-1) for c in np.broadcast_arrays(*columns)))
+    assert text == reference_csv("a,b", rows)
 
 
 def test_surface_noiseless_paper_mode_is_all_ones(tmp_path):

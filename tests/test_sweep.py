@@ -489,6 +489,28 @@ def test_back_to_back_sweeps_leave_the_first_result_alone():
     assert not first.fidelity.flags.writeable and not first.baseline.flags.writeable
 
 
+def test_back_to_back_sweeps_share_no_memory():
+    # Each block's norms and sums live in the thread's workspace; the
+    # fidelities and the baseline (one `_fidelity_slab` return value as
+    # it is) must still come back as fresh arrays, with the bits of a
+    # sweep run in a new thread, whose workspace starts empty.
+    grid = default_grid("II", [0.37, 0.9], 101)
+    fresh = {}
+    worker = threading.Thread(target=lambda: fresh.update(want=sweep(grid, "bfc", "polar")))
+    worker.start()
+    worker.join(timeout=60)
+    first = sweep(grid, "bfc", "polar")
+    sweep(default_grid("I", [0.5], 33, mode=PAPER), "adc", "haar")
+    second = sweep(grid, "bfc", "polar")
+    for name in ("fidelity", "baseline"):
+        got = getattr(first, name), getattr(second, name)
+        assert not np.shares_memory(*got)
+        for buf in vars(sweep_module._workspace).values():
+            assert not any(np.shares_memory(array, buf) for array in got)
+        for array in got:
+            assert array.tobytes() == getattr(fresh["want"], name).tobytes()
+
+
 def test_concurrent_sweeps_match_sequential_ones():
     jobs = [
         (default_grid("I", [0.2, 0.5, 0.9], 101), "adc", "polar"),
