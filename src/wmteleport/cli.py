@@ -17,8 +17,8 @@ once, not once per row), in one numpy pass whose bytes are those of
 `%.17g`; only edge cases, such as exact rounding ties, zeros and
 non-finite values, go through `%` one value at a time. A column
 constant along the leading axis (a surface's axis2, r and baseline)
-is formatted once per file. Each block is laid out in one reused
-buffer, every cell as wide as its column's widest text in the block.
+is formatted once per file. Every cell of a block is as wide as its
+column's widest text there.
 """
 
 from __future__ import annotations
@@ -120,14 +120,19 @@ def _below(p: np.ndarray, e: np.ndarray, bound: float) -> np.ndarray:
     return (p < bound) | ((p == bound) & (e < 0))
 
 
-def _lay_out(words: np.ndarray, prefix, before, shift: int) -> np.ndarray:
-    """The (3, n) little-endian byte strings `words` of digits laid out
-    for one decimal exponent: the digits `before` masks stay, `prefix`
-    fills in "0." or the point, and the rest move `shift` bits (a
-    multiple of 8 in [8, 40]) toward the end."""
+def _divmod(a: np.ndarray, d: int):
+    """np.divmod by a constant, from numpy's multiply-and-shift division."""
+    q = a // d
+    return q, a - q * d
+
+
+def _lay_out(words: np.ndarray, prefix, before, shift: int, out=None) -> np.ndarray:
+    """The (3, n) little-endian digit strings `words` laid out for one
+    decimal exponent: the digits `before` masks stay, `prefix` adds "0."
+    or the point, and the rest move `shift` bits (8 to 40) to the end."""
     whole = words & before
     rest = words ^ whole
-    text = whole | prefix
+    text = np.bitwise_or(whole, prefix, out=out)
     text |= rest << shift
     text[1:] |= rest[:-1] >> (64 - shift)
     return text
@@ -169,11 +174,11 @@ def _field_text(values: np.ndarray):
     digits = p.astype(np.int64) + r.astype(np.int64)
     fast &= (x >= -4) & (x <= 16) & (digits < 10**17)
     # the 17 digits as bytes 0-16 of three little-endian words
-    head8, tail9 = np.divmod(digits, 10**9)
-    tail8, digit16 = np.divmod(tail9, 10)
+    head8, tail9 = _divmod(digits, 10**9)
+    tail8, digit16 = _divmod(tail9, 10)
     words = np.empty((3, n), _WORD)
     for word, eight in zip(words, (head8, tail8)):
-        q, m = np.divmod(eight, 10**4)
+        q, m = _divmod(eight, 10**4)
         np.left_shift(ascii4[m], 32, out=word)
         word |= ascii4[q]
     np.add(digit16, ord("0"), out=words[2], casting="unsafe")
@@ -182,27 +187,24 @@ def _field_text(values: np.ndarray):
     ends = np.flatnonzero(digit16 == 0)
     if ends.size:
         def zeros8(eight):
-            q, m = np.divmod(eight, 10**4)
+            q, m = _divmod(eight, 10**4)
             return zeros4[m] + (m == 0) * zeros4[q]
         tail = tail8[ends]
         last[ends] = 15 - zeros8(tail) - (tail == 0) * zeros8(head8[ends])
     np.maximum(last, x, out=last)
     words &= keep.take(last + 1, axis=1)
-    fraction = last > x
-    size = last + 1 + fraction - np.minimum(x, 0)
-    key = np.where(fraction, x, 16) + 4
+    size = last + 1 + (last > x) - np.minimum(x, 0)
+    key = np.where(last > x, x, 16) + 4
     key[~fast] = 0
-    # one layout per exponent: the commonest over all values, then the
-    # others over their own
+    # one layout per exponent: the commonest over all values, the rest by group
     counts = np.bincount(key, minlength=21)
     common = int(counts.argmax())
-    text = _lay_out(words, prefix[common], before[common], shifts[common])
+    out = np.empty((n, 3), _WORD)
+    _lay_out(words, prefix[common], before[common], shifts[common], out=out.T)
     for k in np.flatnonzero(counts).tolist():
         if k != common:
             group = np.flatnonzero(key == k)
-            text[:, group] = _lay_out(words[:, group], prefix[k], before[k], shifts[k])
-    out = np.empty((n, 3), _WORD)
-    out.T[...] = text
+            out[group] = _lay_out(words[:, group], prefix[k], before[k], shifts[k]).T
     slow = np.flatnonzero(~fast)
     if slow.size:
         texts = [_FMT % v for v in values[slow].tolist()]
@@ -213,18 +215,18 @@ def _field_text(values: np.ndarray):
 
 class _Block:
     """A CSV file's reused block buffer. A block is `step` indices of the
-    leading axis of `shape`, `step * tail` rows, laid out as (rows, W)
-    uint8: per column a cell as wide as its widest text in the block,
-    the text NUL-padded, then a comma or newline. Dropping the NULs
-    leaves the CSV text."""
+    leading axis of `shape`, `rows` = `step * tail` rows, laid out as
+    (rows, W) uint8: per column a cell as wide as its widest text in the
+    block, the text NUL-padded, then a comma or newline. Dropping the
+    NULs leaves the CSV text."""
 
     def __init__(self, shape, columns: int):
         self.shape = shape
         self.tail = math.prod(shape[1:])
         self.step = max(1, min(shape[0], _CSV_BLOCK_ROWS // max(self.tail, 1)))
-        self.buf = np.empty(self.step * self.tail * columns * (_FIELD + 1), np.uint8)
-        # per column: its texts, the widest one's length, and the shape
-        # that broadcasts to the block's
+        self.rows = self.step * self.tail
+        self.buf = np.empty(self.rows * columns * (_FIELD + 1), np.uint8)
+        # per column: its texts, their widest length and their own shape
         self.texts = [None] * columns
         self.widths = None
 
@@ -236,8 +238,7 @@ def _csv(head: str, columns, start: int, block: _Block) -> str:
     broadcast to `block.shape`, in C order. Only the values the block
     touches are formatted, all in one call. A column constant along the
     leading axis has the same texts in every block: the first block
-    formats and places them, and later ones place them again only when
-    the cell widths change."""
+    formats them, and later ones place them again only if widths change."""
     parts = [c[start:start + block.step] for c in columns]
     rows = (min(start + block.step, block.shape[0]) - start) * block.tail
     if not rows:
@@ -250,8 +251,7 @@ def _csv(head: str, columns, start: int, block: _Block) -> str:
             block.texts[j] = text[end:stop], int(size[end:stop].max()), part.shape
             end = stop
     widths = [width for _, width, _ in block.texts]
-    raw = block.buf[:block.step * block.tail * (sum(widths) + len(widths))]
-    raw = raw.reshape(block.step * block.tail, -1)[:rows]
+    raw = block.buf[:block.rows * (sum(widths) + len(widths))].reshape(block.rows, -1)[:rows]
     ends = np.cumsum(widths) + np.arange(len(widths))
     relaid = widths != block.widths
     if relaid:

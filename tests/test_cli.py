@@ -182,6 +182,12 @@ _BUFFER_REUSE = {
         np.array([[0.5, 0.5, 0.5], [0.25, 0.5, 1e-300], [1e-300, 0.5, _TINY]]),
         np.array(1e22),
     ]),
+    # one layout throughout, with a shorter text after a longer one in a cell
+    "shorter_in_place": (3, [
+        np.array([[1.5], [2.5], [3.5]]),
+        np.array([[np.nan, -0.0, 1e22]]),
+        np.array([[1e-300, 0.5, 0.5], [0.5, 1e-300, 0.5], [0.5, 0.5, 1e-300]]),
+    ]),
     # a trailing axis longer than a block: each block holds one whole index
     "long_trailing_axis": (2, [
         np.array([[0.5], [_TINY], [3.0]]),
