@@ -57,8 +57,8 @@ _CSV_BLOCK_ROWS = 4096
 # work in bounded blocks, so a surface run's memory grows only with its
 # 8 B-per-cell result: a fresh 401x401 surface peaks at ~37 MiB and a
 # 1024x1024 one at ~44 MiB (the import alone is ~30 MiB). The limit
-# bounds run time: a fresh 1024x1024 surface takes ~1 s (2-vCPU x86),
-# of which ~0.3 s is the sweep.
+# bounds run time: a fresh 1024x1024 surface takes ~0.6 s (2-vCPU x86),
+# of which ~0.1-0.2 s is the sweep and ~0.2 s the CSV text.
 MAX_GRID_CELLS = 1024 * 1024
 
 

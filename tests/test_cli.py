@@ -355,7 +355,7 @@ def test_surface_memory_does_not_grow_with_the_grid(tmp_path, capsys, monkeypatc
         tracemalloc.stop()
     assert rc == 0
     assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
-    # blocks of whole axis-1 rows never hold more than the block rows
+    # a block of whole axis-1 rows holds at most max(301, block rows) rows
     assert max(max(block) for block in seen) <= max(301, cli._CSV_BLOCK_ROWS)
     assert sum(lines for _, lines in seen) == 301 * 301
 

@@ -499,6 +499,7 @@ def test_back_to_back_sweeps_share_no_memory():
     worker = threading.Thread(target=lambda: fresh.update(want=sweep(grid, "bfc", "polar")))
     worker.start()
     worker.join(timeout=60)
+    assert not worker.is_alive()
     first = sweep(grid, "bfc", "polar")
     sweep(default_grid("I", [0.5], 33, mode=PAPER), "adc", "haar")
     second = sweep(grid, "bfc", "polar")
