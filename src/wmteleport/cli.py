@@ -258,10 +258,10 @@ def _csv(head: str, columns, start: int, block: _Block) -> str:
         block.widths = widths
         raw[:, ends] = ord(",")
         raw[:, -1] = ord("\n")
-    for (text, width, shape), part, stop in zip(block.texts, parts, ends):
+    for (texts, width, shape), part, stop in zip(block.texts, parts, ends):
         if relaid or part.size:
             cells = raw[:, stop - width:stop].view(f"V{width}").reshape(-1, *block.shape[1:])
-            cells[...] = text[:, :width].view(f"V{width}").reshape(shape)
+            cells[...] = texts[:, :width].view(f"V{width}").reshape(shape)
     raw = raw.reshape(-1)
     return head + str(raw[raw != 0], "ascii")
 
