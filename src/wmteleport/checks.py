@@ -136,9 +136,14 @@ def _check_r0_limits(rng):
 
 
 def _mode_fidelity(point, channel):
-    vec = protect(*point, channel, PipelineMode.PAPER_LITERAL).pure
-    rho = protect(*point, channel, PipelineMode.PHYSICAL_MIXED).rho
-    return float((vec.conj() @ rho @ vec).real)
+    """<psi|rho|psi> of the paper-mode state psi and the physical-mode
+    mixture rho at one point: sum_b |<psi0 g_p^T, psi0 g_b^T>|^2, where
+    each overlap is (1/2)<g_p, g_b>_F since psi0^dagger psi0 = I/2 (the
+    branch stacks are real)."""
+    paper = protect(*point, channel, PipelineMode.PAPER_LITERAL)
+    physical = protect(*point, channel, PipelineMode.PHYSICAL_MIXED)
+    overlaps = 0.5 * np.einsum("bij,ij->b", physical, paper[0])
+    return float(overlaps @ overlaps)
 
 
 def _check_mode_coincidence():
@@ -201,7 +206,7 @@ def _check_design_vs_quadrature(rng):
     """The six-state design average matches a 64 x 128 Gauss-Legendre
     average over the Bloch sphere, contracted one row of 128 inputs at a
     time for all five states, so its arrays stay a few hundred KiB."""
-    g = _padded([_random_shared(rng).branches[None] for _ in range(5)])
+    g = _padded([_random_shared(rng)[None] for _ in range(5)])
     inputs, weights = _quadrature_grid()
     quad = weights @ np.array([input_fidelities(g, row).mean(axis=-1) for row in inputs]) / 2.0
     worst = float(np.abs(average_fidelity(g, measure="haar") - quad).max())

@@ -1,11 +1,10 @@
 """Resource preparation and the protection sequence.
 
 The shared resource is the four-qubit state
-(|0000> + |0101> + |1010> + |1111>) / 2 on qubits (A1, A2, A3, B).
-States are plain numpy arrays: a 16-dim vector or a 16x16 density
-matrix. The bit convention is fixed once and used everywhere: qubit A1
-is the leftmost symbol of a ket string and the most significant bit of
-the amplitude index, so |0001> (B set) sits at index 1.
+(|0000> + |0101> + |1010> + |1111>) / 2 on qubits (A1, A2, A3, B), a
+(16,) numpy array. The bit convention is fixed once and used
+everywhere: qubit A1 is the leftmost symbol of a ket string and the most
+significant bit of the amplitude index, so |0001> (B set) sits at index 1.
 
 Protection acts on B only. Per weak-measurement outcome i the sequence
 is: weak measurement m_i, conditional flip f_i, noise channel Kraus
@@ -14,24 +13,26 @@ operator for outcomes (i, j) is therefore
 
     g_ij = n_i f_i e_j f_i m_i.
 
-Since every stage acts on B alone, a SharedState keeps only the 2x2
-branch operators; the 16-dim state psi0 g^T (psi0 as an 8x2 matrix with
-B on columns) is built on demand. There is one path from parameters to
-normalized branches: `branch_grid` builds the branch operators over a
-whole parameter grid, `normalize_branches` normalizes any stack of
-them, and `branch_operators`/`protect` are their one-point views. Two
-summation semantics are provided, selected by PipelineMode:
+Since every stage acts on B alone, a protected shared state is its
+normalized 2x2 branch operators g_b, a plain (K, 2, 2) array: the state
+is sum_b |psi0 g_b^T><psi0 g_b^T| with psi0 as an 8x2 matrix with B on
+columns, and no 16-dim form of it is built. There is one path from
+parameters to normalized branches: `branch_grid` builds the branch
+operators over a whole parameter grid, `normalize_branches` normalizes
+any stack of them, and `branch_operators`/`protect` are their one-point
+views. Two summation semantics are provided, selected by PipelineMode:
 
 * PAPER_LITERAL ("paper"): all four branch operators are summed
-  coherently into one operator, normalized so the state has unit norm.
-* PHYSICAL_MIXED ("physical"): the branches are kept as an incoherent
-  mixture, renormalized once; the retained trace, sum_b |g_b|_F^2 / 2,
-  is reported as the success probability of the filtering stages.
+  coherently into one operator (K = 1), normalized so the state has
+  unit norm.
+* PHYSICAL_MIXED ("physical"): the K = 4 branches are kept as an
+  incoherent mixture, renormalized once; the retained trace,
+  sum_b |g_b|_F^2 / 2, is the success probability of the filtering
+  stages, returned by `normalize_branches`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -46,7 +47,6 @@ __all__ = [
     "ZERO_NORM_TOL",
     "GHZ_INDICES",
     "PipelineMode",
-    "SharedState",
     "initial_state",
     "branch_grid",
     "branch_operators",
@@ -64,64 +64,6 @@ def _coerce_mode(mode) -> PipelineMode:
     if isinstance(mode, PipelineMode):
         return mode
     return PipelineMode(str(mode).lower())
-
-
-@dataclass(frozen=True)
-class SharedState:
-    """Protected four-qubit resource on (A1, A2, A3, B), held as 2x2
-    operators on B applied to the fixed resource: the state is
-    sum_b |psi0 g_b^T><psi0 g_b^T|.
-
-    `branches` has shape (K, 2, 2) and is normalized. PAPER_LITERAL
-    holds the single coherent sum (K = 1); PHYSICAL_MIXED holds the K
-    branches scaled by 1/sqrt(retained trace), which is reported as
-    `success_probability` (None in the pure mode). `pure`, a (16,)
-    vector, and `rho`, a (16, 16) matrix, are the state of the matching
-    mode, built on demand; each is None in the other mode.
-    """
-
-    mode: PipelineMode
-    branches: np.ndarray
-    success_probability: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "mode", _coerce_mode(self.mode))
-        branches = np.array(self.branches, dtype=complex)
-        if branches.ndim != 3 or branches.shape[1:] != (2, 2) or not branches.shape[0]:
-            raise ValueError(
-                f"branches must have shape (K, 2, 2) with K >= 1, got {branches.shape}"
-            )
-        if not np.isfinite(branches).all():
-            raise ValueError("branches contain non-finite entries")
-        if self.mode is PipelineMode.PAPER_LITERAL and len(branches) != 1:
-            raise ValueError("paper-literal shared state must carry one coherent branch")
-        if self.success_probability is not None and not (
-            0.0 < self.success_probability <= 1.0 + 1e-12
-        ):
-            raise ValueError(
-                f"success probability must be in (0, 1], got {self.success_probability}"
-            )
-        branches.setflags(write=False)
-        object.__setattr__(self, "branches", branches)
-
-    def _branch_states(self) -> np.ndarray:
-        return (_PSI0 @ self.branches.swapaxes(-1, -2)).reshape(-1, 16)
-
-    @property
-    def pure(self) -> np.ndarray | None:
-        """The normalized (16,) state vector (PAPER_LITERAL only)."""
-        if self.mode is not PipelineMode.PAPER_LITERAL:
-            return None
-        return self._branch_states()[0]
-
-    @property
-    def rho(self) -> np.ndarray | None:
-        """The (16, 16) density matrix (PHYSICAL_MIXED only)."""
-        if self.mode is not PipelineMode.PHYSICAL_MIXED:
-            return None
-        states = self._branch_states()
-        rho = states.T @ states.conj()
-        return 0.5 * (rho + rho.conj().T)
 
 
 def initial_state() -> np.ndarray:
@@ -196,15 +138,15 @@ _ANNIHILATED = {
 }
 
 
-def protect(protocol: str, a1: float, a2: float, channel: ChannelSpec, mode) -> SharedState:
+def protect(protocol: str, a1: float, a2: float, channel: ChannelSpec, mode) -> np.ndarray:
     """Push the resource through the protection sequence at the
-    parameter point (a1, a2) of `protocol`."""
+    parameter point (a1, a2) of `protocol`: the normalized branch
+    stack, shape (1, 2, 2) in paper mode and (4, 2, 2) in physical
+    mode. A point that annihilates every branch raises ValueError."""
     mode = _coerce_mode(mode)
-    normalized, retained, annihilated = normalize_branches(
+    normalized, _, annihilated = normalize_branches(
         branch_operators(protocol, a1, a2, channel), mode
     )
     if annihilated:
         raise ValueError(_ANNIHILATED[mode])
-    if mode is PipelineMode.PAPER_LITERAL:
-        return SharedState(mode, normalized)
-    return SharedState(mode, normalized, success_probability=min(float(retained), 1.0))
+    return normalized

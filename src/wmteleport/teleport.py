@@ -7,15 +7,20 @@ the overlap of the corrected output with the input, weighted by outcome
 probability. Input averages are exact finite-point designs, not
 sampling.
 
-A shared state is its normalized branch operators g_b, shape (K, 2, 2).
-Outcome k leaves g_b u_k per branch, u_k = (eta_k^dagger psi0)^T in, and
-its fidelity term p_k f_k is sum_b |vec(g_b) . v_k(in)|^2 with
-v_k(in)[B, c] = conj(w_k[B]) u_k[c], w_k = U_k^dagger in: the sweep's
-design contraction, for any inputs and stack of states at once. Every
-fidelity is a view on it; `_outcome_kernel` adds the receiver's states
-for `teleport`. The unprotected baseline is `sweep.unprotected_baseline`,
-the sweep's own contraction of the bare Kraus operators. The span check runs once per stack: the outcome
-probabilities sum to |g|_F^2 / 2 at every input, which must be 1.
+A shared state is its normalized branch operators g_b, a plain array of
+shape (K, 2, 2), as `pipeline.protect` returns it; (..., K, 2, 2) holds
+a stack of states. Outcome k leaves g_b u_k per branch,
+u_k = (eta_k^dagger psi0)^T in, and its fidelity term p_k f_k is
+sum_b |vec(g_b) . v_k(in)|^2 with v_k(in)[B, c] = conj(w_k[B]) u_k[c],
+w_k = U_k^dagger in: the sweep's design contraction, for any inputs and
+stack of states at once. Every fidelity is a view on it;
+`_outcome_kernel` adds the receiver's states for `teleport`. The
+unprotected baseline is `sweep.unprotected_baseline`, the sweep's own
+contraction of the bare Kraus operators.
+
+Every call of `teleport`, `input_fidelities` or `average_fidelity`
+checks its stack in `_span_check`: the shape, and that the outcome
+probabilities, which sum to |g|_F^2 / 2 at every input, sum to 1.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import correction_unitary
-from .pipeline import _PSI0, SharedState
+from .pipeline import _PSI0
 
 SPAN_TOL = 1e-8
 OUTCOME_FLOOR = 1e-14
@@ -55,28 +60,21 @@ _ETA_SUPPORT = (
 )
 
 
-@lru_cache(maxsize=1)
-def _eta_states() -> np.ndarray:
-    states = np.zeros((4, 16), dtype=complex)
-    for row, support in enumerate(_ETA_SUPPORT):
-        for idx, sign in support:
-            states[row, idx] = 0.5 * sign
-    states.setflags(write=False)
-    return states
+_ETA_STATES = np.array(
+    [[0.5 * dict(support).get(idx, 0.0) for idx in range(16)] for support in _ETA_SUPPORT],
+    dtype=complex,
+)
+_ETA_STATES.setflags(write=False)
 
-
-@lru_cache(maxsize=1)
-def _corrections() -> np.ndarray:
-    corrections = np.stack([correction_unitary(k) for k in (1, 2, 3, 4)])
-    corrections.setflags(write=False)
-    return corrections
+_CORRECTIONS = np.stack([correction_unitary(k) for k in (1, 2, 3, 4)])
+_CORRECTIONS.setflags(write=False)
 
 
 def eta_basis() -> np.ndarray:
     """The measurement basis: four orthonormal entangled states on
     (input, A1, A2, A3) as the rows of a (4, 16) array, in outcome
     order 1..4 matching `correction_unitary`."""
-    return _eta_states().copy()
+    return _ETA_STATES.copy()
 
 
 @dataclass(frozen=True)
@@ -93,8 +91,11 @@ class TeleportOutcome:
 
 
 def _span_check(g: np.ndarray) -> None:
-    """Branch stacks (..., K, 2, 2) whose outcome probabilities, which sum
-    to |g|_F^2 / 2 at every input, do not sum to 1 raise ValueError."""
+    """Raise ValueError unless g is a stack of branch operators
+    (..., K, 2, 2) with K >= 1 whose outcome probabilities, which sum to
+    |g|_F^2 / 2 at every input, sum to 1."""
+    if g.ndim < 3 or g.shape[-2:] != (2, 2) or not g.shape[-3]:
+        raise ValueError(f"branches must have shape (..., K, 2, 2) with K >= 1, got {g.shape}")
     totals = 0.5 * (g.real**2 + g.imag**2).sum(axis=(-3, -2, -1))
     # written so that NaN totals are flagged too
     outside = totals[~(np.abs(totals - 1.0) <= SPAN_TOL)]
@@ -123,7 +124,7 @@ def _checked_inputs(inputs, ndim: int) -> np.ndarray:
 
 
 # eta_k^dagger contracted with the resource: (outcome, input bit, B).
-_ETA_PSI0 = _eta_states().conj().reshape(4, 2, 8) @ _PSI0
+_ETA_PSI0 = _ETA_STATES.conj().reshape(4, 2, 8) @ _PSI0
 _ETA_PSI0.setflags(write=False)
 
 
@@ -132,13 +133,14 @@ def _overlap_matrix(inputs: np.ndarray) -> np.ndarray:
     column 4x + k is v_k(in_x), flattened row-major, so a flattened
     branch operator g_b times V gives every overlap <w_k|g_b u_k>."""
     u = (inputs @ _ETA_PSI0).T  # u_k[c] as (c, x, k)
-    w = (inputs.conj() @ _corrections()).T  # conj(w_k)[B] as (B, x, k)
+    w = (inputs.conj() @ _CORRECTIONS).T  # conj(w_k)[B] as (B, x, k)
     return (w[:, None] * u).reshape(4, -1)
 
 
 def _fidelity_terms(g: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """p_k f_k, shape (..., n, 4), for branch stacks g (..., K, 2, 2) and
-    inputs (n, 2). Zero branches add nothing: stacks may be zero-padded."""
+    inputs (n, 2), after `_span_check`. Zero branches add nothing:
+    stacks may be zero-padded."""
     _span_check(g)
     amp = g.reshape(-1, 4) @ _overlap_matrix(inputs)
     sq = (amp.real**2 + amp.imag**2).reshape(*g.shape[:-2], len(inputs), 4)
@@ -150,25 +152,30 @@ def _outcome_kernel(g: np.ndarray, inputs: np.ndarray):
     and the receiver's raw states (N, n, 4, 2, 2) for N shared states
     (N, K, 2, 2) and n inputs (n, 2): raw_k = sum_b a_kb a_kb^dagger
     with a_kb = g_b u_k. Outcomes below OUTCOME_FLOOR get fidelity 0."""
+    terms = _fidelity_terms(g, inputs)
     # a[N, x, k, b, B] = (g_b u_k)[B], with u_k[c] as (k, x, c)
     a = np.einsum("NbBc,kxc->NxkbB", g, inputs @ _ETA_PSI0)
     raw = np.einsum("...bB,...bC->...BC", a, a.conj())
     probs = np.einsum("...BB->...", raw).real
-    fids = np.clip(_fidelity_terms(g, inputs) / np.maximum(probs, OUTCOME_FLOOR), 0.0, 1.0)
+    fids = np.clip(terms / np.maximum(probs, OUTCOME_FLOOR), 0.0, 1.0)
     return probs, np.where(probs < OUTCOME_FLOOR, 0.0, fids), raw
 
 
-def teleport(shared: SharedState, x) -> list[TeleportOutcome]:
+def teleport(g, x) -> list[TeleportOutcome]:
     """Run one teleportation of the normalized input vector x, shape
-    (2,); returns the four outcome branches.
+    (2,), over one shared state, its normalized branch stack g of shape
+    (K, 2, 2); returns the four outcome branches.
 
     Outcomes with probability below 1e-14 get fidelity 0 and a zero
     corrected state; they carry no weight in any average.
     """
-    kernel = _outcome_kernel(shared.branches[None], _checked_inputs(x, 1)[None])
+    g = np.asarray(g)
+    if g.ndim != 3:
+        raise ValueError(f"teleport takes one branch stack (K, 2, 2), got {g.shape}")
+    kernel = _outcome_kernel(g[None], _checked_inputs(x, 1)[None])
     probs, fids, raw = (arr[0, 0] for arr in kernel)
     outcomes: list[TeleportOutcome] = []
-    for k, u in enumerate(_corrections()):
+    for k, u in enumerate(_CORRECTIONS):
         p = float(probs[k])
         mat = u @ raw[k] @ u.conj().T / p if p >= OUTCOME_FLOOR else np.zeros((2, 2), complex)
         corrected = 0.5 * (mat + mat.conj().T)
@@ -176,16 +183,12 @@ def teleport(shared: SharedState, x) -> list[TeleportOutcome]:
     return outcomes
 
 
-def input_fidelities(shared: SharedState | np.ndarray, inputs: np.ndarray) -> np.ndarray:
+def input_fidelities(g, inputs: np.ndarray) -> np.ndarray:
     """Outcome-weighted fidelity at each of n normalized input vectors,
-    shape (n, 2) and checked as in `teleport`, for one SharedState
-    (result (n,)) or a stack of normalized branch operators
-    (..., K, 2, 2) (result (..., n))."""
+    shape (n, 2) and checked as in `teleport`, for normalized branch
+    stacks g of shape (..., K, 2, 2); the result has shape (..., n)."""
     inputs = _checked_inputs(inputs, 2)
-    g = shared.branches if isinstance(shared, SharedState) else np.asarray(shared)
-    if g.ndim < 3 or g.shape[-2:] != (2, 2):
-        raise ValueError(f"branches must have shape (..., K, 2, 2), got {g.shape}")
-    return np.clip(_fidelity_terms(g, inputs).sum(axis=-1), 0.0, 1.0)
+    return np.clip(_fidelity_terms(np.asarray(g), inputs).sum(axis=-1), 0.0, 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -216,10 +219,9 @@ def design_inputs(measure: str = "haar") -> np.ndarray:
     return inputs
 
 
-def average_fidelity(shared: SharedState | np.ndarray, measure: str = "haar"):
-    """Exact input-averaged fidelity under the chosen measure: a float
-    for one SharedState, an array (...) for a branch stack as in
-    `input_fidelities`."""
-    f = input_fidelities(shared, design_inputs(measure)).mean(axis=-1)
-    return float(f) if isinstance(shared, SharedState) else f
+def average_fidelity(g, measure: str = "haar"):
+    """Exact input-averaged fidelity under the chosen measure for
+    normalized branch stacks g of shape (..., K, 2, 2): an np.float64
+    for one (K, 2, 2) stack, an array (...) otherwise."""
+    return input_fidelities(g, design_inputs(measure)).mean(axis=-1)
 

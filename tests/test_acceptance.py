@@ -20,6 +20,7 @@ from wmteleport.sweep import compare_protocols
 from wmteleport.teleport import average_fidelity
 
 from brute import brute_mc_average, brute_protect
+from dense import pure, rho, state_fidelity
 
 PAPER = PipelineMode.PAPER_LITERAL
 PHYSICAL = PipelineMode.PHYSICAL_MIXED
@@ -35,13 +36,6 @@ def _random_tuples(rng, n):
         out.append(("I", rng.uniform(0.05, np.pi - 0.05), rng.uniform(0.05, 1.0)))
         out.append(("II", rng.uniform(-0.95, 0.95), rng.uniform(-0.95, 0.95)))
     return out
-
-
-def _state_fidelity(a, b):
-    pure = a if a.mode is PAPER else b
-    mixed = b if a.mode is PAPER else a
-    vec = pure.pure
-    return float((vec.conj() @ mixed.rho @ vec).real)
 
 
 def test_criterion_1_invariant_suite():
@@ -83,10 +77,10 @@ def test_criterion_3_mode_coincidence_single_branch_channels():
         for kind in CHANNEL_KINDS:
             a = protect(*params, ChannelSpec(kind, 0.0), PAPER)
             b = protect(*params, ChannelSpec(kind, 0.0), PHYSICAL)
-            assert _state_fidelity(a, b) >= 1.0 - 1e-10
+            assert state_fidelity(a, b) >= 1.0 - 1e-10
         a = protect(*params, ChannelSpec("bfc", 1.0), PAPER)
         b = protect(*params, ChannelSpec("bfc", 1.0), PHYSICAL)
-        assert _state_fidelity(a, b) >= 1.0 - 1e-10
+        assert state_fidelity(a, b) >= 1.0 - 1e-10
         # saturated phase flip has no coherent-sum state to compare:
         # the two branches cancel exactly
         with pytest.raises(ValueError, match="annihilate"):
@@ -104,7 +98,7 @@ def test_criterion_3_mode_coincidence_generic_parameters():
         for kind in CHANNEL_KINDS:
             a = protect(*params, ChannelSpec(kind, 0.0), PAPER)
             b = protect(*params, ChannelSpec(kind, 0.0), PHYSICAL)
-            assert _state_fidelity(a, b) >= 1.0 - 1e-10
+            assert state_fidelity(a, b) >= 1.0 - 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -184,10 +178,11 @@ def test_criterion_7_phase_flip_support():
         for mode in (PAPER, PHYSICAL):
             shared = protect(*params, ChannelSpec("pfc", 0.6), mode)
             if mode is PAPER:
-                residual = max(abs(shared.pure[i]) for i in outside)
+                residual = max(abs(pure(shared)[i]) for i in outside)
             else:
+                mixed = rho(shared)
                 residual = max(
-                    abs(shared.rho[i, j])
+                    abs(mixed[i, j])
                     for i in range(16)
                     for j in range(16)
                     if i in outside or j in outside

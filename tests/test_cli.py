@@ -108,6 +108,18 @@ def reference_csv(header, rows):
     return "\n".join([header, *(",".join("%.17g" % v for v in row) for row in rows)]) + "\n"
 
 
+def assert_same_text(got, want):
+    """got == want, failing with the first differing line rather than
+    pytest's diff of two texts of up to a few MB, which is very slow."""
+    if got == want:
+        return
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for i, (line, wanted) in enumerate(zip(got_lines, want_lines)):
+        if line != wanted:
+            pytest.fail(f"line {i} differs: got {line!r}, want {wanted!r}")
+    pytest.fail(f"got {len(got_lines)} lines, want {len(want_lines)}")
+
+
 _ULPS = [0.1, np.nextafter(0.1, 1.0), np.nextafter(0.1, 0.0), np.nextafter(0.0, 1.0)]
 _HOSTILE_COLUMNS = {
     "signed_zeros": [[-0.0, 0.0, -0.0, 0.0], [0.0, -0.0, 0.0, -0.0]],
@@ -132,7 +144,7 @@ _HOSTILE_COLUMNS = {
 def test_csv_matches_row_wise_reference(columns):
     header = ",".join(f"c{i}" for i in range(len(columns)))
     want = reference_csv(header, zip(*(np.asarray(c, dtype=float) for c in columns)))
-    assert "".join(cli._csv_blocks(header, columns)) == want
+    assert_same_text("".join(cli._csv_blocks(header, columns)), want)
 
 
 @given(
@@ -147,7 +159,7 @@ def test_csv_matches_reference_on_repeated_values(pool, picks, block_rows):
     header = ",".join(f"c{i}" for i in range(len(columns)))
     with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
         got = "".join(cli._csv_blocks(header, columns))
-    assert got == reference_csv(header, zip(*columns))
+    assert_same_text(got, reference_csv(header, zip(*columns)))
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 4096])
@@ -160,7 +172,7 @@ def test_csv_rows_follow_numpy_broadcasting(block_rows):
     rows = zip(*(c.reshape(-1) for c in np.broadcast_arrays(*columns)))
     with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
         got = "".join(cli._csv_blocks("a,b,c,d,e", columns))
-    assert got == reference_csv("a,b,c,d,e", rows)
+    assert_same_text(got, reference_csv("a,b,c,d,e", rows))
 
 
 _TINY = -2.2250738585072014e-308  # the longest `%.17g` text, 24 bytes
@@ -204,7 +216,7 @@ def test_reused_block_buffer_keeps_no_stale_bytes(block_rows, columns):
     with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
         blocks = list(cli._csv_blocks(header, columns))
     assert len(blocks) == 3
-    assert "".join(blocks) == reference_csv(header, rows)
+    assert_same_text("".join(blocks), reference_csv(header, rows))
 
 
 def _exactness_values():
@@ -306,7 +318,7 @@ def test_surface_csv_is_the_row_wise_text(protocol, channel, r, mode, tmp_path, 
     result = sweep(grid, channel, "polar")
     rows = zip(np.repeat(grid.axis1, n), np.tile(grid.axis2, n), [grid.r_values[0]] * n * n,
                result.fidelity.reshape(-1), [result.baseline[0]] * n * n)
-    assert out.read_text() == reference_csv("axis1,axis2,r,fidelity,baseline", rows)
+    assert_same_text(out.read_text(), reference_csv("axis1,axis2,r,fidelity,baseline", rows))
 
 
 def test_fmax_and_compare_csv_match_reference(tmp_path, capsys):
@@ -319,11 +331,10 @@ def test_fmax_and_compare_csv_match_reference(tmp_path, capsys):
                          "--out", str(compare_out)]) == 0
     points = fmax_curve("II", "bfc", default_r_values(), resolution=11)
     rows = [(p.r, p.fmax, p.param1, p.param2, p.baseline) for p in points]
-    assert fmax_out.read_text() == reference_csv("r,fmax,param1,param2,baseline", rows)
+    assert_same_text(fmax_out.read_text(), reference_csv("r,fmax,param1,param2,baseline", rows))
     comparison = compare_protocols("pfc", default_r_values(), resolution=11)
-    assert compare_out.read_text() == reference_csv(
-        "r,baseline,fmax_I,fmax_II", comparison.rows
-    )
+    assert_same_text(compare_out.read_text(),
+                     reference_csv("r,baseline,fmax_I,fmax_II", comparison.rows))
 
 
 def _spy_on_blocks(monkeypatch):
@@ -374,7 +385,7 @@ def test_csv_block_rows_are_bounded(block_rows, shape, monkeypatch):
     assert max(capacity for capacity, _ in seen) <= min(max(tail, block_rows), max(size, 1))
     assert all(lines % max(tail, 1) == 0 for _, lines in seen[:-1])
     rows = zip(*(c.reshape(-1) for c in np.broadcast_arrays(*columns)))
-    assert text == reference_csv("a,b", rows)
+    assert_same_text(text, reference_csv("a,b", rows))
 
 
 def test_surface_noiseless_paper_mode_is_all_ones(tmp_path):

@@ -13,15 +13,16 @@ from wmteleport.operators import CHANNEL_KINDS, ChannelSpec
 from wmteleport.pipeline import (
     GHZ_INDICES,
     PipelineMode,
-    SharedState,
     branch_grid,
     branch_operators,
     initial_state,
     normalize_branches,
     protect,
 )
+from wmteleport.teleport import design_inputs, input_fidelities, teleport
 
 from brute import brute_branch_vectors, brute_protect
+from dense import pure, rho, state_fidelity
 
 PAPER = PipelineMode.PAPER_LITERAL
 PHYSICAL = PipelineMode.PHYSICAL_MIXED
@@ -37,14 +38,9 @@ ALL_PARAMS = [
 ]
 
 
-def _state_fidelity(shared_a, shared_b):
-    """Fidelity between two shared states, at least one of them pure."""
-    if shared_a.mode is PAPER and shared_b.mode is PAPER:
-        return abs(np.vdot(shared_a.pure, shared_b.pure)) ** 2
-    pure = shared_a if shared_a.mode is PAPER else shared_b
-    mixed = shared_b if shared_a.mode is PAPER else shared_a
-    vec = pure.pure
-    return float((vec.conj() @ mixed.rho @ vec).real)
+def _success_probability(params, channel):
+    """The physical-mode retained trace, sum_b |g_b|_F^2 / 2."""
+    return normalize_branches(branch_operators(*params, channel), PHYSICAL)[1]
 
 
 def test_initial_state_amplitudes():
@@ -59,7 +55,7 @@ def test_initial_state_amplitudes():
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_paper_mode_noiseless_returns_resource(params, kind):
     shared = protect(*params, ChannelSpec(kind, 0.0), PAPER)
-    overlap = abs(np.vdot(shared.pure, initial_state()))
+    overlap = abs(np.vdot(pure(shared), initial_state()))
     np.testing.assert_almost_equal(overlap, 1.0, decimal=12)
 
 
@@ -79,7 +75,7 @@ def test_paper_mode_normalized_and_eight_ket_support(kind):
                 except ValueError:
                     annihilated += 1
                     continue
-                amps = shared.pure
+                amps = pure(shared)
                 np.testing.assert_almost_equal(np.linalg.norm(amps), 1.0, decimal=12)
                 outside = [abs(amps[i]) for i in range(16) if i not in support]
                 assert max(outside) < 1e-10
@@ -90,30 +86,31 @@ def test_paper_mode_normalized_and_eight_ket_support(kind):
 @pytest.mark.parametrize("params", ALL_PARAMS)
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_physical_mode_density_is_valid(params, kind):
-    shared = protect(*params, ChannelSpec(kind, 0.6), PHYSICAL)
-    rho = shared.rho
-    np.testing.assert_almost_equal(np.trace(rho).real, 1.0, decimal=12)
-    np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
-    assert np.linalg.eigvalsh(rho).min() > -1e-12
-    assert 0.0 < shared.success_probability <= 1.0
+    channel = ChannelSpec(kind, 0.6)
+    mixed = rho(protect(*params, channel, PHYSICAL))
+    np.testing.assert_almost_equal(np.trace(mixed).real, 1.0, decimal=12)
+    np.testing.assert_allclose(mixed, mixed.conj().T, atol=1e-12)
+    assert np.linalg.eigvalsh(mixed).min() > -1e-12
+    assert 0.0 < _success_probability(params, channel) <= 1.0
 
 
 def test_success_probability_bit_flip_closed_form():
     omega, q, r = 0.9, 0.35, 0.55
-    shared = protect("I", omega, q, ChannelSpec("bfc", r), PHYSICAL)
+    success = _success_probability(("I", omega, q), ChannelSpec("bfc", r))
     c2 = np.cos(omega / 2.0) ** 2
     s2 = np.sin(omega / 2.0) ** 2
     expected = (1.0 - r) * (q**2 * c2 + s2) + r * (q**2 * s2 + c2)
-    np.testing.assert_almost_equal(shared.success_probability, expected, decimal=12)
+    np.testing.assert_almost_equal(success, expected, decimal=12)
 
 
 @pytest.mark.parametrize("params", ALL_PARAMS[:2] + ALL_PARAMS[2:3])
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_success_probability_matches_branch_norms(params, kind):
     r = 0.45
-    shared = protect(*params, ChannelSpec(kind, r), PHYSICAL)
     total = sum(np.linalg.norm(v) ** 2 for v in brute_branch_vectors(*params, kind, r))
-    np.testing.assert_almost_equal(shared.success_probability, total, decimal=12)
+    np.testing.assert_almost_equal(
+        _success_probability(params, ChannelSpec(kind, r)), total, decimal=12
+    )
 
 
 @pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
@@ -124,10 +121,10 @@ def test_protect_matches_brute_force(mode, params, kind):
     shared = protect(*params, ChannelSpec(kind, r), mode)
     tag, payload = brute_protect(*params, kind, r, mode.value)
     if tag == "pure":
-        overlap = abs(np.vdot(shared.pure, payload))
+        overlap = abs(np.vdot(pure(shared), payload))
         np.testing.assert_almost_equal(overlap, 1.0, decimal=12)
     else:
-        np.testing.assert_allclose(shared.rho, payload, atol=1e-12)
+        np.testing.assert_allclose(rho(shared), payload, atol=1e-12)
 
 
 def test_branch_operators_shape_and_halved_gram():
@@ -173,62 +170,61 @@ def test_stacked_normalization_matches_oracle_and_protect(protocol, mode):
                 flagged += 1
                 continue
             assert not annihilated[i1, i2]
-            stacked = SharedState(mode, normalized[i1, i2])
+            stacked = normalized[i1, i2]
             tag, payload = brute_protect(protocol, a, b, kind, r, mode.value)
             if tag == "pure":
-                np.testing.assert_allclose(stacked.pure, payload, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(pure(stacked), payload, rtol=0, atol=1e-12)
             else:
-                np.testing.assert_allclose(stacked.rho, payload, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(rho(stacked), payload, rtol=0, atol=1e-12)
     assert flagged
+
+
+_STATE = ("I", 0.8, 0.4, ChannelSpec("adc", 0.3))
 
 
 @pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
 @pytest.mark.parametrize(
-    "branches",
+    "malform",
     [
-        np.zeros((0, 2, 2)),
-        np.eye(2),
-        np.zeros((1, 2, 3)),
-        np.full((1, 2, 2), np.nan),
-        np.array([[[1.0, np.inf], [0.0, 1.0]]]),
+        lambda g: g[:0],
+        lambda g: g[0],
+        lambda g: np.pad(g, ((0, 0), (0, 0), (0, 1))),
+        lambda g: np.full_like(g, np.nan),
+        lambda g: g + np.array([[0.0, np.inf], [0.0, 0.0]]),
     ],
     ids=["K=0", "no-stack-axis", "wrong-block", "nan", "inf"],
 )
-def test_shared_state_rejects_malformed_branches(mode, branches):
-    with pytest.raises(ValueError, match="branches"):
-        SharedState(mode, branches)
+def test_shared_state_rejects_malformed_branches(mode, malform):
+    # the mode's own stack, (1, 2, 2) or (4, 2, 2), made malformed
+    g = malform(protect(*_STATE, mode))
+    with pytest.raises(ValueError, match="branch|span"):
+        teleport(g, [1.0, 0.0])
+    with pytest.raises(ValueError, match="branch|span"):
+        input_fidelities(g, design_inputs("haar"))
 
 
-def test_paper_shared_state_holds_one_coherent_branch():
-    with pytest.raises(ValueError, match="one coherent branch"):
-        SharedState(PAPER, np.stack([np.eye(2), np.eye(2)]))
-    SharedState(PHYSICAL, np.stack([np.eye(2), np.eye(2)]) / np.sqrt(2.0))
-
-
-def test_shared_state_copies_and_freezes_its_branches():
-    outside = np.eye(2, dtype=complex)[None]
-    shared = SharedState(PHYSICAL, outside)
-    outside[0, 0, 0] = 5.0
-    assert shared.branches[0, 0, 0] == 1.0
-    with pytest.raises(ValueError):
-        shared.branches[0, 0, 0] = 2.0
+def test_teleport_takes_exactly_one_stack():
+    g = protect(*_STATE, PHYSICAL)
+    with pytest.raises(ValueError, match="one branch stack"):
+        teleport(np.stack([g, g]), [1.0, 0.0])
+    assert input_fidelities(np.stack([g, g]), design_inputs("haar")).shape == (2, 6)
 
 
 def test_derived_state_only_in_its_own_mode():
+    # a paper-mode stack holds the one coherent branch, a physical-mode
+    # stack all four; both lift to valid four-qubit states
     for params, kind in itertools.product(ALL_PARAMS, CHANNEL_KINDS):
         channel = ChannelSpec(kind, 0.3)
         paper = protect(*params, channel, PAPER)
         physical = protect(*params, channel, PHYSICAL)
-        assert paper.rho is None and paper.success_probability is None
-        assert physical.pure is None
-        assert paper.branches.shape == (1, 2, 2)
-        assert physical.branches.shape == (4, 2, 2)
-        vec, rho = paper.pure, physical.rho
-        assert vec.shape == (16,) and rho.shape == (16, 16)
+        assert paper.shape == (1, 2, 2)
+        assert physical.shape == (4, 2, 2)
+        vec, mixed = pure(paper), rho(physical)
+        assert vec.shape == (16,) and mixed.shape == (16, 16)
         assert abs(np.linalg.norm(vec) ** 2 - 1.0) <= 1e-12
-        assert abs(np.trace(rho).real - 1.0) <= 1e-12
-        assert np.abs(rho - rho.conj().T).max() <= 1e-12
-        assert np.linalg.eigvalsh(rho).min() >= -1e-10
+        assert abs(np.trace(mixed).real - 1.0) <= 1e-12
+        assert np.abs(mixed - mixed.conj().T).max() <= 1e-12
+        assert np.linalg.eigvalsh(mixed).min() >= -1e-10
 
 
 def test_package_imports_bind_submodules():
@@ -275,14 +271,14 @@ def test_modes_coincide_with_single_effective_branch_noiseless(proto_params, kin
     # agree wherever the channel keeps a single effective Kraus branch
     a = protect(*proto_params, ChannelSpec(kind, 0.0), PAPER)
     b = protect(*proto_params, ChannelSpec(kind, 0.0), PHYSICAL)
-    assert _state_fidelity(a, b) >= 1.0 - 1e-10
+    assert state_fidelity(a, b) >= 1.0 - 1e-10
 
 
 @pytest.mark.parametrize("proto_params", [("I", np.pi / 2, 1.0), ("II", 0.0, 0.0)])
 def test_modes_coincide_saturated_bit_flip(proto_params):
     a = protect(*proto_params, ChannelSpec("bfc", 1.0), PAPER)
     b = protect(*proto_params, ChannelSpec("bfc", 1.0), PHYSICAL)
-    assert _state_fidelity(a, b) >= 1.0 - 1e-10
+    assert state_fidelity(a, b) >= 1.0 - 1e-10
 
 
 @pytest.mark.parametrize("proto_params", [("I", np.pi / 2, 1.0), ("II", 0.0, 0.0)])
@@ -291,7 +287,7 @@ def test_saturated_phase_flip_annihilates_paper_mode(proto_params):
     with pytest.raises(ValueError, match="annihilate"):
         protect(*proto_params, ChannelSpec("pfc", 1.0), PAPER)
     shared = protect(*proto_params, ChannelSpec("pfc", 1.0), PHYSICAL)
-    assert abs(np.trace(shared.rho).real - 1.0) <= 1e-12
+    assert abs(np.trace(rho(shared)).real - 1.0) <= 1e-12
 
 
 @pytest.mark.xfail(
@@ -302,7 +298,7 @@ def test_saturated_phase_flip_annihilates_paper_mode(proto_params):
 def test_modes_coincide_noiseless_generic_params():
     a = protect("I", 0.8, 0.4, ChannelSpec("adc", 0.0), PAPER)
     b = protect("I", 0.8, 0.4, ChannelSpec("adc", 0.0), PHYSICAL)
-    assert _state_fidelity(a, b) >= 1.0 - 1e-10
+    assert state_fidelity(a, b) >= 1.0 - 1e-10
 
 
 @pytest.mark.xfail(
@@ -313,7 +309,7 @@ def test_modes_coincide_noiseless_generic_params():
 def test_modes_coincide_saturated_bit_flip_generic_params():
     a = protect("I", np.pi / 2, 0.5, ChannelSpec("bfc", 1.0), PAPER)
     b = protect("I", np.pi / 2, 0.5, ChannelSpec("bfc", 1.0), PHYSICAL)
-    assert _state_fidelity(a, b) >= 1.0 - 1e-10
+    assert state_fidelity(a, b) >= 1.0 - 1e-10
 
 
 def test_saturated_bit_flip_generic_params_exact_split():
@@ -324,8 +320,8 @@ def test_saturated_bit_flip_generic_params_exact_split():
     a = protect("I", np.pi / 2, q, ChannelSpec("bfc", 1.0), PAPER)
     b = protect("I", np.pi / 2, q, ChannelSpec("bfc", 1.0), PHYSICAL)
     expected = (q + 1.0) ** 2 / (2.0 * (q**2 + 1.0))
-    np.testing.assert_almost_equal(_state_fidelity(a, b), expected, decimal=12)
-    np.testing.assert_almost_equal(_state_fidelity(a, b), 0.9, decimal=12)
+    np.testing.assert_almost_equal(state_fidelity(a, b), expected, decimal=12)
+    np.testing.assert_almost_equal(state_fidelity(a, b), 0.9, decimal=12)
 
 
 @pytest.mark.xfail(
@@ -336,7 +332,7 @@ def test_saturated_bit_flip_generic_params_exact_split():
 def test_paper_mode_damping_strength_swap_symmetry():
     a = protect("II", 0.3, 0.7, ChannelSpec("adc", 0.5), PAPER)
     b = protect("II", 0.7, 0.3, ChannelSpec("adc", 0.5), PAPER)
-    overlap = abs(np.vdot(a.pure, b.pure))
+    overlap = abs(np.vdot(pure(a), pure(b)))
     np.testing.assert_almost_equal(overlap, 1.0, decimal=12)
 
 
@@ -348,10 +344,11 @@ def test_phase_flip_output_stays_on_resource_support(mode, params):
     shared = protect(*params, ChannelSpec("pfc", 0.6), mode)
     outside = [i for i in range(16) if i not in GHZ_INDICES]
     if mode is PAPER:
-        residual = max(abs(shared.pure[i]) for i in outside)
+        residual = max(abs(pure(shared)[i]) for i in outside)
     else:
+        mixed = rho(shared)
         residual = max(
-            abs(shared.rho[i, j])
+            abs(mixed[i, j])
             for i in range(16)
             for j in range(16)
             if i in outside or j in outside
@@ -360,8 +357,7 @@ def test_phase_flip_output_stays_on_resource_support(mode, params):
 
 
 def test_paper_mode_damping_amplitude_groups():
-    shared = protect("I", 0.8, 0.4, ChannelSpec("adc", 0.5), PAPER)
-    amps = shared.pure
+    amps = pure(protect("I", 0.8, 0.4, ChannelSpec("adc", 0.5), PAPER))
     ghz = np.array([amps[i] for i in GHZ_INDICES])
     flipped = np.array([amps[i] for i in FLIPPED_INDICES])
     np.testing.assert_allclose(ghz, ghz[0], atol=1e-12)
@@ -378,7 +374,7 @@ def test_degenerate_parameters_annihilate(mode):
 def _amplitude_groups(params, channel):
     """Paper-mode amplitudes on the GHZ kets, on the flipped kets, and
     on the eight kets outside both groups."""
-    amps = protect(*params, channel, PAPER).pure
+    amps = pure(protect(*params, channel, PAPER))
     np.testing.assert_allclose(amps.imag, 0.0, atol=1e-12)
     outside = [i for i in range(16) if i not in GHZ_INDICES + FLIPPED_INDICES]
     return amps[list(GHZ_INDICES)].real, amps[list(FLIPPED_INDICES)].real, amps[outside]

@@ -27,8 +27,8 @@ from wmteleport.sweep import (
     unprotected_baseline,
 )
 from wmteleport.teleport import (
-    _corrections,
-    _eta_states,
+    _CORRECTIONS,
+    _ETA_STATES,
     average_fidelity,
     design_inputs,
 )
@@ -441,8 +441,8 @@ def test_design_matrix_matches_resource_written_out(measure):
     for idx in (0b0000, 0b0101, 0b1010, 0b1111):
         psi0[idx >> 1, idx & 1] = 0.5
     states = design_inputs(measure)
-    t1 = np.einsum("isa,ns->nia", _eta_states().reshape(4, 2, 8).conj(), states)
-    u = np.einsum("nb,ibc->nic", states.conj(), _corrections())
+    t1 = np.einsum("isa,ns->nia", _ETA_STATES.reshape(4, 2, 8).conj(), states)
+    u = np.einsum("nb,ibc->nic", states.conj(), _CORRECTIONS)
     w = np.einsum("nia,nib->niab", t1, u)
     v = np.einsum("niab,ac->bcni", w, psi0).reshape(4, -1)
     v = np.concatenate([v.real, v.imag], axis=1)
@@ -470,7 +470,7 @@ def test_block_size_moves_no_bits(kind, mode, measure, block_cells, monkeypatch)
 
 
 def test_cached_arrays_are_read_only():
-    for arr in (_corrections(), _design_matrix("haar"), _design_matrix("polar"),
+    for arr in (_CORRECTIONS, _ETA_STATES, _design_matrix("haar"), _design_matrix("polar"),
                 _quadrature_grid()[1]):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

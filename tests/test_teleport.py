@@ -11,7 +11,6 @@ from wmteleport.pipeline import PipelineMode, protect
 from wmteleport.sweep import unprotected_baseline
 from wmteleport.teleport import (
     OUTCOME_FLOOR,
-    SharedState,
     _outcome_kernel,
     average_fidelity,
     design_inputs,
@@ -302,7 +301,7 @@ def test_baseline_is_mode_independent(measure, kind):
 
 def test_teleport_rejects_states_outside_measurement_span():
     # outcome probabilities sum to |g|_F^2 / 2 = 4
-    stray = SharedState(PAPER, 2.0 * np.eye(2)[None])
+    stray = 2.0 * np.eye(2)[None]
     with pytest.raises(ValueError, match="span"):
         teleport(stray, np.array([1.0, 0.0]))
 
@@ -330,7 +329,7 @@ def test_input_fidelities_rejects_bad_inputs(inputs):
     with pytest.raises(ValueError, match="inputs must"):
         input_fidelities(shared, inputs)
     with pytest.raises(ValueError, match="inputs must"):
-        input_fidelities(shared.branches[None], inputs)
+        input_fidelities(shared[None], inputs)
 
 
 @pytest.mark.parametrize(
@@ -387,10 +386,7 @@ def test_stacked_kernel_matches_oracle(mode):
         states.append(protect(*params, ChannelSpec(kind, r), mode))
         oracle.append(brute_protect(*params, kind, r, mode.value))
     params, kind, r = _VANISHING
-    vanishing = protect(*params, ChannelSpec(kind, r), PAPER)
-    if mode is PHYSICAL:
-        vanishing = SharedState(PHYSICAL, vanishing.branches)
-    states.append(vanishing)
+    states.append(protect(*params, ChannelSpec(kind, r), PAPER))
     oracle.append(brute_protect(*params, kind, r, "paper"))
     if mode is PHYSICAL:
         vec = oracle[-1][1]
@@ -400,9 +396,9 @@ def test_stacked_kernel_matches_oracle(mode):
     fixed = [[1.0, 0.0], [0.0, 1.0], [s, s], [np.cos(t), np.sin(t)]]
     inputs = np.concatenate([fixed, sample_inputs(np.random.default_rng(3), 4)])
     # pad every state to K = 4 branches with zero ones, which add nothing
-    g = np.zeros((len(states), 4, 2, 2), dtype=complex)
+    g = np.zeros((len(states), 4, 2, 2))
     for row, shared in zip(g, states):
-        row[: len(shared.branches)] = shared.branches
+        row[: len(shared)] = shared
     probs, fids, raw = _outcome_kernel(g, inputs)
     assert probs.shape == fids.shape == (len(states), len(inputs), 4)
     assert raw.shape == (len(states), len(inputs), 4, 2, 2)
@@ -417,7 +413,7 @@ def test_stacked_kernel_matches_oracle(mode):
 
 @pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
 def test_stacked_kernel_rejects_one_state_outside_span(mode):
-    g = np.stack([protect(*p, ChannelSpec(k, r), mode).branches for p, k, r in _KERNEL_GRID[:6]])
+    g = np.stack([protect(*p, ChannelSpec(k, r), mode) for p, k, r in _KERNEL_GRID[:6]])
     # a stack whose outcome probabilities sum to 1.0201
     g = np.insert(g, 3, 1.01 * g[3], axis=0)
     with pytest.raises(ValueError, match="outside the measurement span"):
@@ -428,12 +424,15 @@ def test_stacked_kernel_rejects_one_state_outside_span(mode):
 def test_outcome_probabilities_sum_to_half_branch_norm(mode, k, monkeypatch):
     """psi0^dagger psi0 = I/2 and the eta basis spans the resource's
     support, so for any branches the four outcome probabilities sum to
-    |g|_F^2 / 2 at every input: normalized branches cannot leave the span."""
+    |g|_F^2 / 2 at every input: normalized branches cannot leave the span.
+    Paper mode holds the coherent sum of the k branches."""
     monkeypatch.setattr(teleport_module, "_span_check", lambda totals: None)
     rng = np.random.default_rng(29 + k)
     for _ in range(10):
         g = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
-        probs = _outcome_kernel(SharedState(mode, g).branches[None], sample_inputs(rng, 6))[0]
+        if mode is PAPER:
+            g = g.sum(axis=0, keepdims=True)
+        probs = _outcome_kernel(g[None], sample_inputs(rng, 6))[0]
         half_norm = 0.5 * float(np.vdot(g, g).real)
         np.testing.assert_allclose(probs.sum(axis=-1), half_norm, rtol=1e-14, atol=0)
 
@@ -445,7 +444,7 @@ def _entanglement_fidelity(shared):
     polarization from the kernel's outcome states at |0>, |1>, |+>, |+i>."""
     s = 1.0 / np.sqrt(2.0)
     inputs = np.array([[1.0, 0.0], [0.0, 1.0], [s, s], [s, 1j * s]])
-    r0, r1, rp, ri = _outcome_kernel(shared.branches[None], inputs)[2][0]
+    r0, r1, rp, ri = _outcome_kernel(shared[None], inputs)[2][0]
     cross = 2.0 * rp - r0 - r1  # X01 + X10
     quad = 2.0 * ri - r0 - r1  # -i X01 + i X10
     blocks = {(0, 0): r0, (1, 1): r1, (0, 1): 0.5 * (cross + 1j * quad),
@@ -529,13 +528,13 @@ def test_fidelity_contraction_matches_oracle_on_complex_stacks(k):
 def test_fidelity_contraction_rejects_states_outside_measurement_span():
     # outcome probabilities sum to |g|_F^2 / 2: 4 for the stray state, 1.0201
     # for the scaled row of the stack
-    stray = SharedState(PAPER, 2.0 * np.eye(2)[None])
-    g = np.stack([protect(*p, ChannelSpec(k, r), PHYSICAL).branches for p, k, r in _KERNEL_GRID[:4]])
+    stray = 2.0 * np.eye(2)[None]
+    g = np.stack([protect(*p, ChannelSpec(k, r), PHYSICAL) for p, k, r in _KERNEL_GRID[:4]])
     g[2] *= 1.01
     for shared in (stray, g):
         with pytest.raises(ValueError, match="outside the measurement span"):
             input_fidelities(shared, design_inputs("haar"))
         with pytest.raises(ValueError, match="outside the measurement span"):
             average_fidelity(shared, "polar")
-    np.testing.assert_allclose(average_fidelity(g[:2]), [average_fidelity(SharedState(PHYSICAL, x))
-                                                        for x in g[:2]], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(average_fidelity(g[:2]), [average_fidelity(x) for x in g[:2]],
+                               rtol=0, atol=1e-15)
