@@ -164,13 +164,14 @@ def test_stacked_normalization_matches_oracle_and_protect(protocol, mode):
                 want = sum(np.linalg.norm(v) ** 2 for v in vecs)
             np.testing.assert_allclose(retained[i1, i2], want, rtol=0, atol=1e-12)
             try:
-                protect(protocol, a, b, channel, mode)
+                shared = protect(protocol, a, b, channel, mode)
             except ValueError:
                 assert annihilated[i1, i2] and want < 1e-14
                 flagged += 1
                 continue
             assert not annihilated[i1, i2]
             stacked = normalized[i1, i2]
+            assert np.array_equal(shared, stacked)
             tag, payload = brute_protect(protocol, a, b, kind, r, mode.value)
             if tag == "pure":
                 np.testing.assert_allclose(pure(stacked), payload, rtol=0, atol=1e-12)
