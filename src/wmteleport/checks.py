@@ -13,8 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import CHANNEL_KINDS, ChannelSpec, kraus_set, stage_diagonals
-from .pipeline import PipelineMode, branch_grid, normalize_branches, protect
+from .operators import CHANNEL_KINDS, kraus_set, stage_diagonals
+from .pipeline import MODES, branch_grid, normalize_branches, protect
 from .teleport import (
     _outcome_kernel,
     average_fidelity,
@@ -60,7 +60,7 @@ def _check_kraus_completeness(inject_fault):
     worst = 0.0
     for kind in CHANNEL_KINDS:
         for r in np.linspace(0.0, 1.0, 11):
-            e0, e1 = kraus_set(ChannelSpec(kind, float(r)))
+            e0, e1 = kraus_set(kind, float(r))
             if inject_fault == "kraus_completeness":
                 e1 = 1.01 * e1
             total = e0.conj().T @ e0 + e1.conj().T @ e1
@@ -80,9 +80,7 @@ _PROB_AXES = {
     "I": ((0.3, 0.8, 1.2, 1.5), (0.2, 0.5, 0.8, 1.0)),
     "II": ((0.0, 0.3, 0.6, 0.9), (0.0, 0.3, 0.6, 0.9)),
 }
-_PROB_CHANNELS = [
-    ChannelSpec(kind, r) for kind in CHANNEL_KINDS for r in (0.0, 0.3, 0.6, 0.9)
-]
+_PROB_CHANNELS = [(kind, r) for kind in CHANNEL_KINDS for r in (0.0, 0.3, 0.6, 0.9)]
 
 
 def _check_probability_sums():
@@ -92,8 +90,8 @@ def _check_probability_sums():
     inp = np.array([[0.6, 0.8]], dtype=complex)
     worst = 0.0
     for protocol, (axis1, axis2) in _PROB_AXES.items():
-        raw = np.stack([branch_grid(protocol, axis1, axis2, ch) for ch in _PROB_CHANNELS])
-        for mode in PipelineMode:
+        raw = np.stack([branch_grid(protocol, axis1, axis2, *ch) for ch in _PROB_CHANNELS])
+        for mode in MODES:
             branches = normalize_branches(raw, mode)[0]
             probs = _outcome_kernel(branches.reshape(-1, *branches.shape[-3:]), inp)[0]
             worst = max(worst, float(np.abs(probs.sum(axis=-1) - 1.0).max()))
@@ -126,22 +124,22 @@ def _check_r0_limits(rng):
         g = []
         for kind in CHANNEL_KINDS:
             a1, a2 = np.array([_random_point(rng, protocol) for _ in range(5)] + [locus]).T
-            g.append(branch_grid(protocol, a1, a2, ChannelSpec(kind, 0.0))[range(6), range(6)])
+            g.append(branch_grid(protocol, a1, a2, kind, 0.0)[range(6), range(6)])
         g = np.stack(g)
-        paper = normalize_branches(g[:, :5], PipelineMode.PAPER_LITERAL)[0]
+        paper = normalize_branches(g[:, :5], "paper")[0]
         stacks += [paper.reshape(-1, 1, 2, 2),
-                   normalize_branches(g[:, 5], PipelineMode.PHYSICAL_MIXED)[0]]
+                   normalize_branches(g[:, 5], "physical")[0]]
     worst = float(np.abs(average_fidelity(_padded(stacks)) - 1.0).max())
     return worst <= 1e-10, f"max |F - 1| at r=0 {worst:.3e}"
 
 
-def _mode_fidelity(point, channel):
+def _mode_fidelity(point, channel, r):
     """<psi|rho|psi> of the paper-mode state psi and the physical-mode
     mixture rho at one point: sum_b |<psi0 g_p^T, psi0 g_b^T>|^2, where
     each overlap is (1/2)<g_p, g_b>_F since psi0^dagger psi0 = I/2 (the
     branch stacks are real)."""
-    paper = protect(*point, channel, PipelineMode.PAPER_LITERAL)
-    physical = protect(*point, channel, PipelineMode.PHYSICAL_MIXED)
+    paper = protect(*point, channel, r, "paper")
+    physical = protect(*point, channel, r, "physical")
     overlaps = 0.5 * np.einsum("bij,ij->b", physical, paper[0])
     return float(overlaps @ overlaps)
 
@@ -153,8 +151,8 @@ def _check_mode_coincidence():
     worst = 0.0
     for locus in (("I", np.pi / 2, 1.0), ("II", 0.0, 0.0)):
         for kind in CHANNEL_KINDS:
-            worst = max(worst, 1.0 - _mode_fidelity(locus, ChannelSpec(kind, 0.0)))
-        worst = max(worst, 1.0 - _mode_fidelity(locus, ChannelSpec("bfc", 1.0)))
+            worst = max(worst, 1.0 - _mode_fidelity(locus, kind, 0.0))
+        worst = max(worst, 1.0 - _mode_fidelity(locus, "bfc", 1.0))
     return worst <= 1e-10, f"max state infidelity {worst:.3e}"
 
 
@@ -163,12 +161,8 @@ def _random_shared(rng):
     a1, a2 = _random_point(rng, protocol)
     kind = CHANNEL_KINDS[int(rng.integers(3))]
     r = float(rng.uniform(0.0, 0.5))
-    mode = (
-        PipelineMode.PAPER_LITERAL
-        if rng.integers(2) == 0
-        else PipelineMode.PHYSICAL_MIXED
-    )
-    return protect(protocol, a1, a2, ChannelSpec(kind, r), mode)
+    mode = MODES[int(rng.integers(2))]
+    return protect(protocol, a1, a2, kind, r, mode)
 
 
 def _check_global_phase(rng):

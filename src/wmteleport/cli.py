@@ -32,7 +32,7 @@ import numpy as np
 
 from .checks import FAULT_NAMES, run_checks
 from .operators import CHANNEL_KINDS, PROTOCOL_AXES
-from .pipeline import PipelineMode
+from .pipeline import MODES
 from .reproduce import build_manifest, manifest_json, manifest_lines
 from .sweep import (
     DEFAULT_RESOLUTION,
@@ -299,7 +299,7 @@ def _add_common(sub, protocol=True):
     if protocol:
         sub.add_argument("--protocol", required=True, choices=tuple(PROTOCOL_AXES))
     sub.add_argument("--channel", required=True, type=str.lower, choices=CHANNEL_KINDS)
-    sub.add_argument("--mode", choices=tuple(m.value for m in PipelineMode), default="physical")
+    sub.add_argument("--mode", choices=MODES, default="physical")
     sub.add_argument("--measure", choices=MEASURES, default="polar")
 
 

@@ -7,21 +7,21 @@ everywhere; `PROTOCOL_AXES` names each protocol's axes and their ranges,
 and `check_parameters` is the one range rule. Both protection stages
 are diagonal, so they exist only as diagonals: `stage_diagonals` maps a
 grid of protocol parameters to their outcome-0 diagonals, and there are
-no one-point 2x2 views. Every channel's Kraus operators are real, so
-`kraus_set` returns one real (2, 2, 2) stack; the correction unitaries
-are fresh 2x2 complex arrays.
+no one-point 2x2 views. A channel is written (kind, r) everywhere, and
+`kraus_set` is the one channel rule; every channel's Kraus operators are
+real, so it returns one real (2, 2, 2) stack. The Pauli matrices are
+read-only; the correction unitaries are fresh 2x2 complex arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]]], dtype=complex)
+_PAULIS.setflags(write=False)
+PAULI_I, PAULI_X, PAULI_Z = _PAULIS
 
 CHANNEL_KINDS = ("adc", "bfc", "pfc")
 
@@ -39,32 +39,11 @@ __all__ = [
     "PAULI_Z",
     "CHANNEL_KINDS",
     "PROTOCOL_AXES",
-    "ChannelSpec",
     "check_parameters",
     "stage_diagonals",
     "kraus_set",
     "correction_unitary",
 ]
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """One of the three noise channels acting on the resource's last qubit.
-
-    kind is "adc" (amplitude damping), "bfc" (bit flip) or "pfc"
-    (phase flip); r in [0, 1] is the decoherence strength.
-    """
-
-    kind: str
-    r: float
-
-    def __post_init__(self):
-        kind = str(self.kind).lower()
-        if kind not in CHANNEL_KINDS:
-            raise ValueError(f"unknown channel kind {self.kind!r}, expected one of {CHANNEL_KINDS}")
-        object.__setattr__(self, "kind", kind)
-        if not (np.isfinite(self.r) and 0.0 <= self.r <= 1.0):
-            raise ValueError(f"r must be in [0, 1], got {self.r}")
 
 
 def check_parameters(protocol: str, axis1, axis2) -> None:
@@ -104,14 +83,23 @@ def stage_diagonals(protocol: str, axis1, axis2) -> tuple[np.ndarray, np.ndarray
     return d1, d2
 
 
-def kraus_set(spec: ChannelSpec) -> np.ndarray:
-    """Kraus operators (e0, e1) of the channel as one real (2, 2, 2)
-    array; sum(e^T e) = I."""
-    r = spec.r
-    if spec.kind == "adc":
+def kraus_set(kind: str, r: float) -> np.ndarray:
+    """Kraus operators (e0, e1) of the noise channel on the resource's
+    last qubit as one real (2, 2, 2) array; sum(e^T e) = I.
+
+    `kind` is "adc" (amplitude damping), "bfc" (bit flip) or "pfc"
+    (phase flip), exactly as spelled in CHANNEL_KINDS; r in [0, 1] is
+    the decoherence strength. Anything else, NaN included, raises
+    ValueError.
+    """
+    if kind not in CHANNEL_KINDS:
+        raise ValueError(f"unknown channel kind {kind!r}, expected one of {CHANNEL_KINDS}")
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"r must be in [0, 1], got {r}")
+    if kind == "adc":
         e0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - r)]])
         e1 = np.array([[0.0, math.sqrt(r)], [0.0, 0.0]])
-    elif spec.kind == "bfc":
+    elif kind == "bfc":
         e0 = math.sqrt(1.0 - r) * PAULI_I.real
         e1 = math.sqrt(r) * PAULI_X.real
     else:

@@ -20,33 +20,34 @@ columns, and no 16-dim form of it is built. There is one path from
 parameters to normalized branches: `branch_grid` builds the branch
 operators over a whole parameter grid, `normalize_branches` normalizes
 any stack of them, and `branch_operators`/`protect` are their one-point
-views. Two summation semantics are provided, selected by PipelineMode:
+views. A channel is written (channel, r), as `operators.kraus_set`
+takes it. Two summation semantics are provided, selected by a mode
+from MODES:
 
-* PAPER_LITERAL ("paper"): all four branch operators are summed
-  coherently into one operator (K = 1), normalized so the state has
-  unit norm.
-* PHYSICAL_MIXED ("physical"): the K = 4 branches are kept as an
-  incoherent mixture, renormalized once; the retained trace,
-  sum_b |g_b|_F^2 / 2, is the success probability of the filtering
-  stages, returned by `normalize_branches`.
+* "paper": all four branch operators are summed coherently into one
+  operator (K = 1), normalized so the state has unit norm.
+* "physical": the K = 4 branches are kept as an incoherent mixture,
+  renormalized once; the retained trace, sum_b |g_b|_F^2 / 2, is the
+  success probability of the filtering stages, returned by
+  `normalize_branches`.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
-from .operators import ChannelSpec, check_parameters, kraus_set, stage_diagonals
+from .operators import check_parameters, kraus_set, stage_diagonals
 
 ZERO_NORM_TOL = 1e-14
 
 GHZ_INDICES = (0b0000, 0b0101, 0b1010, 0b1111)
 
+MODES = ("paper", "physical")
+
 __all__ = [
     "ZERO_NORM_TOL",
     "GHZ_INDICES",
-    "PipelineMode",
+    "MODES",
     "initial_state",
     "branch_grid",
     "branch_operators",
@@ -55,15 +56,10 @@ __all__ = [
 ]
 
 
-class PipelineMode(str, Enum):
-    PAPER_LITERAL = "paper"
-    PHYSICAL_MIXED = "physical"
-
-
-def _coerce_mode(mode) -> PipelineMode:
-    if isinstance(mode, PipelineMode):
-        return mode
-    return PipelineMode(str(mode).lower())
+def _check_mode(mode: str) -> None:
+    """Raise ValueError unless `mode` is one of MODES, exactly."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
 def initial_state() -> np.ndarray:
@@ -79,7 +75,7 @@ _PSI0 = initial_state().reshape(8, 2)
 
 
 def branch_grid(
-    protocol: str, axis1, axis2, channel: ChannelSpec, out: np.ndarray | None = None
+    protocol: str, axis1, axis2, channel: str, r: float, out: np.ndarray | None = None
 ) -> np.ndarray:
     """The four branch operators g_ij at every cell of a parameter
     grid: shape (n1, n2, 4, 2, 2), branch order (i=0,j=0), (0,1),
@@ -94,7 +90,7 @@ def branch_grid(
     # rows and columns of e_j
     m = np.stack([d1, d1, d1[:, ::-1], d1[:, ::-1]], axis=1)
     n = np.stack([d2, d2, d2[:, ::-1], d2[:, ::-1]], axis=1)
-    e = kraus_set(channel)
+    e = kraus_set(channel, r)
     core = np.concatenate([e, e[:, ::-1, ::-1]])
     # flattened entry 2b+c: n_i[b] * C_ij[b, c] from `left`, m_i[c] from
     # `right`. One flat 16-wide product: the same broadcast over
@@ -104,15 +100,15 @@ def branch_grid(
     return np.multiply(left, right, out=out).reshape(len(d1), len(d2), 4, 2, 2)
 
 
-def branch_operators(protocol: str, a1: float, a2: float, channel: ChannelSpec) -> np.ndarray:
+def branch_operators(protocol: str, a1: float, a2: float, channel: str, r: float) -> np.ndarray:
     """The four 2x2 branch operators g_ij at the parameter point (a1, a2)
     of `protocol`, stacked in order (i, j) = (0,0), (0,1), (1,0), (1,1).
     Points outside the protocol's ranges raise ValueError."""
     check_parameters(protocol, a1, a2)
-    return branch_grid(protocol, [a1], [a2], channel)[0, 0]
+    return branch_grid(protocol, [a1], [a2], channel, r)[0, 0]
 
 
-def normalize_branches(branches: np.ndarray, mode):
+def normalize_branches(branches: np.ndarray, mode: str):
     """Normalize a stack of branch operators, shape (..., K, 2, 2).
 
     Returns (normalized, retained, annihilated). Paper mode first sums
@@ -121,8 +117,8 @@ def normalize_branches(branches: np.ndarray, mode):
     |g|_F^2 / 2 summed over the branches (psi0^dagger psi0 = I/2); in
     physical mode it is the success probability. Cells with `retained` below ZERO_NORM_TOL
     are flagged in `annihilated` and left unscaled."""
-    mode = _coerce_mode(mode)
-    if mode is PipelineMode.PAPER_LITERAL:
+    _check_mode(mode)
+    if mode == "paper":
         branches = branches.sum(axis=-3, keepdims=True)
     retained = 0.5 * (branches.real**2 + branches.imag**2).sum(axis=(-3, -2, -1))
     annihilated = retained < ZERO_NORM_TOL
@@ -131,21 +127,20 @@ def normalize_branches(branches: np.ndarray, mode):
 
 
 _ANNIHILATED = {
-    PipelineMode.PAPER_LITERAL: "protection pipeline produced a zero-norm state; "
+    "paper": "protection pipeline produced a zero-norm state; "
     "the chosen parameters annihilate every branch",
-    PipelineMode.PHYSICAL_MIXED: "protection pipeline produced a zero-trace mixture; "
+    "physical": "protection pipeline produced a zero-trace mixture; "
     "the chosen parameters annihilate every branch",
 }
 
 
-def protect(protocol: str, a1: float, a2: float, channel: ChannelSpec, mode) -> np.ndarray:
+def protect(protocol: str, a1: float, a2: float, channel: str, r: float, mode: str) -> np.ndarray:
     """Push the resource through the protection sequence at the
     parameter point (a1, a2) of `protocol`: the normalized branch
     stack, shape (1, 2, 2) in paper mode and (4, 2, 2) in physical
     mode. A point that annihilates every branch raises ValueError."""
-    mode = _coerce_mode(mode)
     normalized, _, annihilated = normalize_branches(
-        branch_operators(protocol, a1, a2, channel), mode
+        branch_operators(protocol, a1, a2, channel, r), mode
     )
     if annihilated:
         raise ValueError(_ANNIHILATED[mode])

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .operators import PROTOCOL_AXES
-from .pipeline import PipelineMode
+from .pipeline import MODES
 from .sweep import _DEFAULT_SPANS, DEFAULT_RESOLUTION, fmax_curve
 
 TOLERANCE = 0.02
@@ -101,8 +101,6 @@ SUPPLEMENTARY_CHECKS: tuple[SupplementaryCheck, ...] = (
     SupplementaryCheck("pfc_II_r0.9", "II", "pfc", 0.9, "value", 0.733),
 )
 
-_MODES = (PipelineMode.PAPER_LITERAL, PipelineMode.PHYSICAL_MIXED)
-
 
 def _fmax_table(resolution: int, measure: str) -> dict:
     """The FmaxPoint of every (protocol, channel, r, mode) that a target
@@ -114,7 +112,7 @@ def _fmax_table(resolution: int, measure: str) -> dict:
         r_values.setdefault((entry.protocol, entry.channel), set()).add(entry.r)
     table = {}
     for (protocol, channel), rs in r_values.items():
-        for mode in _MODES:
+        for mode in MODES:
             curve = fmax_curve(protocol, channel, r_values=np.array(sorted(rs)),
                                resolution=resolution, mode=mode, measure=measure)
             for point in curve:
@@ -139,10 +137,10 @@ def _evaluate(entry, table: dict) -> dict:
     baseline, and the modes that pass the entry's rule."""
     n1, n2 = (name for name, _, _ in PROTOCOL_AXES[entry.protocol])
     achieved = {}
-    for mode in _MODES:
+    for mode in MODES:
         point = table[entry.protocol, entry.channel, entry.r, mode]
-        achieved[mode.value] = {"fmax": point.fmax,
-                                "params": {n1: point.param1, n2: point.param2}}
+        achieved[mode] = {"fmax": point.fmax,
+                          "params": {n1: point.param1, n2: point.param2}}
     baseline = point.baseline
     passed_by = [
         mode

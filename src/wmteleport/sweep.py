@@ -39,9 +39,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import CHANNEL_KINDS, PROTOCOL_AXES, ChannelSpec, check_parameters, kraus_set
-from .pipeline import ZERO_NORM_TOL, PipelineMode, _coerce_mode, branch_grid
-from .teleport import MEASURES, _overlap_matrix, design_inputs
+from .operators import PROTOCOL_AXES, check_parameters, kraus_set
+from .pipeline import ZERO_NORM_TOL, _check_mode, branch_grid
+from .teleport import _overlap_matrix, design_inputs
 
 DEFAULT_RESOLUTION = 101
 DEFAULT_R_COUNT = 21
@@ -85,17 +85,17 @@ def _validate_axis(name: str, values) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
     """Cartesian sweep domain: two protection-parameter axes and a set
-    of decoherence values, evaluated under one pipeline mode."""
+    of decoherence values, evaluated under one mode of `pipeline.MODES`."""
 
     protocol: str
     axis1: np.ndarray
     axis2: np.ndarray
     r_values: np.ndarray
-    mode: PipelineMode = PipelineMode.PHYSICAL_MIXED
+    mode: str = "physical"
 
     def __post_init__(self):
         check_parameters(self.protocol, self.axis1, self.axis2)
-        object.__setattr__(self, "mode", _coerce_mode(self.mode))
+        _check_mode(self.mode)
         a1 = _validate_axis(self.axis1_name, self.axis1)
         a2 = _validate_axis(self.axis2_name, self.axis2)
         rv = _validate_axis("r", self.r_values)
@@ -128,7 +128,7 @@ def default_grid(
     protocol: str,
     r_values,
     resolution: int = DEFAULT_RESOLUTION,
-    mode=PipelineMode.PHYSICAL_MIXED,
+    mode="physical",
 ) -> SweepGrid:
     """Default sweep domain: omega in [0, pi/2] x q in [0, 1] for
     protocol I, K1 x K2 in [0, 1]^2 for protocol II."""
@@ -198,7 +198,7 @@ def _branch_slab(grid: SweepGrid, channel: str, r: float, rows: slice) -> np.nda
     axis1 = grid.axis1[rows]
     n1, n2 = axis1.size, grid.axis2.size
     out = _scratch("branches", (n1, n2, 16), n1 * n2)
-    g = branch_grid(grid.protocol, axis1, grid.axis2, ChannelSpec(channel, r), out=out)
+    g = branch_grid(grid.protocol, axis1, grid.axis2, channel, r, out=out)
     return g.reshape(n1, n2, 4, 4)
 
 
@@ -219,9 +219,7 @@ def _design_matrix(measure: str) -> np.ndarray:
     return v
 
 
-def _fidelity_slab(
-    branches: np.ndarray, mode: PipelineMode, measure: str
-) -> np.ndarray:
+def _fidelity_slab(branches: np.ndarray, mode: str, measure: str) -> np.ndarray:
     """Average fidelity over one (n1, n2) block of flattened branch
     matrices, shape (n1, n2, K, 4). Paper mode sums the K branches
     before squaring, physical mode squares each branch; amplitudes are
@@ -231,7 +229,7 @@ def _fidelity_slab(
     n1, n2, nk = branches.shape[:3]
     cells = n1 * n2
     g = branches.reshape(cells, nk, 4)
-    if mode is PipelineMode.PAPER_LITERAL:
+    if mode == "paper":
         g = np.einsum("xkc->xc", g, out=_scratch("coherent", (cells, 4), cells))[:, None]
     den = np.einsum("xkc,xkc->x", g, g, out=_scratch("den", (cells,), cells))
     den *= 0.5
@@ -269,10 +267,6 @@ def sweep(grid: SweepGrid, channel: str, measure: str = "polar") -> SweepResult:
     """Average fidelity at every grid cell, plus per-r argmax and the
     unprotected baseline. Deterministic; near-ties (within 1e-15) go to
     the lowest flat index."""
-    if channel not in CHANNEL_KINDS:
-        raise ValueError(f"unknown channel kind {channel!r}")
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
     n1, n2, nr = grid.shape
     step = max(1, _BLOCK_CELLS // n2)
     fidelity = np.empty((n1, n2, nr))
@@ -288,18 +282,17 @@ def sweep(grid: SweepGrid, channel: str, measure: str = "polar") -> SweepResult:
     return SweepResult(grid, channel, fidelity, tuple(argmax), baseline)
 
 
-def unprotected_baseline(channel: str, r_values, mode, measure: str) -> np.ndarray:
+def unprotected_baseline(channel: str, r_values, mode: str, measure: str) -> np.ndarray:
     """Average fidelity with every protection stage replaced by the
     identity, at each of the r values: the channel's Kraus operators go
     through the same contraction as the protected branches, under the
     mode's summation semantics. A bare float is one r value; an empty
     sequence raises ValueError. Read-only, shape (len(r_values),)."""
-    mode = _coerce_mode(mode)
+    _check_mode(mode)
     r_values = np.atleast_1d(np.asarray(r_values, dtype=float))
     if r_values.ndim != 1 or r_values.size == 0:
         raise ValueError("axis r must be a nonempty 1-D array")
-    kraus = np.stack([kraus_set(ChannelSpec(channel, float(r))).reshape(2, 4)
-                      for r in r_values])
+    kraus = np.stack([kraus_set(channel, float(r)).reshape(2, 4) for r in r_values])
     baseline = _fidelity_slab(kraus[:, None], mode, measure)[:, 0]
     baseline.setflags(write=False)
     return baseline
@@ -329,7 +322,7 @@ def fmax_curve(
     channel: str,
     r_values=None,
     resolution: int = DEFAULT_RESOLUTION,
-    mode=PipelineMode.PHYSICAL_MIXED,
+    mode="physical",
     measure: str = "polar",
 ) -> list[FmaxPoint]:
     """Maximum average fidelity versus decoherence over the default
@@ -388,7 +381,7 @@ def compare_protocols(
     channel: str,
     r_values=None,
     resolution: int = DEFAULT_RESOLUTION,
-    mode=PipelineMode.PHYSICAL_MIXED,
+    mode="physical",
     measure: str = "polar",
 ) -> ProtocolComparison:
     """F_max for both protocols on a shared r grid, with this
@@ -415,7 +408,7 @@ def compare_protocols(
             f"protocol II maximum fidelity at r = {target[0]:g} is at or "
             "above protocol I: " + ("confirmed" if verdict else "violated")
         )
-    elif channel == "pfc":
+    else:  # "pfc"; fmax_curve has rejected any other channel
         gap = max(abs(row[2] - row[3]) for row in rows)
         verdict = bool(gap <= 0.02)
         verdict_text = (
@@ -423,6 +416,4 @@ def compare_protocols(
             f"every r (largest gap {gap:.3g}): "
             + ("confirmed" if verdict else "violated")
         )
-    else:
-        raise ValueError(f"unknown channel kind {channel!r}")
     return ProtocolComparison(channel, rows, bool(verdict), verdict_text)

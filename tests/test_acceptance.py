@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from wmteleport.checks import run_checks
-from wmteleport.operators import CHANNEL_KINDS, ChannelSpec
-from wmteleport.pipeline import GHZ_INDICES, PipelineMode, protect
+from wmteleport.operators import CHANNEL_KINDS
+from wmteleport.pipeline import GHZ_INDICES, protect
 from wmteleport.reproduce import TOLERANCE, build_manifest
 from wmteleport.sweep import compare_protocols
 from wmteleport.teleport import average_fidelity
@@ -22,8 +22,6 @@ from wmteleport.teleport import average_fidelity
 from brute import brute_mc_average, brute_protect
 from dense import pure, rho, state_fidelity
 
-PAPER = PipelineMode.PAPER_LITERAL
-PHYSICAL = PipelineMode.PHYSICAL_MIXED
 
 LOCUS = (("I", np.pi / 2, 1.0), ("II", 0.0, 0.0))
 
@@ -50,7 +48,7 @@ def test_criterion_2_noiseless_limit_paper_mode():
     rng = np.random.default_rng(2024)
     for params in _random_tuples(rng, 100):
         for kind in CHANNEL_KINDS:
-            shared = protect(*params, ChannelSpec(kind, 0.0), PAPER)
+            shared = protect(*params, kind, 0.0, "paper")
             assert abs(average_fidelity(shared, measure="haar") - 1.0) <= 1e-10
 
 
@@ -64,7 +62,7 @@ def test_criterion_2_noiseless_limit_physical_mode():
     rng = np.random.default_rng(2024)
     for params in _random_tuples(rng, 100):
         for kind in CHANNEL_KINDS:
-            shared = protect(*params, ChannelSpec(kind, 0.0), PHYSICAL)
+            shared = protect(*params, kind, 0.0, "physical")
             assert abs(average_fidelity(shared, measure="haar") - 1.0) <= 1e-10
 
 
@@ -75,16 +73,16 @@ def test_criterion_3_mode_coincidence_single_branch_channels():
     # strict xfail below)
     for params in LOCUS:
         for kind in CHANNEL_KINDS:
-            a = protect(*params, ChannelSpec(kind, 0.0), PAPER)
-            b = protect(*params, ChannelSpec(kind, 0.0), PHYSICAL)
+            a = protect(*params, kind, 0.0, "paper")
+            b = protect(*params, kind, 0.0, "physical")
             assert state_fidelity(a, b) >= 1.0 - 1e-10
-        a = protect(*params, ChannelSpec("bfc", 1.0), PAPER)
-        b = protect(*params, ChannelSpec("bfc", 1.0), PHYSICAL)
+        a = protect(*params, "bfc", 1.0, "paper")
+        b = protect(*params, "bfc", 1.0, "physical")
         assert state_fidelity(a, b) >= 1.0 - 1e-10
         # saturated phase flip has no coherent-sum state to compare:
         # the two branches cancel exactly
         with pytest.raises(ValueError, match="annihilate"):
-            protect(*params, ChannelSpec("pfc", 1.0), PAPER)
+            protect(*params, "pfc", 1.0, "paper")
 
 
 @pytest.mark.xfail(
@@ -96,8 +94,8 @@ def test_criterion_3_mode_coincidence_single_branch_channels():
 def test_criterion_3_mode_coincidence_generic_parameters():
     for params in (("I", 0.8, 0.4), ("II", 0.5, 0.3)):
         for kind in CHANNEL_KINDS:
-            a = protect(*params, ChannelSpec(kind, 0.0), PAPER)
-            b = protect(*params, ChannelSpec(kind, 0.0), PHYSICAL)
+            a = protect(*params, kind, 0.0, "paper")
+            b = protect(*params, kind, 0.0, "physical")
             assert state_fidelity(a, b) >= 1.0 - 1e-10
 
 
@@ -132,13 +130,13 @@ def test_criterion_4_failing_target_verified_against_oracle(manifest):
     # Monte-Carlo oracle, in both modes
     entry = next(t for t in manifest["targets"] if t["name"] == "adc_II_r0.5")
     rng = np.random.default_rng(41)
-    for mode_name, mode in (("paper", "paper"), ("physical", "physical")):
-        point = entry["achieved"][mode_name]["params"]
+    for mode in ("paper", "physical"):
+        point = entry["achieved"][mode]["params"]
         k1, k2 = point["k1"], point["k2"]
-        claimed = entry["achieved"][mode_name]["fmax"]
+        claimed = entry["achieved"][mode]["fmax"]
         state = brute_protect("II", k1, k2, "adc", 0.5, mode)
         mc, stderr = brute_mc_average(state, rng, n=100_000, measure="polar")
-        assert abs(mc - claimed) <= 3.0 * stderr + 1e-9, (mode_name, mc, claimed)
+        assert abs(mc - claimed) <= 3.0 * stderr + 1e-9, (mode, mc, claimed)
 
 
 def test_criterion_5_dominance_verdicts():
@@ -159,12 +157,13 @@ def test_criterion_6_oracle_equivalence():
         kind = rng.choice(list(CHANNEL_KINDS))
         r = float(rng.uniform(0.0, 0.9))
         mode = rng.choice(["paper", "physical"])
+        point = (proto, a, b, kind, r, mode)
         try:
-            shared = protect(proto, a, b, ChannelSpec(kind, r), PipelineMode(mode))
+            shared = protect(*point)
         except ValueError:
             continue
         engine = average_fidelity(shared, measure="haar")
-        state = brute_protect(proto, a, b, kind, r, mode)
+        state = brute_protect(*point)
         mc, stderr = brute_mc_average(state, rng, n=100_000, measure="haar")
         assert abs(engine - mc) <= 3.0 * stderr + 1e-9, (
             proto, a, b, kind, r, mode, engine, mc, stderr,
@@ -175,9 +174,9 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_phase_flip_support():
     outside = [i for i in range(16) if i not in GHZ_INDICES]
     for params in (("I", 0.8, 0.4), ("II", 0.5, 0.3)):
-        for mode in (PAPER, PHYSICAL):
-            shared = protect(*params, ChannelSpec("pfc", 0.6), mode)
-            if mode is PAPER:
+        for mode in ("paper", "physical"):
+            shared = protect(*params, "pfc", 0.6, mode)
+            if mode == "paper":
                 residual = max(abs(pure(shared)[i]) for i in outside)
             else:
                 mixed = rho(shared)

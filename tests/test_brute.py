@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wmteleport.operators import ChannelSpec, kraus_set, stage_diagonals
+from wmteleport.operators import kraus_set, stage_diagonals
 
 from brute import ETA, lift_naive, partial_trace_naive
 
@@ -60,7 +60,7 @@ def test_lift_flip_last_of_four():
 
 
 def test_lift_trivial_kraus_is_identity():
-    e0 = kraus_set(ChannelSpec("adc", 0.0))[0]
+    e0 = kraus_set("adc", 0.0)[0]
     np.testing.assert_array_equal(lift_naive(e0, 4, 3), np.eye(16))
 
 
@@ -72,7 +72,7 @@ def test_apply_weak_measurement_balanced():
 
 
 def test_apply_damping_jump():
-    e1 = kraus_set(ChannelSpec("adc", 1.0))[1]
+    e1 = kraus_set("adc", 1.0)[1]
     out = lift_naive(e1, 4, 3) @ basis(4, "0001")
     np.testing.assert_allclose(out, basis(4, "0000"))
 

@@ -9,14 +9,13 @@ from wmteleport.operators import (
     PAULI_X,
     PAULI_Z,
     PROTOCOL_AXES,
-    ChannelSpec,
     check_parameters,
     correction_unitary,
     kraus_set,
     stage_diagonals,
 )
-from wmteleport.pipeline import PipelineMode, branch_operators, protect
-from wmteleport.sweep import SweepGrid
+from wmteleport.pipeline import MODES, branch_grid, branch_operators, normalize_branches, protect
+from wmteleport.sweep import SweepGrid, default_grid, sweep, unprotected_baseline
 
 from brute import brute_kraus, brute_wm, brute_wmr
 
@@ -71,19 +70,19 @@ def test_wmr_protocol_two_projective_limit():
 
 
 def test_kraus_damping_limits():
-    e0, e1 = kraus_set(ChannelSpec("adc", 0.0))
+    e0, e1 = kraus_set("adc", 0.0)
     np.testing.assert_array_equal(e0, PAULI_I)
     np.testing.assert_array_equal(e1, np.zeros((2, 2)))
 
 
 def test_kraus_flip_saturated():
-    e0, e1 = kraus_set(ChannelSpec("bfc", 1.0))
+    e0, e1 = kraus_set("bfc", 1.0)
     np.testing.assert_allclose(e0, np.zeros((2, 2)))
     np.testing.assert_allclose(e1, PAULI_X)
 
 
 def test_kraus_damping_midpoint():
-    e0, e1 = kraus_set(ChannelSpec("adc", 0.5))
+    e0, e1 = kraus_set("adc", 0.5)
     np.testing.assert_allclose(e0, np.diag([1.0, 1.0 / np.sqrt(2.0)]))
     expected = np.zeros((2, 2), dtype=complex)
     expected[0, 1] = 1.0 / np.sqrt(2.0)
@@ -95,6 +94,10 @@ def test_correction_table():
     np.testing.assert_array_equal(correction_unitary(2), PAULI_Z)
     np.testing.assert_array_equal(correction_unitary(3), PAULI_X)
     np.testing.assert_array_equal(correction_unitary(4), PAULI_Z @ PAULI_X)
+    # a fresh array each call: writing to one leaves the table alone
+    u = correction_unitary(3)
+    u[0, 1] = 5.0
+    np.testing.assert_array_equal(correction_unitary(3), PAULI_X)
 
 
 def test_correction_outcome_three_swaps_components():
@@ -144,14 +147,14 @@ def test_protocol_one_reversal_is_a_filter(q):
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 @pytest.mark.parametrize("r", np.linspace(0.0, 1.0, 11))
 def test_kraus_completeness(kind, r):
-    total = sum(e.conj().T @ e for e in kraus_set(ChannelSpec(kind, float(r))))
+    total = sum(e.conj().T @ e for e in kraus_set(kind, float(r)))
     np.testing.assert_allclose(total, PAULI_I, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_kraus_matches_independent_table(kind):
     for r in (0.0, 0.25, 0.8, 1.0):
-        ours = kraus_set(ChannelSpec(kind, r))
+        ours = kraus_set(kind, r)
         assert ours.shape == (2, 2, 2) and ours.dtype == np.float64
         theirs = brute_kraus(kind, r)
         for a, b in zip(ours, theirs):
@@ -189,7 +192,7 @@ def test_measurement_operators_are_exactly_diagonal():
         assert is_diagonal(brute_wmr("I", 0.77, 0.31, i))
         assert is_diagonal(brute_wm("II", 0.5, 0.5, i))
         assert is_diagonal(brute_wmr("II", 0.5, 0.5, i))
-    e0, e1 = kraus_set(ChannelSpec("adc", 0.37))
+    e0, e1 = kraus_set("adc", 0.37)
     assert is_diagonal(e0)
     assert e1[0, 0] == 0.0 and e1[1, 0] == 0.0 and e1[1, 1] == 0.0
 
@@ -212,11 +215,10 @@ _OFF_BOUNDS = [
 
 def _point_consumers(protocol, a1, a2):
     """Every entry point that takes a parameter point or a grid of them."""
-    channel = ChannelSpec("bfc", 0.3)
     return (
         lambda: check_parameters(protocol, a1, a2),
-        lambda: branch_operators(protocol, a1, a2, channel),
-        lambda: protect(protocol, a1, a2, channel, PipelineMode.PHYSICAL_MIXED),
+        lambda: branch_operators(protocol, a1, a2, "bfc", 0.3),
+        lambda: protect(protocol, a1, a2, "bfc", 0.3, "physical"),
         lambda: SweepGrid(protocol, [a1], [a2], [0.5]),
     )
 
@@ -246,8 +248,67 @@ def test_protocol_table_names_and_ranges():
 def test_parameter_domains():
     # the channel's kind and r; the protocol axes are covered above
     with pytest.raises(ValueError):
-        ChannelSpec("adc", -0.01)
+        kraus_set("adc", -0.01)
     with pytest.raises(ValueError):
-        ChannelSpec("adc", 1.01)
+        kraus_set("adc", 1.01)
     with pytest.raises(ValueError):
-        ChannelSpec("xyz", 0.5)
+        kraus_set("xyz", 0.5)
+
+
+def _channel_consumers(kind, r):
+    """Every entry point that takes a channel (kind, r), on tiny grids."""
+    return (
+        lambda: kraus_set(kind, r),
+        lambda: branch_grid("I", [0.7], [0.5], kind, r),
+        lambda: branch_operators("I", 0.7, 0.5, kind, r),
+        lambda: protect("I", 0.7, 0.5, kind, r, "physical"),
+        lambda: sweep(SweepGrid("I", [0.7], [0.5], [r]), kind),
+        lambda: unprotected_baseline(kind, r, "physical", "polar"),
+    )
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0])
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_every_entry_point_accepts_the_exact_r_bounds(kind, r):
+    for consume in _channel_consumers(kind, r):
+        consume()
+
+
+@pytest.mark.parametrize("r", [-1e-13, 1.0 + 5e-13, np.nan, np.inf])
+def test_every_entry_point_rejects_r_outside_the_range(r):
+    for consume in _channel_consumers("adc", r):
+        with pytest.raises(ValueError, match="r must"):
+            consume()
+
+
+@pytest.mark.parametrize("kind", ["ADC", "xyz"])
+def test_every_entry_point_takes_exact_channel_kinds(kind):
+    # case is folded only at the command line, never in the library
+    for consume in _channel_consumers(kind, 0.5):
+        with pytest.raises(ValueError, match="unknown channel kind"):
+            consume()
+
+
+def _mode_consumers(mode):
+    """Every entry point that takes a mode."""
+    branches = branch_operators("I", 0.7, 0.5, "bfc", 0.3)
+    return (
+        lambda: normalize_branches(branches, mode),
+        lambda: protect("I", 0.7, 0.5, "bfc", 0.3, mode),
+        lambda: default_grid("I", [0.3], 3, mode),
+        lambda: unprotected_baseline("bfc", 0.3, mode, "polar"),
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_entry_point_accepts_the_modes(mode):
+    assert MODES == ("paper", "physical")
+    for consume in _mode_consumers(mode):
+        consume()
+
+
+@pytest.mark.parametrize("mode", ["PAPER", "bogus"])
+def test_every_entry_point_takes_exact_modes(mode):
+    for consume in _mode_consumers(mode):
+        with pytest.raises(ValueError, match="unknown mode"):
+            consume()

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 import wmteleport
-from wmteleport.operators import CHANNEL_KINDS, ChannelSpec
+from wmteleport.operators import CHANNEL_KINDS
 from wmteleport.pipeline import (
     GHZ_INDICES,
-    PipelineMode,
     branch_grid,
     branch_operators,
     initial_state,
@@ -24,8 +23,6 @@ from wmteleport.teleport import design_inputs, input_fidelities, teleport
 from brute import brute_branch_vectors, brute_protect
 from dense import pure, rho, state_fidelity
 
-PAPER = PipelineMode.PAPER_LITERAL
-PHYSICAL = PipelineMode.PHYSICAL_MIXED
 
 # The resource's kets with B flipped: the second amplitude group.
 FLIPPED_INDICES = (0b0001, 0b0100, 0b1011, 0b1110)
@@ -38,9 +35,9 @@ ALL_PARAMS = [
 ]
 
 
-def _success_probability(params, channel):
+def _success_probability(params, channel, r):
     """The physical-mode retained trace, sum_b |g_b|_F^2 / 2."""
-    return normalize_branches(branch_operators(*params, channel), PHYSICAL)[1]
+    return normalize_branches(branch_operators(*params, channel, r), "physical")[1]
 
 
 def test_initial_state_amplitudes():
@@ -54,7 +51,7 @@ def test_initial_state_amplitudes():
 @pytest.mark.parametrize("params", ALL_PARAMS)
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_paper_mode_noiseless_returns_resource(params, kind):
-    shared = protect(*params, ChannelSpec(kind, 0.0), PAPER)
+    shared = protect(*params, kind, 0.0, "paper")
     overlap = abs(np.vdot(pure(shared), initial_state()))
     np.testing.assert_almost_equal(overlap, 1.0, decimal=12)
 
@@ -71,7 +68,7 @@ def test_paper_mode_normalized_and_eight_ket_support(kind):
         for a, b in pairs:
             for r in np.linspace(0.0, 1.0, 5):
                 try:
-                    shared = protect(proto, a, b, ChannelSpec(kind, float(r)), PAPER)
+                    shared = protect(proto, a, b, kind, float(r), "paper")
                 except ValueError:
                     annihilated += 1
                     continue
@@ -86,17 +83,16 @@ def test_paper_mode_normalized_and_eight_ket_support(kind):
 @pytest.mark.parametrize("params", ALL_PARAMS)
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_physical_mode_density_is_valid(params, kind):
-    channel = ChannelSpec(kind, 0.6)
-    mixed = rho(protect(*params, channel, PHYSICAL))
+    mixed = rho(protect(*params, kind, 0.6, "physical"))
     np.testing.assert_almost_equal(np.trace(mixed).real, 1.0, decimal=12)
     np.testing.assert_allclose(mixed, mixed.conj().T, atol=1e-12)
     assert np.linalg.eigvalsh(mixed).min() > -1e-12
-    assert 0.0 < _success_probability(params, channel) <= 1.0
+    assert 0.0 < _success_probability(params, kind, 0.6) <= 1.0
 
 
 def test_success_probability_bit_flip_closed_form():
     omega, q, r = 0.9, 0.35, 0.55
-    success = _success_probability(("I", omega, q), ChannelSpec("bfc", r))
+    success = _success_probability(("I", omega, q), "bfc", r)
     c2 = np.cos(omega / 2.0) ** 2
     s2 = np.sin(omega / 2.0) ** 2
     expected = (1.0 - r) * (q**2 * c2 + s2) + r * (q**2 * s2 + c2)
@@ -109,17 +105,17 @@ def test_success_probability_matches_branch_norms(params, kind):
     r = 0.45
     total = sum(np.linalg.norm(v) ** 2 for v in brute_branch_vectors(*params, kind, r))
     np.testing.assert_almost_equal(
-        _success_probability(params, ChannelSpec(kind, r)), total, decimal=12
+        _success_probability(params, kind, r), total, decimal=12
     )
 
 
-@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
 @pytest.mark.parametrize("params", ALL_PARAMS)
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_protect_matches_brute_force(mode, params, kind):
-    r = 0.3
-    shared = protect(*params, ChannelSpec(kind, r), mode)
-    tag, payload = brute_protect(*params, kind, r, mode.value)
+    point = (*params, kind, 0.3, mode)
+    shared = protect(*point)
+    tag, payload = brute_protect(*point)
     if tag == "pure":
         overlap = abs(np.vdot(pure(shared), payload))
         np.testing.assert_almost_equal(overlap, 1.0, decimal=12)
@@ -131,7 +127,7 @@ def test_branch_operators_shape_and_halved_gram():
     # each 8x2 branch matrix g as a 2x2 operator satisfies
     # <(I(x)g) psi0, (I(x)h) psi0> = Tr(g^dag h)/2; check the identity
     # operator case through the resource marginal
-    branches = branch_operators("I", 0.8, 0.4, ChannelSpec("adc", 0.3))
+    branches = branch_operators("I", 0.8, 0.4, "adc", 0.3)
     assert branches.shape == (4, 2, 2)
 
 
@@ -144,27 +140,27 @@ _STACK_AXES = {
 }
 
 
-@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
 @pytest.mark.parametrize("protocol", ["I", "II"])
 def test_stacked_normalization_matches_oracle_and_protect(protocol, mode):
     axis1, axis2 = _STACK_AXES[protocol]
     flagged = 0
     for kind, r in itertools.product(CHANNEL_KINDS, (0.0, 0.37, 1.0)):
-        channel = ChannelSpec(kind, r)
         normalized, retained, annihilated = normalize_branches(
-            branch_grid(protocol, axis1, axis2, channel), mode
+            branch_grid(protocol, axis1, axis2, kind, r), mode
         )
-        assert normalized.shape == (len(axis1), len(axis2), 1 if mode is PAPER else 4, 2, 2)
+        assert normalized.shape == (len(axis1), len(axis2), 1 if mode == "paper" else 4, 2, 2)
         assert np.isfinite(normalized).all() and np.isfinite(retained).all()
         for (i1, a), (i2, b) in itertools.product(enumerate(axis1), enumerate(axis2)):
             vecs = brute_branch_vectors(protocol, a, b, kind, r)
-            if mode is PAPER:
+            if mode == "paper":
                 want = np.linalg.norm(sum(vecs)) ** 2
             else:
                 want = sum(np.linalg.norm(v) ** 2 for v in vecs)
             np.testing.assert_allclose(retained[i1, i2], want, rtol=0, atol=1e-12)
+            point = (protocol, a, b, kind, r, mode)
             try:
-                shared = protect(protocol, a, b, channel, mode)
+                shared = protect(*point)
             except ValueError:
                 assert annihilated[i1, i2] and want < 1e-14
                 flagged += 1
@@ -172,7 +168,7 @@ def test_stacked_normalization_matches_oracle_and_protect(protocol, mode):
             assert not annihilated[i1, i2]
             stacked = normalized[i1, i2]
             assert np.array_equal(shared, stacked)
-            tag, payload = brute_protect(protocol, a, b, kind, r, mode.value)
+            tag, payload = brute_protect(*point)
             if tag == "pure":
                 np.testing.assert_allclose(pure(stacked), payload, rtol=0, atol=1e-12)
             else:
@@ -180,10 +176,10 @@ def test_stacked_normalization_matches_oracle_and_protect(protocol, mode):
     assert flagged
 
 
-_STATE = ("I", 0.8, 0.4, ChannelSpec("adc", 0.3))
+_STATE = ("I", 0.8, 0.4, "adc", 0.3)
 
 
-@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
 @pytest.mark.parametrize(
     "malform",
     [
@@ -205,7 +201,7 @@ def test_shared_state_rejects_malformed_branches(mode, malform):
 
 
 def test_teleport_takes_exactly_one_stack():
-    g = protect(*_STATE, PHYSICAL)
+    g = protect(*_STATE, "physical")
     with pytest.raises(ValueError, match="one branch stack"):
         teleport(np.stack([g, g]), [1.0, 0.0])
     assert input_fidelities(np.stack([g, g]), design_inputs("haar")).shape == (2, 6)
@@ -215,9 +211,8 @@ def test_derived_state_only_in_its_own_mode():
     # a paper-mode stack holds the one coherent branch, a physical-mode
     # stack all four; both lift to valid four-qubit states
     for params, kind in itertools.product(ALL_PARAMS, CHANNEL_KINDS):
-        channel = ChannelSpec(kind, 0.3)
-        paper = protect(*params, channel, PAPER)
-        physical = protect(*params, channel, PHYSICAL)
+        paper = protect(*params, kind, 0.3, "paper")
+        physical = protect(*params, kind, 0.3, "physical")
         assert paper.shape == (1, 2, 2)
         assert physical.shape == (4, 2, 2)
         vec, mixed = pure(paper), rho(physical)
@@ -270,15 +265,15 @@ def test_every_exported_name_resolves(name):
 def test_modes_coincide_with_single_effective_branch_noiseless(proto_params, kind):
     # at the no-protection parameter locus the two summation semantics
     # agree wherever the channel keeps a single effective Kraus branch
-    a = protect(*proto_params, ChannelSpec(kind, 0.0), PAPER)
-    b = protect(*proto_params, ChannelSpec(kind, 0.0), PHYSICAL)
+    a = protect(*proto_params, kind, 0.0, "paper")
+    b = protect(*proto_params, kind, 0.0, "physical")
     assert state_fidelity(a, b) >= 1.0 - 1e-10
 
 
 @pytest.mark.parametrize("proto_params", [("I", np.pi / 2, 1.0), ("II", 0.0, 0.0)])
 def test_modes_coincide_saturated_bit_flip(proto_params):
-    a = protect(*proto_params, ChannelSpec("bfc", 1.0), PAPER)
-    b = protect(*proto_params, ChannelSpec("bfc", 1.0), PHYSICAL)
+    a = protect(*proto_params, "bfc", 1.0, "paper")
+    b = protect(*proto_params, "bfc", 1.0, "physical")
     assert state_fidelity(a, b) >= 1.0 - 1e-10
 
 
@@ -286,8 +281,8 @@ def test_modes_coincide_saturated_bit_flip(proto_params):
 def test_saturated_phase_flip_annihilates_paper_mode(proto_params):
     # the coherent branch sum cancels exactly: f0 Z f0 + f1 Z f1 = 0
     with pytest.raises(ValueError, match="annihilate"):
-        protect(*proto_params, ChannelSpec("pfc", 1.0), PAPER)
-    shared = protect(*proto_params, ChannelSpec("pfc", 1.0), PHYSICAL)
+        protect(*proto_params, "pfc", 1.0, "paper")
+    shared = protect(*proto_params, "pfc", 1.0, "physical")
     assert abs(np.trace(rho(shared)).real - 1.0) <= 1e-12
 
 
@@ -297,8 +292,8 @@ def test_saturated_phase_flip_annihilates_paper_mode(proto_params):
     "parameter locus; generic parameters split them even at r=0",
 )
 def test_modes_coincide_noiseless_generic_params():
-    a = protect("I", 0.8, 0.4, ChannelSpec("adc", 0.0), PAPER)
-    b = protect("I", 0.8, 0.4, ChannelSpec("adc", 0.0), PHYSICAL)
+    a = protect("I", 0.8, 0.4, "adc", 0.0, "paper")
+    b = protect("I", 0.8, 0.4, "adc", 0.0, "physical")
     assert state_fidelity(a, b) >= 1.0 - 1e-10
 
 
@@ -308,8 +303,8 @@ def test_modes_coincide_noiseless_generic_params():
     "parameters still split the two summation semantics",
 )
 def test_modes_coincide_saturated_bit_flip_generic_params():
-    a = protect("I", np.pi / 2, 0.5, ChannelSpec("bfc", 1.0), PAPER)
-    b = protect("I", np.pi / 2, 0.5, ChannelSpec("bfc", 1.0), PHYSICAL)
+    a = protect("I", np.pi / 2, 0.5, "bfc", 1.0, "paper")
+    b = protect("I", np.pi / 2, 0.5, "bfc", 1.0, "physical")
     assert state_fidelity(a, b) >= 1.0 - 1e-10
 
 
@@ -318,8 +313,8 @@ def test_saturated_bit_flip_generic_params_exact_split():
     # omega=pi/2, bfc r=1: ((q s + c)^2) / (2 (q^2 s^2 + c^2)) with
     # c = s = 1/sqrt(2)
     q = 0.5
-    a = protect("I", np.pi / 2, q, ChannelSpec("bfc", 1.0), PAPER)
-    b = protect("I", np.pi / 2, q, ChannelSpec("bfc", 1.0), PHYSICAL)
+    a = protect("I", np.pi / 2, q, "bfc", 1.0, "paper")
+    b = protect("I", np.pi / 2, q, "bfc", 1.0, "physical")
     expected = (q + 1.0) ** 2 / (2.0 * (q**2 + 1.0))
     np.testing.assert_almost_equal(state_fidelity(a, b), expected, decimal=12)
     np.testing.assert_almost_equal(state_fidelity(a, b), 0.9, decimal=12)
@@ -331,20 +326,20 @@ def test_saturated_bit_flip_generic_params_exact_split():
     "measurement and reversal stages around a non-commuting channel",
 )
 def test_paper_mode_damping_strength_swap_symmetry():
-    a = protect("II", 0.3, 0.7, ChannelSpec("adc", 0.5), PAPER)
-    b = protect("II", 0.7, 0.3, ChannelSpec("adc", 0.5), PAPER)
+    a = protect("II", 0.3, 0.7, "adc", 0.5, "paper")
+    b = protect("II", 0.7, 0.3, "adc", 0.5, "paper")
     overlap = abs(np.vdot(pure(a), pure(b)))
     np.testing.assert_almost_equal(overlap, 1.0, decimal=12)
 
 
-@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
 @pytest.mark.parametrize(
     "params", [("I", 0.8, 0.4), ("II", 0.5, 0.3)]
 )
 def test_phase_flip_output_stays_on_resource_support(mode, params):
-    shared = protect(*params, ChannelSpec("pfc", 0.6), mode)
+    shared = protect(*params, "pfc", 0.6, mode)
     outside = [i for i in range(16) if i not in GHZ_INDICES]
-    if mode is PAPER:
+    if mode == "paper":
         residual = max(abs(pure(shared)[i]) for i in outside)
     else:
         mixed = rho(shared)
@@ -358,7 +353,7 @@ def test_phase_flip_output_stays_on_resource_support(mode, params):
 
 
 def test_paper_mode_damping_amplitude_groups():
-    amps = pure(protect("I", 0.8, 0.4, ChannelSpec("adc", 0.5), PAPER))
+    amps = pure(protect("I", 0.8, 0.4, "adc", 0.5, "paper"))
     ghz = np.array([amps[i] for i in GHZ_INDICES])
     flipped = np.array([amps[i] for i in FLIPPED_INDICES])
     np.testing.assert_allclose(ghz, ghz[0], atol=1e-12)
@@ -366,16 +361,16 @@ def test_paper_mode_damping_amplitude_groups():
     assert abs(ghz[0]) > 0 and abs(flipped[0]) > 0
 
 
-@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
 def test_degenerate_parameters_annihilate(mode):
     with pytest.raises(ValueError, match="annihilate"):
-        protect("I", 0.0, 0.0, ChannelSpec("pfc", 0.5), mode)
+        protect("I", 0.0, 0.0, "pfc", 0.5, mode)
 
 
-def _amplitude_groups(params, channel):
+def _amplitude_groups(params, channel, r):
     """Paper-mode amplitudes on the GHZ kets, on the flipped kets, and
     on the eight kets outside both groups."""
-    amps = pure(protect(*params, channel, PAPER))
+    amps = pure(protect(*params, channel, r, "paper"))
     np.testing.assert_allclose(amps.imag, 0.0, atol=1e-12)
     outside = [i for i in range(16) if i not in GHZ_INDICES + FLIPPED_INDICES]
     return amps[list(GHZ_INDICES)].real, amps[list(FLIPPED_INDICES)].real, amps[outside]
@@ -392,7 +387,7 @@ class TestClosedFormCheck:
         c, s, q = np.cos(0.4), np.sin(0.4), 1.0
         printed = (c * q + s) / np.sqrt(2.0 * (c * c * q * q + s * s))
         np.testing.assert_almost_equal(printed, (np.cos(0.4) + np.sin(0.4)) / np.sqrt(2.0))
-        ghz, flipped, _ = _amplitude_groups(("I", 0.8, 1.0), ChannelSpec("adc", 0.0))
+        ghz, flipped, _ = _amplitude_groups(("I", 0.8, 1.0), "adc", 0.0)
         np.testing.assert_allclose(2.0 * ghz, 1.0, rtol=0, atol=1e-12)
         assert abs(printed - 2.0 * ghz.mean()) > 0.05
         # the two-group ratio is not even finite: the flipped group is empty
@@ -403,12 +398,12 @@ class TestClosedFormCheck:
         c, s = np.cos(omega / 2.0), np.sin(omega / 2.0)
         lam1 = 0.5 * ((1.0 - r) * s * s + q * q * (1.0 - r) * c * c)
         lam2 = 0.5 * (r * q * q * s * s + r * c * c)
-        g = branch_operators("I", omega, q, ChannelSpec("bfc", r))
+        g = branch_operators("I", omega, q, "bfc", r)
         weights = 0.5 * np.einsum("bij,bij->b", g, g.conj()).real
         np.testing.assert_allclose(weights[:2], [lam1, lam2], rtol=1e-12, atol=0)
 
     def test_phase_flip_support_entries(self):
-        ghz, flipped, outside = _amplitude_groups(("II", 0.5, 0.3), ChannelSpec("pfc", 0.6))
+        ghz, flipped, outside = _amplitude_groups(("II", 0.5, 0.3), "pfc", 0.6)
         np.testing.assert_allclose(ghz, ghz.mean(), rtol=0, atol=1e-12)
         assert np.abs(flipped).max() < 1e-12 and np.abs(outside).max() < 1e-12
 
@@ -417,7 +412,7 @@ class TestClosedFormCheck:
             (("I", 0.7, 0.2), "adc"),
             (("II", 0.4, 0.8), "bfc"),
         ]:
-            ghz, flipped, outside = _amplitude_groups(params, ChannelSpec(kind, 0.3))
+            ghz, flipped, outside = _amplitude_groups(params, kind, 0.3)
             np.testing.assert_allclose(ghz, ghz.mean(), rtol=0, atol=1e-12)
             np.testing.assert_allclose(flipped, flipped.mean(), rtol=0, atol=1e-12)
             assert np.abs(outside).max() < 1e-12

@@ -4,8 +4,8 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from wmteleport.pipeline import MODES
 from wmteleport.reproduce import (
-    _MODES,
     REFERENCE_TARGETS,
     SUPPLEMENTARY_CHECKS,
     TOLERANCE,
@@ -146,7 +146,7 @@ def test_manifest_lines_format(manifest):
 def test_batched_table_equals_single_r_curves():
     table = _fmax_table(101, "polar")
     keys = {(e.protocol, e.channel, e.r, mode)
-            for e in REFERENCE_TARGETS + SUPPLEMENTARY_CHECKS for mode in _MODES}
+            for e in REFERENCE_TARGETS + SUPPLEMENTARY_CHECKS for mode in MODES}
     assert set(table) == keys
     for protocol, channel, r, mode in sorted(keys):
         single = fmax_curve(protocol, channel, r_values=np.array([r]), mode=mode)[0]

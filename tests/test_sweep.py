@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from brute import brute_baseline, brute_fidelities_batch, brute_protect
 from wmteleport import sweep as sweep_module
 from wmteleport.checks import _quadrature_grid
-from wmteleport.operators import CHANNEL_KINDS, ChannelSpec
-from wmteleport.pipeline import PipelineMode, protect
+from wmteleport.operators import CHANNEL_KINDS, PAULI_I, PAULI_X, PAULI_Z
+from wmteleport.pipeline import protect
 from wmteleport.sweep import (
     SweepGrid,
     _branch_slab,
@@ -33,14 +33,11 @@ from wmteleport.teleport import (
     design_inputs,
 )
 
-PAPER = PipelineMode.PAPER_LITERAL
-PHYSICAL = PipelineMode.PHYSICAL_MIXED
-
 
 def _honest_cell(protocol, a, b, kind, r, mode, measure):
     """Single grid cell through the object pipeline, no vectorization."""
     try:
-        shared = protect(protocol, a, b, ChannelSpec(kind, r), mode)
+        shared = protect(protocol, a, b, kind, r, mode)
     except ValueError:
         return np.nan
     return average_fidelity(shared, measure=measure)
@@ -77,8 +74,11 @@ def test_grid_axis_names_fill_in():
     grid2 = default_grid("II", np.array([0.5]), resolution=3)
     assert (grid2.axis1_name, grid2.axis2_name) == ("k1", "k2")
     assert grid2.shape == (3, 3, 1)
-    # the mode goes through the pipeline's coercion, as in `protect`
-    assert default_grid("I", [0.5], 5, "PAPER").mode is PAPER
+    # the mode goes through the pipeline's one mode check, as in
+    # `protect`: exact names only, no case folding
+    assert default_grid("I", [0.5], 5, "paper").mode == "paper"
+    with pytest.raises(ValueError, match="unknown mode"):
+        default_grid("I", [0.5], 5, "PAPER")
 
 
 def test_single_point_noiseless_grid():
@@ -87,14 +87,14 @@ def test_single_point_noiseless_grid():
         np.array([np.pi / 2]),
         np.array([1.0]),
         np.array([0.0]),
-        mode=PHYSICAL,
+        mode="physical",
     )
     result = sweep(grid, "adc")
     assert result.fidelity.shape == (1, 1, 1)
     np.testing.assert_almost_equal(result.fidelity[0, 0, 0], 1.0, decimal=12)
 
 
-@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 @pytest.mark.parametrize("protocol", ["I", "II"])
 def test_sweep_matches_honest_evaluation(mode, kind, protocol):
@@ -114,16 +114,16 @@ def test_sweep_matches_honest_evaluation(mode, kind, protocol):
 
 
 def test_sweep_haar_measure_matches_honest_evaluation():
-    grid = default_grid("II", np.array([0.4]), resolution=3, mode=PHYSICAL)
+    grid = default_grid("II", np.array([0.4]), resolution=3, mode="physical")
     result = sweep(grid, "bfc", measure="haar")
     for i, a in enumerate(grid.axis1):
         for j, b in enumerate(grid.axis2):
-            honest = _honest_cell("II", float(a), float(b), "bfc", 0.4, PHYSICAL, "haar")
+            honest = _honest_cell("II", float(a), float(b), "bfc", 0.4, "physical", "haar")
             np.testing.assert_allclose(result.fidelity[i, j, 0], honest, atol=1e-12)
 
 
 def test_sweep_is_deterministic():
-    grid = default_grid("I", np.array([0.3, 0.8]), resolution=9, mode=PHYSICAL)
+    grid = default_grid("I", np.array([0.3, 0.8]), resolution=9, mode="physical")
     a = sweep(grid, "adc")
     b = sweep(grid, "adc")
     assert a.fidelity.tobytes() == b.fidelity.tobytes()
@@ -131,7 +131,7 @@ def test_sweep_is_deterministic():
 
 
 def test_argmax_record():
-    grid = default_grid("I", np.array([0.5]), resolution=11, mode=PHYSICAL)
+    grid = default_grid("I", np.array([0.5]), resolution=11, mode="physical")
     result = sweep(grid, "adc")
     a, b, best = result.argmax[0]
     slab = result.fidelity[:, :, 0]
@@ -141,7 +141,7 @@ def test_argmax_record():
     np.testing.assert_almost_equal(slab[i, j], best, decimal=15)
 
 
-@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 @pytest.mark.parametrize("protocol", ["I", "II"])
 def test_fmax_is_one_without_noise(mode, kind, protocol):
@@ -154,7 +154,7 @@ def test_fmax_is_one_without_noise(mode, kind, protocol):
 def test_noiseless_protocol_one_surface_has_one_missing_cell():
     # omega=0, q=0 annihilates both branch sums even with no noise; in
     # the coherent-sum reading every other cell is exactly noiseless
-    grid = default_grid("I", np.array([0.0]), resolution=21, mode=PAPER)
+    grid = default_grid("I", np.array([0.0]), resolution=21, mode="paper")
     result = sweep(grid, "adc")
     slab = result.fidelity[:, :, 0]
     assert np.isnan(slab[0, 0])
@@ -164,14 +164,14 @@ def test_noiseless_protocol_one_surface_has_one_missing_cell():
 
 def test_noiseless_physical_surface_peaks_only_at_the_locus():
     # the mixture reading keeps a sub-unit plateau off the locus
-    grid = default_grid("I", np.array([0.0]), resolution=21, mode=PHYSICAL)
+    grid = default_grid("I", np.array([0.0]), resolution=21, mode="physical")
     slab = sweep(grid, "adc").fidelity[:, :, 0]
     np.testing.assert_allclose(slab[-1, -1], 1.0, atol=1e-12)
     assert np.nanmin(slab) < 1.0 - 1e-6
 
 
 def test_noiseless_protocol_two_paper_surface_is_all_ones():
-    grid = default_grid("II", np.array([0.0]), resolution=21, mode=PAPER)
+    grid = default_grid("II", np.array([0.0]), resolution=21, mode="paper")
     result = sweep(grid, "bfc")
     np.testing.assert_allclose(result.fidelity[:, :, 0], 1.0, atol=1e-10)
 
@@ -179,7 +179,7 @@ def test_noiseless_protocol_two_paper_surface_is_all_ones():
 def test_refinement_never_lowers_the_coarse_maximum():
     r_values = np.array([0.3, 0.6, 0.9])
     for protocol, kind in [("I", "adc"), ("II", "bfc")]:
-        grid = default_grid(protocol, r_values, resolution=21, mode=PHYSICAL)
+        grid = default_grid(protocol, r_values, resolution=21, mode="physical")
         coarse = sweep(grid, kind)
         points = fmax_curve(protocol, kind, r_values=r_values, resolution=21)
         for k, point in enumerate(points):
@@ -192,8 +192,8 @@ def test_finer_nested_grid_never_loses_fidelity():
     r = np.array([0.5])
     for resolution_pair in [(26, 51)]:
         lo_res, hi_res = resolution_pair
-        lo_grid = default_grid("I", r, resolution=lo_res, mode=PHYSICAL)
-        hi_grid = default_grid("I", r, resolution=hi_res, mode=PHYSICAL)
+        lo_grid = default_grid("I", r, resolution=lo_res, mode="physical")
+        hi_grid = default_grid("I", r, resolution=hi_res, mode="physical")
         lo_max = np.nanmax(sweep(lo_grid, "adc").fidelity)
         hi_max = np.nanmax(sweep(hi_grid, "adc").fidelity)
         assert hi_max >= lo_max - 1e-12
@@ -206,7 +206,7 @@ def test_damping_protocol_one_reference_surface():
         np.linspace(0.0, np.pi, 101),
         np.linspace(0.0, 1.0, 101),
         np.array([0.5]),
-        mode=PHYSICAL,
+        mode="physical",
     )
     result = sweep(grid, "adc")
     assert abs(np.nanmax(result.fidelity) - 0.999) <= 0.02
@@ -218,7 +218,7 @@ def test_bit_flip_protocol_two_reference_surface():
         np.linspace(-1.0, 1.0, 101),
         np.linspace(-1.0, 1.0, 101),
         np.array([0.9]),
-        mode=PHYSICAL,
+        mode="physical",
     )
     result = sweep(grid, "bfc")
     assert abs(np.nanmax(result.fidelity) - 0.733) <= 0.02
@@ -231,7 +231,7 @@ def test_bit_flip_negation_symmetry():
         np.linspace(-1.0, 1.0, 11),
         np.linspace(-1.0, 1.0, 11),
         np.array([0.6]),
-        mode=PHYSICAL,
+        mode="physical",
     )
     slab = sweep(grid, "bfc").fidelity[:, :, 0]
     np.testing.assert_allclose(slab, slab[::-1, ::-1], atol=1e-12)
@@ -249,13 +249,13 @@ def test_damping_strength_swap_symmetry_paper_mode():
         np.linspace(0.0, 1.0, 11),
         np.linspace(0.0, 1.0, 11),
         np.array([0.5]),
-        mode=PAPER,
+        mode="paper",
     )
     slab = sweep(grid, "adc").fidelity[:, :, 0]
     np.testing.assert_allclose(slab, slab.T, atol=1e-12)
 
 
-@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
 def test_bit_flip_protocol_one_cannot_beat_baseline_at_high_noise(mode):
     point = fmax_curve(
         "I", "bfc", r_values=np.array([0.9]), resolution=51, mode=mode
@@ -265,18 +265,18 @@ def test_bit_flip_protocol_one_cannot_beat_baseline_at_high_noise(mode):
 
 
 def test_paper_mode_phase_flip_surface_is_one_where_defined():
-    grid = default_grid("I", np.array([0.5]), resolution=21, mode=PAPER)
+    grid = default_grid("I", np.array([0.5]), resolution=21, mode="paper")
     result = sweep(grid, "pfc")
     slab = result.fidelity[:, :, 0]
     assert np.isnan(slab).any()
     np.testing.assert_allclose(slab[~np.isnan(slab)], 1.0, atol=1e-10)
-    point = fmax_curve("I", "pfc", r_values=np.array([0.5]), resolution=21, mode=PAPER)[0]
+    point = fmax_curve("I", "pfc", r_values=np.array([0.5]), resolution=21, mode="paper")[0]
     np.testing.assert_allclose(point.fmax, 1.0, atol=1e-10)
 
 
 def test_fmax_point_parameters_evaluate_to_fmax():
     point = fmax_curve("II", "adc", r_values=np.array([0.5]), resolution=31)[0]
-    shared = protect("II", point.param1, point.param2, ChannelSpec("adc", 0.5), PHYSICAL)
+    shared = protect("II", point.param1, point.param2, "adc", 0.5, "physical")
     np.testing.assert_allclose(
         average_fidelity(shared, measure="polar"), point.fmax, atol=1e-12
     )
@@ -319,10 +319,10 @@ def test_refinement_keeps_the_coarse_optimum_on_a_plateau():
     # paper-mode phase flip under protocol I is 1 wherever it is defined;
     # the reported optimum is the first defined coarse cell, whatever the
     # refinement window's rounding noise says
-    grid = default_grid("I", np.array([0.5]), resolution=21, mode=PAPER)
+    grid = default_grid("I", np.array([0.5]), resolution=21, mode="paper")
     slab = sweep(grid, "pfc").fidelity[:, :, 0]
     i1, i2 = divmod(int(np.flatnonzero(~np.isnan(slab))[0]), slab.shape[1])
-    point = fmax_curve("I", "pfc", r_values=np.array([0.5]), resolution=21, mode=PAPER)[0]
+    point = fmax_curve("I", "pfc", r_values=np.array([0.5]), resolution=21, mode="paper")[0]
     assert (point.param1, point.param2) == (grid.axis1[i1], grid.axis2[i2])
     assert point.fmax == slab[i1, i2]
 
@@ -346,7 +346,7 @@ def _oracle_cell(protocol, a, b, kind, r, mode, measure):
     """Design-averaged fidelity from the brute-force oracle, NaN where it
     finds every branch annihilated."""
     try:
-        state = brute_protect(protocol, a, b, kind, r, mode.value)
+        state = brute_protect(protocol, a, b, kind, r, mode)
     except ValueError:
         return math.nan
     return float(brute_fidelities_batch(state, _DESIGNS[measure]).mean())
@@ -364,7 +364,7 @@ def _assert_grid_matches_oracle(grid, kind, measure="polar"):
 
 
 @pytest.mark.parametrize("measure", ["haar", "polar"])
-@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_sweep_baseline_matches_scalar_baseline(kind, mode, measure):
     """The baseline over all r at once against the brute-force oracle's,
@@ -373,7 +373,7 @@ def test_sweep_baseline_matches_scalar_baseline(kind, mode, measure):
     baseline = unprotected_baseline(kind, r_values, mode, measure)
     assert baseline.shape == (5,) and not baseline.flags.writeable
     for r, got in zip(r_values, baseline):
-        state = brute_baseline(kind, float(r), mode.value)
+        state = brute_baseline(kind, float(r), mode)
         want = brute_fidelities_batch(state, _DESIGNS[measure]).mean()
         assert abs(got - want) <= 1e-12, (r, got, want)
     grid = default_grid("I", r_values, resolution=2, mode=mode)
@@ -382,10 +382,10 @@ def test_sweep_baseline_matches_scalar_baseline(kind, mode, measure):
 
 def test_baseline_r_values_are_checked():
     with pytest.raises(ValueError, match="axis r"):
-        unprotected_baseline("bfc", [], PHYSICAL, "polar")
-    one = unprotected_baseline("bfc", 0.5, PHYSICAL, "polar")
+        unprotected_baseline("bfc", [], "physical", "polar")
+    one = unprotected_baseline("bfc", 0.5, "physical", "polar")
     assert one.shape == (1,)
-    np.testing.assert_array_equal(one, unprotected_baseline("bfc", [0.5], PHYSICAL, "polar"))
+    np.testing.assert_array_equal(one, unprotected_baseline("bfc", [0.5], "physical", "polar"))
     # a grid's r axis follows the channel's range rule: no slack past 1
     with pytest.raises(ValueError, match="axis r"):
         SweepGrid("I", [0.5], [0.5], [1.0 + 5e-13])
@@ -397,11 +397,11 @@ def test_phase_flip_coherent_sum_near_cancellation_matches_oracle():
     # it is defined. Squaring branches before summing them loses this to
     # cancellation between large terms; amplitudes formed first do not.
     r_values = np.array([0.9, 0.95, 1.0])
-    _assert_grid_matches_oracle(default_grid("I", r_values, resolution=11, mode=PAPER), "pfc")
+    _assert_grid_matches_oracle(default_grid("I", r_values, resolution=11, mode="paper"), "pfc")
     omega = 1.2
     locus = math.tan(omega / 2.0)
     near = locus * (1.0 + np.array([-1e-2, -1e-4, -1e-6, 1e-6, 1e-4, 1e-2]))
-    grid = SweepGrid("I", np.array([omega]), near, r_values, mode=PAPER)
+    grid = SweepGrid("I", np.array([omega]), near, r_values, mode="paper")
     _assert_grid_matches_oracle(grid, "pfc")
 
 
@@ -412,7 +412,7 @@ def _degenerate(values, lo, hi):
 @given(
     protocol=st.sampled_from(["I", "II"]),
     kind=st.sampled_from(CHANNEL_KINDS),
-    mode=st.sampled_from([PAPER, PHYSICAL]),
+    mode=st.sampled_from(["paper", "physical"]),
     measure=st.sampled_from(["haar", "polar"]),
     omega=_degenerate([0.0, math.pi], 0.0, math.pi),
     q=_degenerate([0.0, 1.0], 0.0, 1.0),
@@ -453,7 +453,7 @@ def test_design_matrix_matches_resource_written_out(measure):
 # ragged last block of one, and 10**6 cells one block.
 @pytest.mark.parametrize("block_cells", [1, 7, 10**6])
 @pytest.mark.parametrize("measure", ["haar", "polar"])
-@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_block_size_moves_no_bits(kind, mode, measure, block_cells, monkeypatch):
     # omega = 0 with q = 0 is annihilated at r = 0, so NaN cells cross
@@ -471,7 +471,7 @@ def test_block_size_moves_no_bits(kind, mode, measure, block_cells, monkeypatch)
 
 def test_cached_arrays_are_read_only():
     for arr in (_CORRECTIONS, _ETA_STATES, _design_matrix("haar"), _design_matrix("polar"),
-                _quadrature_grid()[1]):
+                _quadrature_grid()[1], PAULI_I, PAULI_X, PAULI_Z):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] *= 1.0
@@ -482,8 +482,8 @@ def test_back_to_back_sweeps_leave_the_first_result_alone():
     # another mode or measure, so every workspace buffer is reused.
     first = sweep(default_grid("I", [0.3, 0.9], 101), "adc", "polar")
     fidelity, baseline = first.fidelity.tobytes(), first.baseline.tobytes()
-    sweep(default_grid("II", [0.5], 21, mode=PAPER), "pfc", "haar")
-    sweep(default_grid("II", [0.1, 0.5, 0.7], 101, mode=PAPER), "bfc", "haar")
+    sweep(default_grid("II", [0.5], 21, mode="paper"), "pfc", "haar")
+    sweep(default_grid("II", [0.1, 0.5, 0.7], 101, mode="paper"), "bfc", "haar")
     assert first.fidelity.tobytes() == fidelity
     assert first.baseline.tobytes() == baseline
     assert not first.fidelity.flags.writeable and not first.baseline.flags.writeable
@@ -501,7 +501,7 @@ def test_back_to_back_sweeps_share_no_memory():
     worker.join(timeout=60)
     assert not worker.is_alive()
     first = sweep(grid, "bfc", "polar")
-    sweep(default_grid("I", [0.5], 33, mode=PAPER), "adc", "haar")
+    sweep(default_grid("I", [0.5], 33, mode="paper"), "adc", "haar")
     second = sweep(grid, "bfc", "polar")
     for name in ("fidelity", "baseline"):
         got = getattr(first, name), getattr(second, name)
@@ -515,8 +515,8 @@ def test_back_to_back_sweeps_share_no_memory():
 def test_concurrent_sweeps_match_sequential_ones():
     jobs = [
         (default_grid("I", [0.2, 0.5, 0.9], 101), "adc", "polar"),
-        (default_grid("II", [0.3, 0.6, 0.8, 1.0], 77, mode=PAPER), "bfc", "haar"),
-        (default_grid("I", [0.4, 0.7], 61, mode=PAPER), "pfc", "polar"),
+        (default_grid("II", [0.3, 0.6, 0.8, 1.0], 77, mode="paper"), "bfc", "haar"),
+        (default_grid("I", [0.4, 0.7], 61, mode="paper"), "pfc", "polar"),
         (default_grid("II", [0.1, 0.9], 121), "pfc", "haar"),
     ]
     want = [sweep(*job) for job in jobs]

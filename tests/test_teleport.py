@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wmteleport import teleport as teleport_module
-from wmteleport.operators import CHANNEL_KINDS, ChannelSpec
-from wmteleport.pipeline import PipelineMode, protect
+from wmteleport.operators import CHANNEL_KINDS
+from wmteleport.pipeline import protect
 from wmteleport.sweep import unprotected_baseline
 from wmteleport.teleport import (
     OUTCOME_FLOOR,
@@ -29,9 +29,6 @@ from brute import (
     lift_naive,
     sample_inputs,
 )
-
-PAPER = PipelineMode.PAPER_LITERAL
-PHYSICAL = PipelineMode.PHYSICAL_MIXED
 
 
 def _quadrature_average(shared, measure, n_polar=64, n_azimuth=128):
@@ -71,10 +68,10 @@ def test_eta_basis_amplitudes():
     np.testing.assert_almost_equal(states[2][0b0000], 0.0)
 
 
-@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
 @pytest.mark.parametrize("params", [("I", 0.9, 0.3), ("II", 0.7, 0.2)])
 def test_noiseless_teleports_ground_state_exactly(mode, params):
-    shared = protect(*params, ChannelSpec("adc", 0.0), mode)
+    shared = protect(*params, "adc", 0.0, mode)
     ground = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     for out in teleport(shared, np.array([1.0, 0.0])):
         np.testing.assert_allclose(out.bob_state_corrected, ground, atol=1e-12)
@@ -82,7 +79,7 @@ def test_noiseless_teleports_ground_state_exactly(mode, params):
 
 
 def test_noiseless_paper_mode_is_ideal_for_any_input():
-    shared = protect("I", 1.0, 0.5, ChannelSpec("adc", 0.0), PAPER)
+    shared = protect("I", 1.0, 0.5, "adc", 0.0, "paper")
     inp = np.array([1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)])
     outs = teleport(shared, inp)
     for out in outs:
@@ -92,7 +89,7 @@ def test_noiseless_paper_mode_is_ideal_for_any_input():
 
 
 def test_noiseless_physical_mode_is_ideal_at_no_protection_locus():
-    shared = protect("I", np.pi / 2, 1.0, ChannelSpec("adc", 0.0), PHYSICAL)
+    shared = protect("I", np.pi / 2, 1.0, "adc", 0.0, "physical")
     inp = np.array([1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)])
     for out in teleport(shared, inp):
         np.testing.assert_almost_equal(out.probability, 0.25, decimal=12)
@@ -106,7 +103,7 @@ def test_noiseless_physical_mode_is_ideal_at_no_protection_locus():
     "is not exact in the mixture reading",
 )
 def test_noiseless_physical_mode_is_ideal_for_generic_params():
-    shared = protect("I", 1.0, 0.5, ChannelSpec("adc", 0.0), PHYSICAL)
+    shared = protect("I", 1.0, 0.5, "adc", 0.0, "physical")
     inp = np.array([1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)])
     np.testing.assert_almost_equal(input_fidelities(shared, inp[None])[0], 1.0, decimal=10)
 
@@ -114,12 +111,12 @@ def test_noiseless_physical_mode_is_ideal_for_generic_params():
 def test_noiseless_physical_mode_probabilities_stay_uniform():
     # even where the fidelity drops below 1, the outcome probabilities
     # at r=0 remain 1/4
-    shared = protect("I", 1.0, 0.5, ChannelSpec("adc", 0.0), PHYSICAL)
+    shared = protect("I", 1.0, 0.5, "adc", 0.0, "physical")
     for out in teleport(shared, np.array([1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)])):
         np.testing.assert_almost_equal(out.probability, 0.25, decimal=12)
 
 
-@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
 def test_outcome_bookkeeping(mode):
     # the last parameter set at adc r = 1 sends two paper-mode outcomes
     # of the input |+> below OUTCOME_FLOOR
@@ -131,7 +128,7 @@ def test_outcome_bookkeeping(mode):
         (0.4, 1.0),
         (np.array([0.6, 0.8j]), np.array([s, s])),
     ):
-        outs = teleport(protect(*params, ChannelSpec(kind, r), mode), inp)
+        outs = teleport(protect(*params, kind, r, mode), inp)
         assert [o.outcome for o in outs] == [1, 2, 3, 4]
         np.testing.assert_almost_equal(sum(o.probability for o in outs), 1.0, decimal=10)
         for o in outs:
@@ -148,18 +145,18 @@ def test_outcome_bookkeeping(mode):
             else:
                 assert abs(np.trace(o.bob_state_corrected).real - 1.0) <= 1e-12
             assert 0.0 <= o.per_outcome_fidelity <= 1.0
-    assert below_floor == (2 if mode is PAPER else 0)
+    assert below_floor == (2 if mode == "paper" else 0)
 
 
 def test_paper_mode_phase_flip_is_perfect_per_outcome():
-    shared = protect("I", 0.8, 0.4, ChannelSpec("pfc", 0.6), PAPER)
+    shared = protect("I", 0.8, 0.4, "pfc", 0.6, "paper")
     inp = np.array([0.48, 0.6 + 0.64j])
     for o in teleport(shared, inp):
         np.testing.assert_almost_equal(o.per_outcome_fidelity, 1.0, decimal=12)
     np.testing.assert_almost_equal(input_fidelities(shared, inp[None])[0], 1.0)
 
 
-@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
 @pytest.mark.parametrize(
     "params,kind,r",
     [
@@ -169,8 +166,9 @@ def test_paper_mode_phase_flip_is_perfect_per_outcome():
     ],
 )
 def test_outcomes_match_brute_force(mode, params, kind, r):
-    shared = protect(*params, ChannelSpec(kind, r), mode)
-    bstate = brute_protect(*params, kind, r, mode.value)
+    point = (*params, kind, r, mode)
+    shared = protect(*point)
+    bstate = brute_protect(*point)
     x = np.array([0.6, 0.64 + 0.48j], dtype=complex)
     outs = teleport(shared, x)
     for o, (bp, bf) in zip(outs, brute_teleport_outcomes(bstate, x)):
@@ -184,16 +182,16 @@ def test_outcomes_match_brute_force(mode, params, kind, r):
     st.floats(min_value=0.05, max_value=0.95),
 )
 def test_global_phase_invariance(phase, x):
-    shared = protect("I", 0.9, 0.5, ChannelSpec("adc", 0.3), PHYSICAL)
+    shared = protect("I", 0.9, 0.5, "adc", 0.3, "physical")
     a, b = np.sqrt(x), np.sqrt(1.0 - x) * 1j
     inputs = np.array([[a, b], [a * np.exp(1j * phase), b * np.exp(1j * phase)]])
     base, rotated = input_fidelities(shared, inputs)
     np.testing.assert_almost_equal(base, rotated, decimal=12)
 
 
-@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
 def test_vectorized_fidelities_match_loop(mode):
-    shared = protect("II", 0.6, 0.4, ChannelSpec("adc", 0.5), mode)
+    shared = protect("II", 0.6, 0.4, "adc", 0.5, mode)
     rng = np.random.default_rng(5)
     xs = sample_inputs(rng, 8)
     batch = input_fidelities(shared, xs)
@@ -228,12 +226,12 @@ def test_design_inputs_rejects_unknown_measure():
 @pytest.mark.parametrize(
     "params,kind,r,mode",
     [
-        (("I", 0.9, 0.4), "adc", 0.45, PHYSICAL),
-        (("II", 0.4, 0.7), "bfc", 0.3, PAPER),
+        (("I", 0.9, 0.4), "adc", 0.45, "physical"),
+        (("II", 0.4, 0.7), "bfc", 0.3, "paper"),
     ],
 )
 def test_design_average_equals_quadrature(measure, params, kind, r, mode):
-    shared = protect(*params, ChannelSpec(kind, r), mode)
+    shared = protect(*params, kind, r, mode)
     design = average_fidelity(shared, measure=measure)
     dense = _quadrature_average(shared, measure)
     np.testing.assert_allclose(design, dense, atol=1e-9)
@@ -241,27 +239,27 @@ def test_design_average_equals_quadrature(measure, params, kind, r, mode):
 
 def test_frozen_baselines_polar():
     np.testing.assert_almost_equal(
-        unprotected_baseline("bfc", [0.5], PHYSICAL, "polar")[0],
+        unprotected_baseline("bfc", [0.5], "physical", "polar")[0],
         23.0 / 30.0,
         decimal=12,
     )
     np.testing.assert_almost_equal(
-        unprotected_baseline("bfc", [0.9], PHYSICAL, "polar")[0],
+        unprotected_baseline("bfc", [0.9], "physical", "polar")[0],
         0.58,
         decimal=12,
     )
     np.testing.assert_almost_equal(
-        unprotected_baseline("pfc", [0.5], PHYSICAL, "polar")[0],
+        unprotected_baseline("pfc", [0.5], "physical", "polar")[0],
         11.0 / 15.0,
         decimal=12,
     )
     np.testing.assert_almost_equal(
-        unprotected_baseline("pfc", [0.9], PHYSICAL, "polar")[0],
+        unprotected_baseline("pfc", [0.9], "physical", "polar")[0],
         0.52,
         decimal=12,
     )
     np.testing.assert_almost_equal(
-        unprotected_baseline("adc", [0.5], PHYSICAL, "polar")[0],
+        unprotected_baseline("adc", [0.5], "physical", "polar")[0],
         0.8052284749830794,
         decimal=12,
     )
@@ -269,22 +267,22 @@ def test_frozen_baselines_polar():
 
 def test_frozen_baselines_haar():
     np.testing.assert_almost_equal(
-        unprotected_baseline("bfc", [1.0], PHYSICAL, "haar")[0],
+        unprotected_baseline("bfc", [1.0], "physical", "haar")[0],
         1.0 / 3.0,
         decimal=12,
     )
     np.testing.assert_almost_equal(
-        unprotected_baseline("bfc", [0.9], PHYSICAL, "haar")[0],
+        unprotected_baseline("bfc", [0.9], "physical", "haar")[0],
         0.4,
         decimal=12,
     )
     np.testing.assert_almost_equal(
-        unprotected_baseline("pfc", [0.5], PHYSICAL, "haar")[0],
+        unprotected_baseline("pfc", [0.5], "physical", "haar")[0],
         2.0 / 3.0,
         decimal=12,
     )
     np.testing.assert_almost_equal(
-        unprotected_baseline("adc", [0.5], PHYSICAL, "haar")[0],
+        unprotected_baseline("adc", [0.5], "physical", "haar")[0],
         0.8190355937288491,
         decimal=12,
     )
@@ -294,8 +292,8 @@ def test_frozen_baselines_haar():
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_baseline_is_mode_independent(measure, kind):
     r_values = (0.2, 0.5, 0.9)
-    a = unprotected_baseline(kind, r_values, PAPER, measure)
-    b = unprotected_baseline(kind, r_values, PHYSICAL, measure)
+    a = unprotected_baseline(kind, r_values, "paper", measure)
+    b = unprotected_baseline(kind, r_values, "physical", measure)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -306,7 +304,7 @@ def test_teleport_rejects_states_outside_measurement_span():
         teleport(stray, np.array([1.0, 0.0]))
 
 
-_SHARED = ("I", 0.7, 0.6, ChannelSpec("bfc", 0.4), PHYSICAL)
+_SHARED = ("I", 0.7, 0.6, "bfc", 0.4, "physical")
 _HAAR = design_inputs("haar")
 
 
@@ -359,7 +357,7 @@ def test_span_check_flags_non_finite_stacks(fill):
 
 
 def test_monte_carlo_consistency_small():
-    shared = protect("I", 0.7, 0.6, ChannelSpec("bfc", 0.4), PHYSICAL)
+    shared = protect("I", 0.7, 0.6, "bfc", 0.4, "physical")
     rng = np.random.default_rng(17)
     xs = sample_inputs(rng, 4000)
     mc = float(input_fidelities(shared, xs).mean())
@@ -379,16 +377,18 @@ _KERNEL_GRID = [
 _VANISHING = (("I", np.pi / 2, 0.5), "adc", 1.0)
 
 
-@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
 def test_stacked_kernel_matches_oracle(mode):
     states, oracle = [], []
     for params, kind, r in _KERNEL_GRID:
-        states.append(protect(*params, ChannelSpec(kind, r), mode))
-        oracle.append(brute_protect(*params, kind, r, mode.value))
+        point = (*params, kind, r, mode)
+        states.append(protect(*point))
+        oracle.append(brute_protect(*point))
     params, kind, r = _VANISHING
-    states.append(protect(*params, ChannelSpec(kind, r), PAPER))
-    oracle.append(brute_protect(*params, kind, r, "paper"))
-    if mode is PHYSICAL:
+    point = (*params, kind, r, "paper")
+    states.append(protect(*point))
+    oracle.append(brute_protect(*point))
+    if mode == "physical":
         vec = oracle[-1][1]
         oracle[-1] = ("mixed", np.outer(vec, vec.conj()))
 
@@ -411,16 +411,16 @@ def test_stacked_kernel_matches_oracle(mode):
     np.testing.assert_allclose(np.einsum("...ii->...", raw).real, probs, atol=1e-15)
 
 
-@pytest.mark.parametrize("mode", [PAPER, PHYSICAL])
+@pytest.mark.parametrize("mode", ["paper", "physical"])
 def test_stacked_kernel_rejects_one_state_outside_span(mode):
-    g = np.stack([protect(*p, ChannelSpec(k, r), mode) for p, k, r in _KERNEL_GRID[:6]])
+    g = np.stack([protect(*p, k, r, mode) for p, k, r in _KERNEL_GRID[:6]])
     # a stack whose outcome probabilities sum to 1.0201
     g = np.insert(g, 3, 1.01 * g[3], axis=0)
     with pytest.raises(ValueError, match="outside the measurement span"):
         _outcome_kernel(g, np.array([[0.6, 0.8j]]))
 
 
-@pytest.mark.parametrize("mode,k", [(PAPER, 1), (PHYSICAL, 1), (PHYSICAL, 2), (PHYSICAL, 4)])
+@pytest.mark.parametrize("mode,k", [("paper", 1), ("physical", 1), ("physical", 2), ("physical", 4)])
 def test_outcome_probabilities_sum_to_half_branch_norm(mode, k, monkeypatch):
     """psi0^dagger psi0 = I/2 and the eta basis spans the resource's
     support, so for any branches the four outcome probabilities sum to
@@ -430,7 +430,7 @@ def test_outcome_probabilities_sum_to_half_branch_norm(mode, k, monkeypatch):
     rng = np.random.default_rng(29 + k)
     for _ in range(10):
         g = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
-        if mode is PAPER:
+        if mode == "paper":
             g = g.sum(axis=0, keepdims=True)
         probs = _outcome_kernel(g[None], sample_inputs(rng, 6))[0]
         half_norm = 0.5 * float(np.vdot(g, g).real)
@@ -466,7 +466,7 @@ def _random_cases(n, seed=11):
             params = ("II", *map(float, rng.uniform(-0.95, 0.95, size=2)))
         kind = CHANNEL_KINDS[int(rng.integers(3))]
         r = float(rng.choice([0.0, 1.0, rng.uniform()]))
-        yield params, ChannelSpec(kind, r), (PAPER, PHYSICAL)[int(rng.integers(2))]
+        yield params, (kind, r), ("paper", "physical")[int(rng.integers(2))]
 
 
 @pytest.mark.parametrize("params,channel,mode", list(_random_cases(24)))
@@ -474,7 +474,7 @@ def test_haar_average_matches_entanglement_fidelity(params, channel, mode):
     """Closed form of the uniform average for a qubit channel,
     F = (2 F_e + 1) / 3 (Horodecki; Nielsen, quant-ph/0205035): a
     design-free route to the six-state Haar average."""
-    shared = protect(*params, channel, mode)
+    shared = protect(*params, *channel, mode)
     closed = (2.0 * _entanglement_fidelity(shared) + 1.0) / 3.0
     design = average_fidelity(shared, "haar")
     np.testing.assert_allclose(design, closed, rtol=0, atol=1e-12)
@@ -529,7 +529,7 @@ def test_fidelity_contraction_rejects_states_outside_measurement_span():
     # outcome probabilities sum to |g|_F^2 / 2: 4 for the stray state, 1.0201
     # for the scaled row of the stack
     stray = 2.0 * np.eye(2)[None]
-    g = np.stack([protect(*p, ChannelSpec(k, r), PHYSICAL) for p, k, r in _KERNEL_GRID[:4]])
+    g = np.stack([protect(*p, k, r, "physical") for p, k, r in _KERNEL_GRID[:4]])
     g[2] *= 1.01
     for shared in (stray, g):
         with pytest.raises(ValueError, match="outside the measurement span"):
