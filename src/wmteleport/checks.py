@@ -14,14 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import CHANNEL_KINDS, kraus_set, stage_diagonals
-from .pipeline import MODES, branch_grid, normalize_branches, protect
-from .teleport import (
-    _outcome_kernel,
-    average_fidelity,
-    eta_basis,
-    input_fidelities,
-    teleport,
-)
+from .pipeline import MODES, branch_operators, normalize_branches, protect
+from .teleport import ETA_STATES, average_fidelity, input_fidelities, teleport
 
 FAULT_NAMES = ("kraus_completeness",)
 
@@ -69,8 +63,7 @@ def _check_kraus_completeness(inject_fault):
 
 
 def _check_eta_orthonormality():
-    states = eta_basis()
-    gram = states @ states.conj().T
+    gram = ETA_STATES @ ETA_STATES.conj().T
     worst = float(np.abs(gram - np.eye(4)).max())
     return worst <= 1e-12, f"max Gram deviation {worst:.3e}"
 
@@ -86,14 +79,14 @@ _PROB_CHANNELS = [(kind, r) for kind in CHANNEL_KINDS for r in (0.0, 0.3, 0.6, 0
 def _check_probability_sums():
     """Outcome probabilities sum to 1 over every parameter grid x
     channel cell, in one stack per protocol and mode. An annihilated
-    cell stays unscaled and fails the kernel's span check."""
+    cell stays unscaled and fails `teleport`'s span check."""
     inp = np.array([[0.6, 0.8]], dtype=complex)
     worst = 0.0
     for protocol, (axis1, axis2) in _PROB_AXES.items():
-        raw = np.stack([branch_grid(protocol, axis1, axis2, *ch) for ch in _PROB_CHANNELS])
+        a1 = np.array(axis1)[:, None]
+        raw = np.stack([branch_operators(protocol, a1, axis2, *ch) for ch in _PROB_CHANNELS])
         for mode in MODES:
-            branches = normalize_branches(raw, mode)[0]
-            probs = _outcome_kernel(branches.reshape(-1, *branches.shape[-3:]), inp)[0]
+            probs = teleport(normalize_branches(raw, mode)[0], inp).probability
             worst = max(worst, float(np.abs(probs.sum(axis=-1) - 1.0).max()))
     return worst <= 1e-10, f"max |sum(p) - 1| {worst:.3e}"
 
@@ -117,19 +110,20 @@ def _check_r0_limits(rng):
     """Noiseless limit: the coherent summation mode returns the input
     perfectly for random parameters; the mixed mode does so when both
     stages are trivial (omega = pi/2 with q = 1, or K1 = K2 = 0). Per
-    protocol and channel, five random points and the locus are the
-    diagonal of one branch grid; all 36 states go through one contraction."""
+    protocol and channel, five random points and the locus are six
+    paired points of one `branch_operators` call; all 36 states go
+    through one contraction."""
     stacks = []
     for protocol, locus in (("I", (np.pi / 2, 1.0)), ("II", (0.0, 0.0))):
         g = []
         for kind in CHANNEL_KINDS:
             a1, a2 = np.array([_random_point(rng, protocol) for _ in range(5)] + [locus]).T
-            g.append(branch_grid(protocol, a1, a2, kind, 0.0)[range(6), range(6)])
+            g.append(branch_operators(protocol, a1, a2, kind, 0.0))
         g = np.stack(g)
         paper = normalize_branches(g[:, :5], "paper")[0]
         stacks += [paper.reshape(-1, 1, 2, 2),
                    normalize_branches(g[:, 5], "physical")[0]]
-    worst = float(np.abs(average_fidelity(_padded(stacks)) - 1.0).max())
+    worst = float(np.abs(average_fidelity(_padded(stacks), "haar") - 1.0).max())
     return worst <= 1e-10, f"max |F - 1| at r=0 {worst:.3e}"
 
 
@@ -173,11 +167,9 @@ def _check_global_phase(rng):
         alpha = np.cos(theta / 2.0)
         beta = np.exp(1j * phi) * np.sin(theta / 2.0)
         phase = np.exp(1j * gamma)
-        outs_a = teleport(shared, np.array([alpha, beta]))
-        outs_b = teleport(shared, np.array([phase * alpha, phase * beta]))
-        for a, b in zip(outs_a, outs_b):
-            worst = max(worst, abs(a.probability - b.probability))
-            worst = max(worst, abs(a.per_outcome_fidelity - b.per_outcome_fidelity))
+        out = teleport(shared, np.array([[alpha, beta], [phase * alpha, phase * beta]]))
+        for per_input in (out.probability, out.per_outcome_fidelity):
+            worst = max(worst, float(np.abs(per_input[0] - per_input[1]).max()))
     return worst <= 1e-12, f"max phase-dependent shift {worst:.3e}"
 
 

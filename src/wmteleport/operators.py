@@ -9,8 +9,8 @@ are diagonal, so they exist only as diagonals: `stage_diagonals` maps a
 grid of protocol parameters to their outcome-0 diagonals, and there are
 no one-point 2x2 views. A channel is written (kind, r) everywhere, and
 `kraus_set` is the one channel rule; every channel's Kraus operators are
-real, so it returns one real (2, 2, 2) stack. The Pauli matrices are
-read-only; the correction unitaries are fresh 2x2 complex arrays.
+real, so it returns one real (2, 2, 2) stack. The Pauli matrices and
+the correction unitaries `CORRECTIONS` are read-only arrays.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ __all__ = [
     "check_parameters",
     "stage_diagonals",
     "kraus_set",
-    "correction_unitary",
+    "CORRECTIONS",
 ]
 
 
@@ -108,19 +108,7 @@ def kraus_set(kind: str, r: float) -> np.ndarray:
     return np.stack([e0, e1])
 
 
-_CORRECTIONS = {
-    1: PAULI_I,
-    2: PAULI_Z,
-    3: PAULI_X,
-    4: PAULI_Z @ PAULI_X,
-}
-
-
-def correction_unitary(outcome: int) -> np.ndarray:
-    """Receiver's correction for measurement outcome 1..4.
-
-    Outcomes map to I, sigma_z, sigma_x and sigma_z sigma_x in order.
-    """
-    if outcome not in _CORRECTIONS:
-        raise ValueError(f"outcome must be in 1..4, got {outcome!r}")
-    return _CORRECTIONS[outcome].copy()
+# The receiver's correction for measurement outcome k + 1 at index k:
+# I, sigma_z, sigma_x and sigma_z sigma_x.
+CORRECTIONS = np.stack([PAULI_I, PAULI_Z, PAULI_X, PAULI_Z @ PAULI_X])
+CORRECTIONS.setflags(write=False)

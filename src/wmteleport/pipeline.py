@@ -17,10 +17,12 @@ Since every stage acts on B alone, a protected shared state is its
 normalized 2x2 branch operators g_b, a plain (K, 2, 2) array: the state
 is sum_b |psi0 g_b^T><psi0 g_b^T| with psi0 as an 8x2 matrix with B on
 columns, and no 16-dim form of it is built. There is one path from
-parameters to normalized branches: `branch_grid` builds the branch
-operators over a whole parameter grid, `normalize_branches` normalizes
-any stack of them, and `branch_operators`/`protect` are their one-point
-views. A channel is written (channel, r), as `operators.kraus_set`
+parameters to normalized branches: `branch_operators` builds the branch
+operators at any parameter points, whose axis values broadcast like
+numpy operands (scalars give one point, equal-length arrays paired
+points, `axis1[:, None]` with `axis2` a grid), `normalize_branches`
+normalizes any stack of them, and `protect` does both over the same
+points. A channel is written (channel, r), as `operators.kraus_set`
 takes it. Two summation semantics are provided, selected by a mode
 from MODES:
 
@@ -49,7 +51,6 @@ __all__ = [
     "GHZ_INDICES",
     "MODES",
     "initial_state",
-    "branch_grid",
     "branch_operators",
     "normalize_branches",
     "protect",
@@ -74,38 +75,33 @@ def initial_state() -> np.ndarray:
 _PSI0 = initial_state().reshape(8, 2)
 
 
-def branch_grid(
-    protocol: str, axis1, axis2, channel: str, r: float, out: np.ndarray | None = None
+def branch_operators(
+    protocol: str, a1, a2, channel: str, r: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """The four branch operators g_ij at every cell of a parameter
-    grid: shape (n1, n2, 4, 2, 2), branch order (i=0,j=0), (0,1),
-    (1,0), (1,1). The stages around the channel are diagonal, m_i
-    depending on axis 1 only and n_i on axis 2 only, so
-    g_ij[b, c] = n_i[b] * C_ij[b, c] * m_i[c] with C_ij = f_i e_j f_i.
-    All three channels have real Kraus operators, so the branches are
-    real. `out`, if given, is a float array of shape (n1, n2, 16) that
-    receives the product; the result is then a view of it."""
-    d1, d2 = stage_diagonals(protocol, axis1, axis2)
+    """The four branch operators g_ij at the parameter points (a1, a2)
+    of `protocol`, whose values broadcast like numpy operands: shape
+    (..., 4, 2, 2), branch order (i=0,j=0), (0,1), (1,0), (1,1). Points
+    outside the protocol's ranges raise ValueError. The stages around
+    the channel are diagonal, m_i depending on axis 1 only and n_i on
+    axis 2 only, so g_ij[b, c] = n_i[b] * C_ij[b, c] * m_i[c] with
+    C_ij = f_i e_j f_i. All three channels have real Kraus operators, so
+    the branches are real. `out`, if given, is a float array of shape
+    (..., 16) that receives the product; the result is then a view of it."""
+    check_parameters(protocol, a1, a2)
+    d1, d2 = stage_diagonals(protocol, a1, a2)
     # outcome 1 mirrors both diagonals; its flip sigma_x reverses the
     # rows and columns of e_j
-    m = np.stack([d1, d1, d1[:, ::-1], d1[:, ::-1]], axis=1)
-    n = np.stack([d2, d2, d2[:, ::-1], d2[:, ::-1]], axis=1)
+    m = np.stack([d1, d1, d1[..., ::-1], d1[..., ::-1]], axis=-2)
+    n = np.stack([d2, d2, d2[..., ::-1], d2[..., ::-1]], axis=-2)
     e = kraus_set(channel, r)
     core = np.concatenate([e, e[:, ::-1, ::-1]])
     # flattened entry 2b+c: n_i[b] * C_ij[b, c] from `left`, m_i[c] from
     # `right`. One flat 16-wide product: the same broadcast over
-    # (n1, n2, 4, 2, 2) with size-2 inner axes is 4x slower at 401x401.
-    left = (n[:, :, :, None] * core).reshape(1, -1, 16)
-    right = np.tile(m, 2).reshape(-1, 1, 16)
-    return np.multiply(left, right, out=out).reshape(len(d1), len(d2), 4, 2, 2)
-
-
-def branch_operators(protocol: str, a1: float, a2: float, channel: str, r: float) -> np.ndarray:
-    """The four 2x2 branch operators g_ij at the parameter point (a1, a2)
-    of `protocol`, stacked in order (i, j) = (0,0), (0,1), (1,0), (1,1).
-    Points outside the protocol's ranges raise ValueError."""
-    check_parameters(protocol, a1, a2)
-    return branch_grid(protocol, [a1], [a2], channel, r)[0, 0]
+    # (..., 4, 2, 2) with size-2 inner axes is 4x slower at 401x401.
+    left = (n[..., None] * core).reshape(*n.shape[:-2], 16)
+    right = np.tile(m, 2).reshape(*m.shape[:-2], 16)
+    g = np.multiply(left, right, out=out)
+    return g.reshape(*g.shape[:-1], 4, 2, 2)
 
 
 def normalize_branches(branches: np.ndarray, mode: str):
@@ -134,14 +130,15 @@ _ANNIHILATED = {
 }
 
 
-def protect(protocol: str, a1: float, a2: float, channel: str, r: float, mode: str) -> np.ndarray:
+def protect(protocol: str, a1, a2, channel: str, r: float, mode: str) -> np.ndarray:
     """Push the resource through the protection sequence at the
-    parameter point (a1, a2) of `protocol`: the normalized branch
-    stack, shape (1, 2, 2) in paper mode and (4, 2, 2) in physical
-    mode. A point that annihilates every branch raises ValueError."""
+    parameter points (a1, a2) of `protocol`, broadcast as in
+    `branch_operators`: the normalized branch stacks, shape
+    (..., 1, 2, 2) in paper mode and (..., 4, 2, 2) in physical mode. A
+    point that annihilates every branch raises ValueError."""
     normalized, _, annihilated = normalize_branches(
         branch_operators(protocol, a1, a2, channel, r), mode
     )
-    if annihilated:
+    if annihilated.any():
         raise ValueError(_ANNIHILATED[mode])
     return normalized

@@ -6,7 +6,7 @@ refinement pass (a 10x finer window around the coarse argmax).
 Each slab (one r value) is evaluated in blocks of whole axis-1 rows,
 about 16k cells each, so memory stays bounded whatever the grid size;
 a 101x101 slab is one block. A block's branch matrices come from
-`pipeline.branch_grid`, which also serves `protect`, as one broadcast
+`pipeline.branch_operators`, which also serves `protect`, as one broadcast
 product of per-axis diagonals and constant 2x2 matrices. They are
 contracted against one small design matrix per input measure,
 amplitudes first and squares last, and the block's fidelities go
@@ -35,13 +35,12 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .operators import PROTOCOL_AXES, check_parameters, kraus_set
-from .pipeline import ZERO_NORM_TOL, _check_mode, branch_grid
-from .teleport import _overlap_matrix, design_inputs
+from .pipeline import ZERO_NORM_TOL, _check_mode, branch_operators
+from .teleport import MEASURES, _overlap_matrix, design_inputs
 
 DEFAULT_RESOLUTION = 101
 DEFAULT_R_COUNT = 21
@@ -194,11 +193,11 @@ def _scratch(name: str, shape: tuple[int, ...], cells: int) -> np.ndarray:
 def _branch_slab(grid: SweepGrid, channel: str, r: float, rows: slice) -> np.ndarray:
     """All four branch operators at one r over the axis-1 rows `rows`,
     each 2x2 flattened row-major: shape (rows in the block, n2, 4, 4),
-    written by `branch_grid` into the workspace."""
-    axis1 = grid.axis1[rows]
+    written by `branch_operators` into the workspace."""
+    axis1 = grid.axis1[rows, None]
     n1, n2 = axis1.size, grid.axis2.size
     out = _scratch("branches", (n1, n2, 16), n1 * n2)
-    g = branch_grid(grid.protocol, axis1, grid.axis2, channel, r, out=out)
+    g = branch_operators(grid.protocol, axis1, grid.axis2, channel, r, out=out)
     return g.reshape(n1, n2, 4, 4)
 
 
@@ -206,17 +205,20 @@ def _branch_slab(grid: SweepGrid, channel: str, r: float, rows: slice) -> np.nda
 _BATCH_ROWS = 4096
 
 
-@lru_cache(maxsize=None)
 def _design_matrix(measure: str) -> np.ndarray:
     """`teleport._overlap_matrix` of the measure's design inputs for real
     branches: real and imaginary columns, all-zero ones dropped, shape
     (4, F). Adding 0.0 turns -0.0 into 0.0, so V's bits do not depend on
-    the order of the products that build it. Cached and read-only."""
+    the order of the products that build it. Read-only."""
     v = _overlap_matrix(design_inputs(measure))
     v = np.concatenate([v.real, v.imag], axis=1) + 0.0
     v = np.ascontiguousarray(v[:, (v != 0.0).any(axis=0)])
     v.setflags(write=False)
     return v
+
+
+# Each measure's design matrix, built once at import.
+_DESIGN_MATRICES = {measure: _design_matrix(measure) for measure in MEASURES}
 
 
 def _fidelity_slab(branches: np.ndarray, mode: str, measure: str) -> np.ndarray:
@@ -225,7 +227,8 @@ def _fidelity_slab(branches: np.ndarray, mode: str, measure: str) -> np.ndarray:
     before squaring, physical mode squares each branch; amplitudes are
     always formed first and squared last, which keeps coherent sums
     that nearly cancel accurate."""
-    v = _design_matrix(measure)
+    inputs = design_inputs(measure)  # checks the measure
+    v = _DESIGN_MATRICES[measure]
     n1, n2, nk = branches.shape[:3]
     cells = n1 * n2
     g = branches.reshape(cells, nk, 4)
@@ -243,7 +246,7 @@ def _fidelity_slab(branches: np.ndarray, mode: str, measure: str) -> np.ndarray:
         # pairwise row sum (not einsum's running sum): noiseless cells stay 1
         np.add.reduce(a, axis=1, out=sq[start:start + _BATCH_ROWS])
     num = np.add.reduce(sq.reshape(cells, -1), axis=1, out=_scratch("num", (cells,), cells))
-    num /= len(design_inputs(measure))
+    num /= len(inputs)
     out = np.full(cells, np.nan)
     np.divide(num, den, out=out, where=den >= ZERO_NORM_TOL)
     return np.clip(out, 0.0, 1.0, out=out).reshape(n1, n2)

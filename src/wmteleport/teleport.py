@@ -13,8 +13,8 @@ a stack of states. Outcome k leaves g_b u_k per branch,
 u_k = (eta_k^dagger psi0)^T in, and its fidelity term p_k f_k is
 sum_b |vec(g_b) . v_k(in)|^2 with v_k(in)[B, c] = conj(w_k[B]) u_k[c],
 w_k = U_k^dagger in: the sweep's design contraction, for any inputs and
-stack of states at once. Every fidelity is a view on it;
-`_outcome_kernel` adds the receiver's states for `teleport`. The
+stack of states at once. Every fidelity is a view on it; `teleport`
+adds the outcome probabilities and the receiver's states. The
 unprotected baseline is `sweep.unprotected_baseline`, the sweep's own
 contraction of the bare Kraus operators.
 
@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .operators import correction_unitary
+from .operators import CORRECTIONS
 from .pipeline import _PSI0
 
 SPAN_TOL = 1e-8
@@ -43,8 +42,8 @@ MEASURES = ("haar", "polar")
 
 __all__ = [
     "MEASURES",
+    "ETA_STATES",
     "TeleportOutcome",
-    "eta_basis",
     "teleport",
     "input_fidelities",
     "design_inputs",
@@ -60,34 +59,37 @@ _ETA_SUPPORT = (
 )
 
 
-_ETA_STATES = np.array(
+# The measurement basis: four orthonormal entangled states on (input,
+# A1, A2, A3) as the rows of a (4, 16) array; outcome k + 1 at row k,
+# matching `operators.CORRECTIONS`.
+ETA_STATES = np.array(
     [[0.5 * dict(support).get(idx, 0.0) for idx in range(16)] for support in _ETA_SUPPORT],
     dtype=complex,
 )
-_ETA_STATES.setflags(write=False)
-
-_CORRECTIONS = np.stack([correction_unitary(k) for k in (1, 2, 3, 4)])
-_CORRECTIONS.setflags(write=False)
-
-
-def eta_basis() -> np.ndarray:
-    """The measurement basis: four orthonormal entangled states on
-    (input, A1, A2, A3) as the rows of a (4, 16) array, in outcome
-    order 1..4 matching `correction_unitary`."""
-    return _ETA_STATES.copy()
+ETA_STATES.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class TeleportOutcome:
-    """One measurement branch: its probability, the receiver's raw
-    (trace = probability) and corrected (normalized) 2x2 density
-    matrices, and the fidelity of the corrected state with the input."""
+    """The four measurement outcomes of teleporting n inputs over a
+    stack of shared states, outcome k + 1 at index k of the last axis:
+    probabilities (..., n, 4), the receiver's raw 2x2 density matrices
+    (trace = probability) (..., n, 4, 2, 2), and the fidelities of the
+    corrected states with the inputs (..., n, 4)."""
 
-    outcome: int
-    probability: float
+    probability: np.ndarray
     bob_state_raw: np.ndarray
-    bob_state_corrected: np.ndarray
-    per_outcome_fidelity: float
+    per_outcome_fidelity: np.ndarray
+
+    @property
+    def bob_state_corrected(self) -> np.ndarray:
+        """The receiver's corrected, normalized states (..., n, 4, 2, 2),
+        computed on each read: U_k raw_k U_k^dagger / p_k, and zero for
+        outcomes below OUTCOME_FLOOR."""
+        p = self.probability[..., None, None]
+        mat = CORRECTIONS @ self.bob_state_raw @ CORRECTIONS.conj().swapaxes(-1, -2)
+        mat = np.divide(mat, p, out=np.zeros_like(mat), where=p >= OUTCOME_FLOOR)
+        return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
 def _span_check(g: np.ndarray) -> None:
@@ -106,14 +108,13 @@ def _span_check(g: np.ndarray) -> None:
         )
 
 
-def _checked_inputs(inputs, ndim: int) -> np.ndarray:
-    """A caller's input vectors as a complex array: shape (n, 2) for
-    ndim 2, (2,) for ndim 1. Each vector must be finite and of unit norm
-    within INPUT_NORM_TOL; anything else raises ValueError."""
+def _checked_inputs(inputs) -> np.ndarray:
+    """A caller's input vectors as a complex (n, 2) array. Each vector
+    must be finite and of unit norm within INPUT_NORM_TOL; anything
+    else raises ValueError."""
     x = np.asarray(inputs, dtype=complex)
-    if x.ndim != ndim or x.shape[-1] != 2:
-        shape = "(n, 2)" if ndim == 2 else "(2,)"
-        raise ValueError(f"inputs must have shape {shape}, got {x.shape}")
+    if x.ndim != 2 or x.shape[-1] != 2:
+        raise ValueError(f"inputs must have shape (n, 2), got {x.shape}")
     # one norm pass over the (re, im) pairs; a non-finite entry gives a
     # non-finite norm, which fails the test
     parts = np.ascontiguousarray(x).view(float)
@@ -124,7 +125,7 @@ def _checked_inputs(inputs, ndim: int) -> np.ndarray:
 
 
 # eta_k^dagger contracted with the resource: (outcome, input bit, B).
-_ETA_PSI0 = _ETA_STATES.conj().reshape(4, 2, 8) @ _PSI0
+_ETA_PSI0 = ETA_STATES.conj().reshape(4, 2, 8) @ _PSI0
 _ETA_PSI0.setflags(write=False)
 
 
@@ -133,7 +134,7 @@ def _overlap_matrix(inputs: np.ndarray) -> np.ndarray:
     column 4x + k is v_k(in_x), flattened row-major, so a flattened
     branch operator g_b times V gives every overlap <w_k|g_b u_k>."""
     u = (inputs @ _ETA_PSI0).T  # u_k[c] as (c, x, k)
-    w = (inputs.conj() @ _CORRECTIONS).T  # conj(w_k)[B] as (B, x, k)
+    w = (inputs.conj() @ CORRECTIONS).T  # conj(w_k)[B] as (B, x, k)
     return (w[:, None] * u).reshape(4, -1)
 
 
@@ -147,54 +148,58 @@ def _fidelity_terms(g: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     return sq.sum(axis=-3)
 
 
-def _outcome_kernel(g: np.ndarray, inputs: np.ndarray):
-    """Outcome probabilities (N, n, 4), per-outcome fidelities (N, n, 4)
-    and the receiver's raw states (N, n, 4, 2, 2) for N shared states
-    (N, K, 2, 2) and n inputs (n, 2): raw_k = sum_b a_kb a_kb^dagger
-    with a_kb = g_b u_k. Outcomes below OUTCOME_FLOOR get fidelity 0."""
+def teleport(g, inputs) -> TeleportOutcome:
+    """Teleport each of n normalized input vectors, shape (n, 2), over
+    normalized branch stacks g of shape (..., K, 2, 2); returns the
+    four outcomes of every (state, input) pair as one TeleportOutcome
+    of arrays with leading axes (..., n, 4). The receiver's raw state
+    for outcome k is
+    sum_b a_kb a_kb^dagger with a_kb = g_b u_k. Outcomes with
+    probability below OUTCOME_FLOOR get fidelity 0 and a zero corrected
+    state; they carry no weight in any average.
+    """
+    g = np.asarray(g)
+    inputs = _checked_inputs(inputs)
     terms = _fidelity_terms(g, inputs)
-    # a[N, x, k, b, B] = (g_b u_k)[B], with u_k[c] as (k, x, c)
-    a = np.einsum("NbBc,kxc->NxkbB", g, inputs @ _ETA_PSI0)
+    # a[..., x, k, b, B] = (g_b u_k)[B], with u_k[c] as (k, x, c)
+    a = np.einsum("...bBc,kxc->...xkbB", g, inputs @ _ETA_PSI0)
     raw = np.einsum("...bB,...bC->...BC", a, a.conj())
     probs = np.einsum("...BB->...", raw).real
     fids = np.clip(terms / np.maximum(probs, OUTCOME_FLOOR), 0.0, 1.0)
-    return probs, np.where(probs < OUTCOME_FLOOR, 0.0, fids), raw
-
-
-def teleport(g, x) -> list[TeleportOutcome]:
-    """Run one teleportation of the normalized input vector x, shape
-    (2,), over one shared state, its normalized branch stack g of shape
-    (K, 2, 2); returns the four outcome branches.
-
-    Outcomes with probability below 1e-14 get fidelity 0 and a zero
-    corrected state; they carry no weight in any average.
-    """
-    g = np.asarray(g)
-    if g.ndim != 3:
-        raise ValueError(f"teleport takes one branch stack (K, 2, 2), got {g.shape}")
-    kernel = _outcome_kernel(g[None], _checked_inputs(x, 1)[None])
-    probs, fids, raw = (arr[0, 0] for arr in kernel)
-    outcomes: list[TeleportOutcome] = []
-    for k, u in enumerate(_CORRECTIONS):
-        p = float(probs[k])
-        mat = u @ raw[k] @ u.conj().T / p if p >= OUTCOME_FLOOR else np.zeros((2, 2), complex)
-        corrected = 0.5 * (mat + mat.conj().T)
-        outcomes.append(TeleportOutcome(k + 1, p, raw[k], corrected, float(fids[k])))
-    return outcomes
+    return TeleportOutcome(probs, raw, np.where(probs < OUTCOME_FLOOR, 0.0, fids))
 
 
 def input_fidelities(g, inputs: np.ndarray) -> np.ndarray:
     """Outcome-weighted fidelity at each of n normalized input vectors,
     shape (n, 2) and checked as in `teleport`, for normalized branch
     stacks g of shape (..., K, 2, 2); the result has shape (..., n)."""
-    inputs = _checked_inputs(inputs, 2)
+    inputs = _checked_inputs(inputs)
     return np.clip(_fidelity_terms(np.asarray(g), inputs).sum(axis=-1), 0.0, 1.0)
 
 
-@lru_cache(maxsize=None)
-def design_inputs(measure: str = "haar") -> np.ndarray:
+def _design(measure: str) -> np.ndarray:
+    """The design inputs of "haar" or "polar" (see `design_inputs`) as
+    a read-only (n, 2) complex array."""
+    if measure == "haar":
+        s = 1.0 / math.sqrt(2.0)
+        pairs = ((1.0, 0.0), (0.0, 1.0), (s, s), (s, -s), (s, 1j * s), (s, -1j * s))
+    else:
+        theta = math.asin(math.sqrt(8.0 / 15.0))
+        angles = (theta, -theta, math.pi - theta, math.pi + theta)
+        pairs = tuple((math.cos(a / 2.0), math.sin(a / 2.0)) for a in angles)
+    inputs = np.array(pairs, dtype=complex)
+    inputs.setflags(write=False)
+    return inputs
+
+
+# Each measure's design inputs, built once at import.
+_DESIGNS = {measure: _design(measure) for measure in MEASURES}
+
+
+def design_inputs(measure: str) -> np.ndarray:
     """Finite input sets whose average equals the measure's integral,
     as a read-only (n, 2) complex array of normalized input vectors.
+    A measure not in MEASURES, of whatever type, raises ValueError.
 
     "haar": the six Pauli eigenstates, a spherical 2-design, giving the
     exact uniform average for any outcome-weighted fidelity (which is
@@ -205,23 +210,13 @@ def design_inputs(measure: str = "haar") -> np.ndarray:
     arc's second moments reproduce that integral exactly, for the same
     quadratic-functional reason.
     """
-    if measure == "haar":
-        s = 1.0 / math.sqrt(2.0)
-        pairs = ((1.0, 0.0), (0.0, 1.0), (s, s), (s, -s), (s, 1j * s), (s, -1j * s))
-    elif measure == "polar":
-        theta = math.asin(math.sqrt(8.0 / 15.0))
-        angles = (theta, -theta, math.pi - theta, math.pi + theta)
-        pairs = tuple((math.cos(a / 2.0), math.sin(a / 2.0)) for a in angles)
-    else:
+    if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
-    inputs = np.array(pairs, dtype=complex)
-    inputs.setflags(write=False)
-    return inputs
+    return _DESIGNS[measure]
 
 
-def average_fidelity(g, measure: str = "haar"):
+def average_fidelity(g, measure: str):
     """Exact input-averaged fidelity under the chosen measure for
     normalized branch stacks g of shape (..., K, 2, 2): an np.float64
     for one (K, 2, 2) stack, an array (...) otherwise."""
     return input_fidelities(g, design_inputs(measure)).mean(axis=-1)
-

@@ -5,16 +5,16 @@ from hypothesis import strategies as st
 
 from wmteleport.operators import (
     CHANNEL_KINDS,
+    CORRECTIONS,
     PAULI_I,
     PAULI_X,
     PAULI_Z,
     PROTOCOL_AXES,
     check_parameters,
-    correction_unitary,
     kraus_set,
     stage_diagonals,
 )
-from wmteleport.pipeline import MODES, branch_grid, branch_operators, normalize_branches, protect
+from wmteleport.pipeline import MODES, branch_operators, normalize_branches, protect
 from wmteleport.sweep import SweepGrid, default_grid, sweep, unprotected_baseline
 
 from brute import brute_kraus, brute_wm, brute_wmr
@@ -90,32 +90,25 @@ def test_kraus_damping_midpoint():
 
 
 def test_correction_table():
-    np.testing.assert_array_equal(correction_unitary(1), PAULI_I)
-    np.testing.assert_array_equal(correction_unitary(2), PAULI_Z)
-    np.testing.assert_array_equal(correction_unitary(3), PAULI_X)
-    np.testing.assert_array_equal(correction_unitary(4), PAULI_Z @ PAULI_X)
-    # a fresh array each call: writing to one leaves the table alone
-    u = correction_unitary(3)
-    u[0, 1] = 5.0
-    np.testing.assert_array_equal(correction_unitary(3), PAULI_X)
+    # outcome k + 1 at index k
+    assert CORRECTIONS.shape == (4, 2, 2)
+    np.testing.assert_array_equal(CORRECTIONS, [PAULI_I, PAULI_Z, PAULI_X, PAULI_Z @ PAULI_X])
+    # read-only: a write raises instead of changing every later correction
+    with pytest.raises(ValueError):
+        CORRECTIONS[2, 0, 1] = 5.0
+    np.testing.assert_array_equal(CORRECTIONS[2], PAULI_X)
 
 
 def test_correction_outcome_three_swaps_components():
     alpha, beta = 0.6, 0.8j
     swapped = alpha * KET1 + beta * KET0
-    out = correction_unitary(3) @ swapped
+    out = CORRECTIONS[2] @ swapped
     np.testing.assert_allclose(out, alpha * KET0 + beta * KET1)
 
 
 def test_correction_outcome_four_is_unitary():
-    u = correction_unitary(4)
+    u = CORRECTIONS[3]
     np.testing.assert_allclose(u.conj().T @ u, np.eye(2), rtol=0, atol=1e-12)
-
-
-def test_correction_rejects_bad_outcome():
-    for bad in (0, 5):
-        with pytest.raises(ValueError):
-            correction_unitary(bad)
 
 
 @given(st.floats(min_value=0.0, max_value=np.pi), st.floats(min_value=0.0, max_value=1.0))
@@ -218,7 +211,9 @@ def _point_consumers(protocol, a1, a2):
     return (
         lambda: check_parameters(protocol, a1, a2),
         lambda: branch_operators(protocol, a1, a2, "bfc", 0.3),
+        lambda: branch_operators(protocol, [[a1], [a1]], [a2, a2, a2], "bfc", 0.3),
         lambda: protect(protocol, a1, a2, "bfc", 0.3, "physical"),
+        lambda: protect(protocol, [a1, a1], [a2, a2], "bfc", 0.3, "physical"),
         lambda: SweepGrid(protocol, [a1], [a2], [0.5]),
     )
 
@@ -259,7 +254,7 @@ def _channel_consumers(kind, r):
     """Every entry point that takes a channel (kind, r), on tiny grids."""
     return (
         lambda: kraus_set(kind, r),
-        lambda: branch_grid("I", [0.7], [0.5], kind, r),
+        lambda: branch_operators("I", [[0.7], [0.9]], [0.5, 0.6], kind, r),
         lambda: branch_operators("I", 0.7, 0.5, kind, r),
         lambda: protect("I", 0.7, 0.5, kind, r, "physical"),
         lambda: sweep(SweepGrid("I", [0.7], [0.5], [r]), kind),

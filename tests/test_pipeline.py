@@ -12,7 +12,6 @@ import wmteleport
 from wmteleport.operators import CHANNEL_KINDS
 from wmteleport.pipeline import (
     GHZ_INDICES,
-    branch_grid,
     branch_operators,
     initial_state,
     normalize_branches,
@@ -147,7 +146,7 @@ def test_stacked_normalization_matches_oracle_and_protect(protocol, mode):
     flagged = 0
     for kind, r in itertools.product(CHANNEL_KINDS, (0.0, 0.37, 1.0)):
         normalized, retained, annihilated = normalize_branches(
-            branch_grid(protocol, axis1, axis2, kind, r), mode
+            branch_operators(protocol, np.array(axis1)[:, None], axis2, kind, r), mode
         )
         assert normalized.shape == (len(axis1), len(axis2), 1 if mode == "paper" else 4, 2, 2)
         assert np.isfinite(normalized).all() and np.isfinite(retained).all()
@@ -195,16 +194,65 @@ def test_shared_state_rejects_malformed_branches(mode, malform):
     # the mode's own stack, (1, 2, 2) or (4, 2, 2), made malformed
     g = malform(protect(*_STATE, mode))
     with pytest.raises(ValueError, match="branch|span"):
-        teleport(g, [1.0, 0.0])
+        teleport(g, [[1.0, 0.0]])
     with pytest.raises(ValueError, match="branch|span"):
         input_fidelities(g, design_inputs("haar"))
 
 
-def test_teleport_takes_exactly_one_stack():
+def test_teleport_and_input_fidelities_take_stacks():
     g = protect(*_STATE, "physical")
-    with pytest.raises(ValueError, match="one branch stack"):
-        teleport(np.stack([g, g]), [1.0, 0.0])
-    assert input_fidelities(np.stack([g, g]), design_inputs("haar")).shape == (2, 6)
+    stack = np.stack([g, g])
+    out = teleport(stack, design_inputs("haar")[:3])
+    assert out.probability.shape == out.per_outcome_fidelity.shape == (2, 3, 4)
+    assert out.bob_state_raw.shape == out.bob_state_corrected.shape == (2, 3, 4, 2, 2)
+    assert input_fidelities(stack, design_inputs("haar")).shape == (2, 6)
+
+
+def _random_axes(rng, protocol, n):
+    """n values of each axis of `protocol`, drawn inside its ranges."""
+    if protocol == "I":
+        return rng.uniform(0.0, np.pi, n), rng.uniform(0.0, 1.0, n)
+    return rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+
+
+@pytest.mark.parametrize("protocol", ["I", "II"])
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_branch_operators_broadcast_like_numpy_operands(protocol, kind):
+    # paired points are the grid's diagonal and one point is one grid
+    # cell, bit for bit
+    a1, a2 = _random_axes(np.random.default_rng(7), protocol, 9)
+    grid = branch_operators(protocol, a1[:, None], a2, kind, 0.37)
+    assert grid.shape == (9, 9, 4, 2, 2)
+    paired = branch_operators(protocol, a1, a2, kind, 0.37)
+    assert paired.shape == (9, 4, 2, 2)
+    assert np.array_equal(paired, grid[range(9), range(9)])
+    for i, j in ((0, 0), (3, 5), (8, 2)):
+        one = branch_operators(protocol, float(a1[i]), float(a2[j]), kind, 0.37)
+        assert one.shape == (4, 2, 2)
+        assert np.array_equal(one, grid[i, j])
+
+
+@pytest.mark.parametrize("mode", ["paper", "physical"])
+@pytest.mark.parametrize("protocol", ["I", "II"])
+def test_protect_over_arrays_equals_per_point_protect(protocol, mode):
+    a1, a2 = _random_axes(np.random.default_rng(11), protocol, 6)
+    for kind, r in itertools.product(CHANNEL_KINDS, (0.0, 0.45, 1.0)):
+        paired = protect(protocol, a1, a2, kind, r, mode)
+        grid = protect(protocol, a1[:, None], a2[:4], kind, r, mode)
+        for i, a in enumerate(a1):
+            assert np.array_equal(paired[i], protect(protocol, a, a2[i], kind, r, mode))
+            for j, b in enumerate(a2[:4]):
+                assert np.array_equal(grid[i, j], protect(protocol, a, b, kind, r, mode))
+
+
+@pytest.mark.parametrize("mode", ["paper", "physical"])
+def test_protect_raises_if_any_point_annihilates(mode):
+    # (omega, q) = (0, 0) annihilates every branch of the noiseless channel
+    protect("I", [0.7, 1.1], [0.5, 0.2], "adc", 0.0, mode)
+    with pytest.raises(ValueError, match="annihilate every branch"):
+        protect("I", [0.7, 0.0, 1.1], [0.5, 0.0, 0.2], "adc", 0.0, mode)
+    with pytest.raises(ValueError, match="annihilate every branch"):
+        protect("I", [[0.7], [0.0]], [0.5, 0.0], "adc", 0.0, mode)
 
 
 def test_derived_state_only_in_its_own_mode():

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from brute import brute_baseline, brute_fidelities_batch, brute_protect
 from wmteleport import sweep as sweep_module
 from wmteleport.checks import _quadrature_grid
-from wmteleport.operators import CHANNEL_KINDS, PAULI_I, PAULI_X, PAULI_Z
+from wmteleport.operators import CHANNEL_KINDS, CORRECTIONS, PAULI_I, PAULI_X, PAULI_Z
 from wmteleport.pipeline import protect
 from wmteleport.sweep import (
+    _DESIGN_MATRICES,
     SweepGrid,
     _branch_slab,
-    _design_matrix,
     _fidelity_slab,
     _slab_argmax,
     compare_protocols,
@@ -26,12 +26,7 @@ from wmteleport.sweep import (
     sweep,
     unprotected_baseline,
 )
-from wmteleport.teleport import (
-    _CORRECTIONS,
-    _ETA_STATES,
-    average_fidelity,
-    design_inputs,
-)
+from wmteleport.teleport import ETA_STATES, average_fidelity, design_inputs
 
 
 def _honest_cell(protocol, a, b, kind, r, mode, measure):
@@ -307,6 +302,24 @@ def test_sweep_rejects_unknown_channel_and_measure():
         sweep(grid, "adc", measure="cube")
 
 
+@pytest.mark.parametrize("measure", ["cube", ["haar"], ("polar",), None],
+                         ids=["string", "list", "tuple", "none"])
+def test_every_entry_point_rejects_a_bad_measure(measure):
+    # a list once reached an lru_cache keyed on the measure and raised
+    # TypeError: unhashable type
+    g = protect("I", 0.7, 0.5, "bfc", 0.3, "physical")
+    grid = default_grid("I", [0.5], resolution=3)
+    for consume in (
+        lambda: sweep(grid, "adc", measure),
+        lambda: unprotected_baseline("adc", 0.5, "physical", measure),
+        lambda: fmax_curve("I", "adc", [0.5], resolution=3, measure=measure),
+        lambda: design_inputs(measure),
+        lambda: average_fidelity(g, measure),
+    ):
+        with pytest.raises(ValueError, match="unknown measure"):
+            consume()
+
+
 def test_slab_argmax_takes_lowest_index_among_near_ties():
     grid = SweepGrid("II", np.array([0.0, 0.5]), np.array([0.0, 0.5, 1.0]), np.array([0.5]))
     slab = np.array([[np.nan, 0.5, 1.0 - 1e-16], [1.0, 1.0, 0.2]])
@@ -441,12 +454,12 @@ def test_design_matrix_matches_resource_written_out(measure):
     for idx in (0b0000, 0b0101, 0b1010, 0b1111):
         psi0[idx >> 1, idx & 1] = 0.5
     states = design_inputs(measure)
-    t1 = np.einsum("isa,ns->nia", _ETA_STATES.reshape(4, 2, 8).conj(), states)
-    u = np.einsum("nb,ibc->nic", states.conj(), _CORRECTIONS)
+    t1 = np.einsum("isa,ns->nia", ETA_STATES.reshape(4, 2, 8).conj(), states)
+    u = np.einsum("nb,ibc->nic", states.conj(), CORRECTIONS)
     w = np.einsum("nia,nib->niab", t1, u)
     v = np.einsum("niab,ac->bcni", w, psi0).reshape(4, -1)
     v = np.concatenate([v.real, v.imag], axis=1)
-    assert np.array_equal(_design_matrix(measure), v[:, (v != 0.0).any(axis=0)])
+    assert np.array_equal(_DESIGN_MATRICES[measure], v[:, (v != 0.0).any(axis=0)])
 
 
 # 11 x 3 cells: a 1-cell block is one row, a 7-cell block two rows with a
@@ -470,8 +483,9 @@ def test_block_size_moves_no_bits(kind, mode, measure, block_cells, monkeypatch)
 
 
 def test_cached_arrays_are_read_only():
-    for arr in (_CORRECTIONS, _ETA_STATES, _design_matrix("haar"), _design_matrix("polar"),
-                _quadrature_grid()[1], PAULI_I, PAULI_X, PAULI_Z):
+    for arr in (CORRECTIONS, ETA_STATES, _DESIGN_MATRICES["haar"], _DESIGN_MATRICES["polar"],
+                design_inputs("haar"), design_inputs("polar"), _quadrature_grid()[1],
+                PAULI_I, PAULI_X, PAULI_Z):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] *= 1.0
@@ -553,7 +567,7 @@ def test_workspace_holds_at_most_one_block(monkeypatch):
     grid = SweepGrid("I", np.array([0.3]), np.linspace(0.0, 1.0, 2 * cells), np.array([0.5]))
     # Per cell: 16 branch entries, 4 of the paper-mode sum and 4 squared
     # amplitudes; plus one batch of amplitudes.
-    one_block = 8 * (24 * cells + sweep_module._BATCH_ROWS * _design_matrix("haar").shape[1])
+    one_block = 8 * (24 * cells + sweep_module._BATCH_ROWS * _DESIGN_MATRICES["haar"].shape[1])
     monkeypatch.setattr(sweep_module, "_workspace", threading.local())
     tracemalloc.start()
     try:

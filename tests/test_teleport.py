@@ -10,11 +10,10 @@ from wmteleport.operators import CHANNEL_KINDS
 from wmteleport.pipeline import protect
 from wmteleport.sweep import unprotected_baseline
 from wmteleport.teleport import (
+    ETA_STATES,
     OUTCOME_FLOOR,
-    _outcome_kernel,
     average_fidelity,
     design_inputs,
-    eta_basis,
     input_fidelities,
     teleport,
 )
@@ -52,14 +51,14 @@ def _quadrature_average(shared, measure, n_polar=64, n_azimuth=128):
 
 
 def test_eta_basis_is_orthonormal():
-    states = eta_basis()
+    states = ETA_STATES
     assert states.shape == (4, 16)
     gram = states @ states.conj().T
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-14)
 
 
 def test_eta_basis_amplitudes():
-    states = eta_basis()
+    states = ETA_STATES
     np.testing.assert_almost_equal(states[0][0b1111], 0.5)
     np.testing.assert_almost_equal(states[0][0b0000], 0.5)
     np.testing.assert_almost_equal(states[1][0b1010], -0.5)
@@ -73,27 +72,26 @@ def test_eta_basis_amplitudes():
 def test_noiseless_teleports_ground_state_exactly(mode, params):
     shared = protect(*params, "adc", 0.0, mode)
     ground = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    for out in teleport(shared, np.array([1.0, 0.0])):
-        np.testing.assert_allclose(out.bob_state_corrected, ground, atol=1e-12)
-        np.testing.assert_almost_equal(out.per_outcome_fidelity, 1.0, decimal=12)
+    out = teleport(shared, [[1.0, 0.0]])
+    for corrected in out.bob_state_corrected[0]:
+        np.testing.assert_allclose(corrected, ground, atol=1e-12)
+    np.testing.assert_almost_equal(out.per_outcome_fidelity, 1.0, decimal=12)
 
 
 def test_noiseless_paper_mode_is_ideal_for_any_input():
     shared = protect("I", 1.0, 0.5, "adc", 0.0, "paper")
     inp = np.array([1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)])
-    outs = teleport(shared, inp)
-    for out in outs:
-        np.testing.assert_almost_equal(out.probability, 0.25, decimal=12)
-        np.testing.assert_almost_equal(out.per_outcome_fidelity, 1.0, decimal=12)
+    out = teleport(shared, inp[None])
+    np.testing.assert_almost_equal(out.probability, 0.25, decimal=12)
+    np.testing.assert_almost_equal(out.per_outcome_fidelity, 1.0, decimal=12)
     np.testing.assert_almost_equal(input_fidelities(shared, inp[None])[0], 1.0, decimal=12)
 
 
 def test_noiseless_physical_mode_is_ideal_at_no_protection_locus():
     shared = protect("I", np.pi / 2, 1.0, "adc", 0.0, "physical")
-    inp = np.array([1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)])
-    for out in teleport(shared, inp):
-        np.testing.assert_almost_equal(out.probability, 0.25, decimal=12)
-        np.testing.assert_almost_equal(out.per_outcome_fidelity, 1.0, decimal=12)
+    out = teleport(shared, [[1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)]])
+    np.testing.assert_almost_equal(out.probability, 0.25, decimal=12)
+    np.testing.assert_almost_equal(out.per_outcome_fidelity, 1.0, decimal=12)
 
 
 @pytest.mark.xfail(
@@ -112,8 +110,8 @@ def test_noiseless_physical_mode_probabilities_stay_uniform():
     # even where the fidelity drops below 1, the outcome probabilities
     # at r=0 remain 1/4
     shared = protect("I", 1.0, 0.5, "adc", 0.0, "physical")
-    for out in teleport(shared, np.array([1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)])):
-        np.testing.assert_almost_equal(out.probability, 0.25, decimal=12)
+    out = teleport(shared, [[1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)]])
+    np.testing.assert_almost_equal(out.probability, 0.25, decimal=12)
 
 
 @pytest.mark.parametrize("mode", ["paper", "physical"])
@@ -128,31 +126,29 @@ def test_outcome_bookkeeping(mode):
         (0.4, 1.0),
         (np.array([0.6, 0.8j]), np.array([s, s])),
     ):
-        outs = teleport(protect(*params, kind, r, mode), inp)
-        assert [o.outcome for o in outs] == [1, 2, 3, 4]
-        np.testing.assert_almost_equal(sum(o.probability for o in outs), 1.0, decimal=10)
-        for o in outs:
-            for state in (o.bob_state_raw, o.bob_state_corrected):
-                assert state.shape == (2, 2)
+        out = teleport(protect(*params, kind, r, mode), inp[None])
+        probs, raw, corrected = out.probability[0], out.bob_state_raw[0], out.bob_state_corrected[0]
+        assert probs.shape == out.per_outcome_fidelity[0].shape == (4,)
+        assert raw.shape == corrected.shape == (4, 2, 2)
+        np.testing.assert_almost_equal(probs.sum(), 1.0, decimal=10)
+        for k, p in enumerate(probs):
+            for state in (raw[k], corrected[k]):
                 assert np.abs(state - state.conj().T).max() <= 1e-12
                 assert np.linalg.eigvalsh(state).min() >= -1e-10
-            np.testing.assert_almost_equal(
-                np.trace(o.bob_state_raw).real, o.probability, decimal=12
-            )
-            if o.probability < OUTCOME_FLOOR:
+            np.testing.assert_almost_equal(np.trace(raw[k]).real, p, decimal=12)
+            if p < OUTCOME_FLOOR:
                 below_floor += 1
-                assert not o.bob_state_corrected.any()
+                assert not corrected[k].any()
             else:
-                assert abs(np.trace(o.bob_state_corrected).real - 1.0) <= 1e-12
-            assert 0.0 <= o.per_outcome_fidelity <= 1.0
+                assert abs(np.trace(corrected[k]).real - 1.0) <= 1e-12
+            assert 0.0 <= out.per_outcome_fidelity[0, k] <= 1.0
     assert below_floor == (2 if mode == "paper" else 0)
 
 
 def test_paper_mode_phase_flip_is_perfect_per_outcome():
     shared = protect("I", 0.8, 0.4, "pfc", 0.6, "paper")
     inp = np.array([0.48, 0.6 + 0.64j])
-    for o in teleport(shared, inp):
-        np.testing.assert_almost_equal(o.per_outcome_fidelity, 1.0, decimal=12)
+    np.testing.assert_almost_equal(teleport(shared, inp[None]).per_outcome_fidelity, 1.0, decimal=12)
     np.testing.assert_almost_equal(input_fidelities(shared, inp[None])[0], 1.0)
 
 
@@ -170,10 +166,10 @@ def test_outcomes_match_brute_force(mode, params, kind, r):
     shared = protect(*point)
     bstate = brute_protect(*point)
     x = np.array([0.6, 0.64 + 0.48j], dtype=complex)
-    outs = teleport(shared, x)
-    for o, (bp, bf) in zip(outs, brute_teleport_outcomes(bstate, x)):
-        np.testing.assert_almost_equal(o.probability, bp, decimal=12)
-        np.testing.assert_almost_equal(o.per_outcome_fidelity, bf, decimal=12)
+    out = teleport(shared, x[None])
+    want = np.array(brute_teleport_outcomes(bstate, x))
+    np.testing.assert_almost_equal(out.probability[0], want[:, 0], decimal=12)
+    np.testing.assert_almost_equal(out.per_outcome_fidelity[0], want[:, 1], decimal=12)
 
 
 @settings(max_examples=25)
@@ -301,7 +297,7 @@ def test_teleport_rejects_states_outside_measurement_span():
     # outcome probabilities sum to |g|_F^2 / 2 = 4
     stray = 2.0 * np.eye(2)[None]
     with pytest.raises(ValueError, match="span"):
-        teleport(stray, np.array([1.0, 0.0]))
+        teleport(stray, [[1.0, 0.0]])
 
 
 _SHARED = ("I", 0.7, 0.6, "bfc", 0.4, "physical")
@@ -332,9 +328,9 @@ def test_input_fidelities_rejects_bad_inputs(inputs):
 
 @pytest.mark.parametrize(
     "x",
-    [[0.6, 0.9], 0.9 * np.array([0.6, 0.8j]), [np.nan, 1.0], [1.0, np.inf],
-     [1.0], [[1.0, 0.0]], [1.0, 0.0, 0.0]],
-    ids=["unnormalized", "scaled", "nan", "inf", "one-entry", "2-D", "three-entries"],
+    [[[0.6, 0.9]], 0.9 * np.array([[0.6, 0.8j]]), [[1.0, 0.0], [np.nan, 1.0]], [[1.0, np.inf]],
+     [[1.0]], [1.0, 0.0], [[1.0, 0.0, 0.0]]],
+    ids=["unnormalized", "scaled", "nan", "inf", "one-entry", "one-vector", "three-entries"],
 )
 def test_teleport_rejects_bad_inputs(x):
     with pytest.raises(ValueError, match="inputs must"):
@@ -344,7 +340,7 @@ def test_teleport_rejects_bad_inputs(x):
 def test_inputs_within_the_norm_tolerance_pass():
     shared = protect(*_SHARED)
     x = np.array([0.6, 0.8j]) * np.sqrt(1.0 + 5e-13)
-    assert len(teleport(shared, x)) == 4
+    assert teleport(shared, x[None]).probability.shape == (1, 4)
     assert input_fidelities(shared, x[None]).shape == (1,)
     np.testing.assert_allclose(input_fidelities(shared, _HAAR).mean(),
                                average_fidelity(shared, "haar"), rtol=0, atol=1e-15)
@@ -399,10 +395,16 @@ def test_stacked_kernel_matches_oracle(mode):
     g = np.zeros((len(states), 4, 2, 2))
     for row, shared in zip(g, states):
         row[: len(shared)] = shared
-    probs, fids, raw = _outcome_kernel(g, inputs)
+    out = teleport(g, inputs)
+    probs, fids, raw = out.probability, out.per_outcome_fidelity, out.bob_state_raw
     assert probs.shape == fids.shape == (len(states), len(inputs), 4)
-    assert raw.shape == (len(states), len(inputs), 4, 2, 2)
-    assert ((probs < OUTCOME_FLOOR) & (probs > 1e-17)).sum() >= 2
+    assert raw.shape == out.bob_state_corrected.shape == (len(states), len(inputs), 4, 2, 2)
+    below = probs < OUTCOME_FLOOR
+    assert (below & (probs > 1e-17)).sum() >= 2
+    assert not out.bob_state_corrected[below].any()
+    assert not fids[below].any()
+    traces = np.einsum("...ii->...", out.bob_state_corrected[~below]).real
+    np.testing.assert_allclose(traces, 1.0, rtol=0, atol=1e-12)
     for i, bstate in enumerate(oracle):
         for j, x in enumerate(inputs):
             want = np.array(brute_teleport_outcomes(bstate, x))
@@ -412,12 +414,35 @@ def test_stacked_kernel_matches_oracle(mode):
 
 
 @pytest.mark.parametrize("mode", ["paper", "physical"])
+def test_stacked_teleport_matches_one_state_one_input_calls(mode):
+    """A (4, 6) stack of states and five inputs in one call give the
+    probabilities, raw and corrected states of one-state, one-input
+    calls bit for bit; the fidelities come from one matrix product over
+    the whole stack and agree to 1e-15."""
+    g = np.stack([protect(*p, k, r, mode) for p, k, r in _KERNEL_GRID])
+    g = g.reshape(4, 6, *g.shape[1:])
+    s = 1.0 / np.sqrt(2.0)
+    inputs = np.concatenate([[[1.0, 0.0], [s, s]], sample_inputs(np.random.default_rng(5), 3)])
+    out = teleport(g, inputs)
+    assert out.probability.shape == out.per_outcome_fidelity.shape == (4, 6, 5, 4)
+    corrected = out.bob_state_corrected
+    for idx in np.ndindex(4, 6):
+        for j, x in enumerate(inputs):
+            one = teleport(g[idx], x[None])
+            assert np.array_equal(one.probability[0], out.probability[idx][j])
+            assert np.array_equal(one.bob_state_raw[0], out.bob_state_raw[idx][j])
+            assert np.array_equal(one.bob_state_corrected[0], corrected[idx][j])
+            np.testing.assert_allclose(one.per_outcome_fidelity[0], out.per_outcome_fidelity[idx][j],
+                                       rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["paper", "physical"])
 def test_stacked_kernel_rejects_one_state_outside_span(mode):
     g = np.stack([protect(*p, k, r, mode) for p, k, r in _KERNEL_GRID[:6]])
     # a stack whose outcome probabilities sum to 1.0201
     g = np.insert(g, 3, 1.01 * g[3], axis=0)
     with pytest.raises(ValueError, match="outside the measurement span"):
-        _outcome_kernel(g, np.array([[0.6, 0.8j]]))
+        teleport(g, np.array([[0.6, 0.8j]]))
 
 
 @pytest.mark.parametrize("mode,k", [("paper", 1), ("physical", 1), ("physical", 2), ("physical", 4)])
@@ -432,7 +457,7 @@ def test_outcome_probabilities_sum_to_half_branch_norm(mode, k, monkeypatch):
         g = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
         if mode == "paper":
             g = g.sum(axis=0, keepdims=True)
-        probs = _outcome_kernel(g[None], sample_inputs(rng, 6))[0]
+        probs = teleport(g[None], sample_inputs(rng, 6)).probability
         half_norm = 0.5 * float(np.vdot(g, g).real)
         np.testing.assert_allclose(probs.sum(axis=-1), half_norm, rtol=1e-14, atol=0)
 
@@ -441,10 +466,10 @@ def _entanglement_fidelity(shared):
     """F_e = <Phi+|(id x L)(Phi+)|Phi+> = (1/4) sum_st <s|L(|s><t|)|t> of
     the corrected teleportation channel L(x) = sum_k U_k raw_k(x) U_k^dag.
     raw_k is linear in |in><in|, so its blocks on |s><t| follow by
-    polarization from the kernel's outcome states at |0>, |1>, |+>, |+i>."""
+    polarization from the raw outcome states at |0>, |1>, |+>, |+i>."""
     s = 1.0 / np.sqrt(2.0)
     inputs = np.array([[1.0, 0.0], [0.0, 1.0], [s, s], [s, 1j * s]])
-    r0, r1, rp, ri = _outcome_kernel(shared[None], inputs)[2][0]
+    r0, r1, rp, ri = teleport(shared, inputs).bob_state_raw
     cross = 2.0 * rp - r0 - r1  # X01 + X10
     quad = 2.0 * ri - r0 - r1  # -i X01 + i X10
     blocks = {(0, 0): r0, (1, 1): r1, (0, 1): 0.5 * (cross + 1j * quad),
@@ -536,5 +561,5 @@ def test_fidelity_contraction_rejects_states_outside_measurement_span():
             input_fidelities(shared, design_inputs("haar"))
         with pytest.raises(ValueError, match="outside the measurement span"):
             average_fidelity(shared, "polar")
-    np.testing.assert_allclose(average_fidelity(g[:2]), [average_fidelity(x) for x in g[:2]],
-                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(average_fidelity(g[:2], "haar"),
+                               [average_fidelity(x, "haar") for x in g[:2]], rtol=0, atol=1e-15)
