@@ -153,10 +153,9 @@ def teleport(g, inputs) -> TeleportOutcome:
     normalized branch stacks g of shape (..., K, 2, 2); returns the
     four outcomes of every (state, input) pair as one TeleportOutcome
     of arrays with leading axes (..., n, 4). The receiver's raw state
-    for outcome k is
-    sum_b a_kb a_kb^dagger with a_kb = g_b u_k. Outcomes with
-    probability below OUTCOME_FLOOR get fidelity 0 and a zero corrected
-    state; they carry no weight in any average.
+    for outcome k is sum_b a_kb a_kb^dagger with a_kb = g_b u_k.
+    Outcomes with probability below OUTCOME_FLOOR get fidelity 0 and a
+    zero corrected state; they carry no weight in any average.
     """
     g = np.asarray(g)
     inputs = _checked_inputs(inputs)

@@ -127,7 +127,8 @@ def test_outcome_bookkeeping(mode):
         (np.array([0.6, 0.8j]), np.array([s, s])),
     ):
         out = teleport(protect(*params, kind, r, mode), inp[None])
-        probs, raw, corrected = out.probability[0], out.bob_state_raw[0], out.bob_state_corrected[0]
+        probs, raw = out.probability[0], out.bob_state_raw[0]
+        corrected = out.bob_state_corrected[0]
         assert probs.shape == out.per_outcome_fidelity[0].shape == (4,)
         assert raw.shape == corrected.shape == (4, 2, 2)
         np.testing.assert_almost_equal(probs.sum(), 1.0, decimal=10)
@@ -148,7 +149,8 @@ def test_outcome_bookkeeping(mode):
 def test_paper_mode_phase_flip_is_perfect_per_outcome():
     shared = protect("I", 0.8, 0.4, "pfc", 0.6, "paper")
     inp = np.array([0.48, 0.6 + 0.64j])
-    np.testing.assert_almost_equal(teleport(shared, inp[None]).per_outcome_fidelity, 1.0, decimal=12)
+    fids = teleport(shared, inp[None]).per_outcome_fidelity
+    np.testing.assert_almost_equal(fids, 1.0, decimal=12)
     np.testing.assert_almost_equal(input_fidelities(shared, inp[None])[0], 1.0)
 
 
@@ -432,8 +434,8 @@ def test_stacked_teleport_matches_one_state_one_input_calls(mode):
             assert np.array_equal(one.probability[0], out.probability[idx][j])
             assert np.array_equal(one.bob_state_raw[0], out.bob_state_raw[idx][j])
             assert np.array_equal(one.bob_state_corrected[0], corrected[idx][j])
-            np.testing.assert_allclose(one.per_outcome_fidelity[0], out.per_outcome_fidelity[idx][j],
-                                       rtol=0, atol=1e-15)
+            np.testing.assert_allclose(one.per_outcome_fidelity[0],
+                                       out.per_outcome_fidelity[idx][j], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("mode", ["paper", "physical"])
