@@ -37,7 +37,7 @@ from .reproduce import build_manifest, manifest_json, manifest_lines
 from .sweep import (
     DEFAULT_RESOLUTION,
     compare_protocols,
-    default_grid,
+    default_axes,
     default_r_values,
     fmax_curve,
     sweep,
@@ -367,12 +367,12 @@ def _cmd_surface(args, parser) -> int:
     _check_resolution(parser, args.resolution, 1)
     if not 0.0 <= args.r <= 1.0:
         parser.error("--r must lie in [0, 1]")
-    grid = default_grid(args.protocol, [args.r], args.resolution, args.mode)
-    result = sweep(grid, args.channel, args.measure)
+    axis1, axis2 = default_axes(args.protocol, args.resolution)
+    result = sweep(args.protocol, axis1, axis2, args.channel, args.r, args.mode, args.measure)
     columns = (
-        grid.axis1[:, None, None],
-        grid.axis2[None, :, None],
-        grid.r_values,
+        axis1[:, None, None],
+        axis2[None, :, None],
+        [args.r],
         result.fidelity,
         result.baseline,
     )
@@ -417,8 +417,8 @@ def _cmd_compare(args, parser) -> int:
 def _cmd_reproduce(args, parser) -> int:
     _check_resolution(parser, args.resolution, 2)
     manifest = build_manifest(
+        args.measure,
         resolution=args.resolution,
-        measure=args.measure,
         timestamp=args.seed is None,
     )
     _write_text(args.out, [manifest_json(manifest)])

@@ -81,13 +81,19 @@ def branch_operators(
     """The four branch operators g_ij at the parameter points (a1, a2)
     of `protocol`, whose values broadcast like numpy operands: shape
     (..., 4, 2, 2), branch order (i=0,j=0), (0,1), (1,0), (1,1). Points
-    outside the protocol's ranges raise ValueError. The stages around
-    the channel are diagonal, m_i depending on axis 1 only and n_i on
-    axis 2 only, so g_ij[b, c] = n_i[b] * C_ij[b, c] * m_i[c] with
+    outside the protocol's ranges, and axis values whose shapes do not
+    broadcast, raise ValueError. The stages around the channel are
+    diagonal, m_i depending on axis 1 only and n_i on axis 2 only, so
+    g_ij[b, c] = n_i[b] * C_ij[b, c] * m_i[c] with
     C_ij = f_i e_j f_i. All three channels have real Kraus operators, so
     the branches are real. `out`, if given, is a float array of shape
     (..., 16) that receives the product; the result is then a view of it."""
     check_parameters(protocol, a1, a2)
+    s1, s2 = np.shape(a1), np.shape(a2)
+    try:
+        np.broadcast_shapes(s1, s2)
+    except ValueError:
+        raise ValueError(f"axis values of shapes {s1} and {s2} do not broadcast") from None
     d1, d2 = stage_diagonals(protocol, a1, a2)
     # outcome 1 mirrors both diagonals; its flip sigma_x reverses the
     # rows and columns of e_j

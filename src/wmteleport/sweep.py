@@ -3,9 +3,12 @@
 Evaluation is exhaustive grid search over the two protection
 parameters at each decoherence value, followed by one local
 refinement pass (a 10x finer window around the coarse argmax).
-Each slab (one r value) is evaluated in blocks of whole axis-1 rows,
-about 16k cells each, so memory stays bounded whatever the grid size;
-a 101x101 slab is one block. A block's branch matrices come from
+A sweep takes plain values in the order of `pipeline.protect`,
+`sweep(protocol, axis1, axis2, channel, r_values, mode, measure)`, and
+checks them once per call; `default_axes` gives a protocol's default
+axes. Each slab (one r value) is evaluated in blocks of whole axis-1
+rows, about 16k cells each, so memory stays bounded whatever the grid
+size; a 101x101 slab is one block. A block's branch matrices come from
 `pipeline.branch_operators`, which also serves `protect`, as one broadcast
 product of per-axis diagonals and constant 2x2 matrices. They are
 contracted against one small design matrix per input measure,
@@ -53,11 +56,10 @@ _DEFAULT_SPANS = {
 __all__ = [
     "DEFAULT_RESOLUTION",
     "DEFAULT_R_COUNT",
-    "SweepGrid",
     "SweepResult",
     "FmaxPoint",
     "ProtocolComparison",
-    "default_grid",
+    "default_axes",
     "default_r_values",
     "sweep",
     "unprotected_baseline",
@@ -81,81 +83,33 @@ def _validate_axis(name: str, values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class SweepGrid:
-    """Cartesian sweep domain: two protection-parameter axes and a set
-    of decoherence values, evaluated under one mode of `pipeline.MODES`."""
-
-    protocol: str
-    axis1: np.ndarray
-    axis2: np.ndarray
-    r_values: np.ndarray
-    mode: str = "physical"
-
-    def __post_init__(self):
-        check_parameters(self.protocol, self.axis1, self.axis2)
-        _check_mode(self.mode)
-        a1 = _validate_axis(self.axis1_name, self.axis1)
-        a2 = _validate_axis(self.axis2_name, self.axis2)
-        rv = _validate_axis("r", self.r_values)
-        if rv[0] < 0.0 or rv[-1] > 1.0:
-            raise ValueError("axis r must lie within [0, 1]")
-        object.__setattr__(self, "axis1", a1)
-        object.__setattr__(self, "axis2", a2)
-        object.__setattr__(self, "r_values", rv)
-
-    @property
-    def axis1_name(self) -> str:
-        return PROTOCOL_AXES[self.protocol][0][0]
-
-    @property
-    def axis2_name(self) -> str:
-        return PROTOCOL_AXES[self.protocol][1][0]
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.axis1.size, self.axis2.size, self.r_values.size)
-
-
 def default_r_values(count: int = DEFAULT_R_COUNT) -> np.ndarray:
     if count < 2:
         raise ValueError("r grid needs at least 2 points")
     return np.linspace(0.0, 1.0, count)
 
 
-def default_grid(
-    protocol: str,
-    r_values,
-    resolution: int = DEFAULT_RESOLUTION,
-    mode="physical",
-) -> SweepGrid:
-    """Default sweep domain: omega in [0, pi/2] x q in [0, 1] for
-    protocol I, K1 x K2 in [0, 1]^2 for protocol II."""
+def default_axes(protocol: str, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The default sweep axes, `resolution` points each: omega in
+    [0, pi/2] and q in [0, 1] for protocol I, K1 and K2 in [0, 1] for
+    protocol II."""
     if protocol not in _DEFAULT_SPANS:
         raise ValueError(f"unknown protocol kind {protocol!r}")
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
     (lo1, hi1), (lo2, hi2) = _DEFAULT_SPANS[protocol]
-    return SweepGrid(
-        protocol=protocol,
-        axis1=np.linspace(lo1, hi1, resolution),
-        axis2=np.linspace(lo2, hi2, resolution),
-        r_values=np.atleast_1d(np.asarray(r_values, dtype=float)),
-        mode=mode,
-    )
+    return np.linspace(lo1, hi1, resolution), np.linspace(lo2, hi2, resolution)
 
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Fidelity over a grid. `fidelity[i1, i2, ir]` follows the grid
-    axes; annihilated cells hold NaN. `argmax[ir]` is
+    """Fidelity over a grid. `fidelity[i1, i2, ir]` follows the sweep's
+    axes and r values; annihilated cells hold NaN. `argmax[ir]` is
     (axis1 value, axis2 value, F_max) at the lowest flat index among
     cells within 1e-15 of the slab maximum, or (nan, nan, nan) if the
     whole slab is missing. F_max is the value at that cell and is not
     required to beat `baseline`; protection can merely match it."""
 
-    grid: SweepGrid
-    channel: str
     fidelity: np.ndarray
     argmax: tuple[tuple[float, float, float], ...]
     baseline: np.ndarray
@@ -190,14 +144,15 @@ def _scratch(name: str, shape: tuple[int, ...], cells: int) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _branch_slab(grid: SweepGrid, channel: str, r: float, rows: slice) -> np.ndarray:
-    """All four branch operators at one r over the axis-1 rows `rows`,
-    each 2x2 flattened row-major: shape (rows in the block, n2, 4, 4),
-    written by `branch_operators` into the workspace."""
-    axis1 = grid.axis1[rows, None]
-    n1, n2 = axis1.size, grid.axis2.size
+def _branch_slab(
+    protocol: str, axis1: np.ndarray, axis2: np.ndarray, channel: str, r: float
+) -> np.ndarray:
+    """All four branch operators at one r over the block's axis-1 values
+    `axis1` and all of `axis2`, each 2x2 flattened row-major: shape
+    (n1, n2, 4, 4), written by `branch_operators` into the workspace."""
+    n1, n2 = axis1.size, axis2.size
     out = _scratch("branches", (n1, n2, 16), n1 * n2)
-    g = branch_operators(grid.protocol, axis1, grid.axis2, channel, r, out=out)
+    g = branch_operators(protocol, axis1[:, None], axis2, channel, r, out=out)
     return g.reshape(n1, n2, 4, 4)
 
 
@@ -257,32 +212,45 @@ _TIE_TOL = 1e-15
 
 
 def _slab_argmax(
-    grid: SweepGrid, slab: np.ndarray
+    axis1: np.ndarray, axis2: np.ndarray, slab: np.ndarray
 ) -> tuple[float, float, float]:
     if np.isnan(slab).all():
         return (math.nan, math.nan, math.nan)
     flat = int(np.argmax(slab >= np.nanmax(slab) - _TIE_TOL))
     i1, i2 = divmod(flat, slab.shape[1])
-    return (float(grid.axis1[i1]), float(grid.axis2[i2]), float(slab[i1, i2]))
+    return (float(axis1[i1]), float(axis2[i2]), float(slab[i1, i2]))
 
 
-def sweep(grid: SweepGrid, channel: str, measure: str = "polar") -> SweepResult:
-    """Average fidelity at every grid cell, plus per-r argmax and the
-    unprotected baseline. Deterministic; near-ties (within 1e-15) go to
-    the lowest flat index."""
-    n1, n2, nr = grid.shape
+def sweep(
+    protocol: str, axis1, axis2, channel: str, r_values, mode: str, measure: str
+) -> SweepResult:
+    """Average fidelity at every cell of the grid axis1 x axis2 at each r
+    value, plus per-r argmax and the unprotected baseline. Each axis must
+    be nonempty, finite, strictly ascending and inside its range in
+    `PROTOCOL_AXES`; the r values likewise inside [0, 1], a bare float
+    being one r value. Deterministic; near-ties (within 1e-15) go to the
+    lowest flat index."""
+    check_parameters(protocol, axis1, axis2)
+    _check_mode(mode)
+    (name1, _, _), (name2, _, _) = PROTOCOL_AXES[protocol]
+    axis1 = _validate_axis(name1, axis1)
+    axis2 = _validate_axis(name2, axis2)
+    r_values = _validate_axis("r", np.atleast_1d(r_values))
+    if r_values[0] < 0.0 or r_values[-1] > 1.0:
+        raise ValueError("axis r must lie within [0, 1]")
+    n1, n2 = axis1.size, axis2.size
     step = max(1, _BLOCK_CELLS // n2)
-    fidelity = np.empty((n1, n2, nr))
+    fidelity = np.empty((n1, n2, r_values.size))
     argmax = []
-    for ir, r in enumerate(grid.r_values):
+    for ir, r in enumerate(r_values):
         for start in range(0, n1, step):
             rows = slice(start, start + step)
-            branches = _branch_slab(grid, channel, float(r), rows)
-            fidelity[rows, :, ir] = _fidelity_slab(branches, grid.mode, measure)
-        argmax.append(_slab_argmax(grid, fidelity[:, :, ir]))
+            branches = _branch_slab(protocol, axis1[rows], axis2, channel, float(r))
+            fidelity[rows, :, ir] = _fidelity_slab(branches, mode, measure)
+        argmax.append(_slab_argmax(axis1, axis2, fidelity[:, :, ir]))
     fidelity.setflags(write=False)
-    baseline = unprotected_baseline(channel, grid.r_values, grid.mode, measure)
-    return SweepResult(grid, channel, fidelity, tuple(argmax), baseline)
+    baseline = unprotected_baseline(channel, r_values, mode, measure)
+    return SweepResult(fidelity, tuple(argmax), baseline)
 
 
 def unprotected_baseline(channel: str, r_values, mode: str, measure: str) -> np.ndarray:
@@ -325,8 +293,9 @@ def fmax_curve(
     channel: str,
     r_values=None,
     resolution: int = DEFAULT_RESOLUTION,
-    mode="physical",
-    measure: str = "polar",
+    *,
+    mode: str,
+    measure: str,
 ) -> list[FmaxPoint]:
     """Maximum average fidelity versus decoherence over the default
     parameter domain: coarse grid search, then one 10x refinement
@@ -335,27 +304,20 @@ def fmax_curve(
     the reported maximum."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
-    if r_values is None:
-        r_values = default_r_values()
-    grid = default_grid(protocol, r_values, resolution, mode)
-    coarse = sweep(grid, channel, measure)
+    r_values = np.atleast_1d(default_r_values() if r_values is None else r_values)
+    axis1, axis2 = default_axes(protocol, resolution)
+    coarse = sweep(protocol, axis1, axis2, channel, r_values, mode, measure)
     (lo1, hi1), (lo2, hi2) = _DEFAULT_SPANS[protocol]
     points = []
-    for ir, r in enumerate(grid.r_values):
+    for ir, r in enumerate(r_values):
         a1, a2, fmax = coarse.argmax[ir]
         if math.isnan(fmax):
             points.append(
                 FmaxPoint(float(r), math.nan, math.nan, math.nan, float(coarse.baseline[ir]))
             )
             continue
-        fine_grid = SweepGrid(
-            protocol=protocol,
-            axis1=_refined_axis(grid.axis1, a1, lo1, hi1),
-            axis2=_refined_axis(grid.axis2, a2, lo2, hi2),
-            r_values=np.array([float(r)]),
-            mode=grid.mode,
-        )
-        f1, f2, fine_max = sweep(fine_grid, channel, measure).argmax[0]
+        window = _refined_axis(axis1, a1, lo1, hi1), _refined_axis(axis2, a2, lo2, hi2)
+        f1, f2, fine_max = sweep(protocol, *window, channel, r, mode, measure).argmax[0]
         if not math.isnan(fine_max) and fine_max > fmax + _TIE_TOL:
             a1, a2, fmax = f1, f2, fine_max
         points.append(
@@ -371,7 +333,6 @@ class ProtocolComparison:
     r >= 0.3, bit flip expects protocol II on top near r = 0.9, phase
     flip expects the two curves to agree within 0.02."""
 
-    channel: str
     rows: tuple[tuple[float, float, float, float], ...]
     verdict: bool
     verdict_text: str
@@ -384,8 +345,9 @@ def compare_protocols(
     channel: str,
     r_values=None,
     resolution: int = DEFAULT_RESOLUTION,
-    mode="physical",
-    measure: str = "polar",
+    *,
+    mode: str,
+    measure: str,
 ) -> ProtocolComparison:
     """F_max for both protocols on a shared r grid, with this
     channel's expected dominance relation evaluated on the rows."""
@@ -419,4 +381,4 @@ def compare_protocols(
             f"every r (largest gap {gap:.3g}): "
             + ("confirmed" if verdict else "violated")
         )
-    return ProtocolComparison(channel, rows, bool(verdict), verdict_text)
+    return ProtocolComparison(rows, bool(verdict), verdict_text)

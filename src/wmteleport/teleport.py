@@ -13,10 +13,13 @@ a stack of states. Outcome k leaves g_b u_k per branch,
 u_k = (eta_k^dagger psi0)^T in, and its fidelity term p_k f_k is
 sum_b |vec(g_b) . v_k(in)|^2 with v_k(in)[B, c] = conj(w_k[B]) u_k[c],
 w_k = U_k^dagger in: the sweep's design contraction, for any inputs and
-stack of states at once. Every fidelity is a view on it; `teleport`
-adds the outcome probabilities and the receiver's states. The
-unprotected baseline is `sweep.unprotected_baseline`, the sweep's own
-contraction of the bare Kraus operators.
+stack of states at once, which `input_fidelities` and `average_fidelity`
+use. `teleport` builds the receiver's raw states raw_k and reads each
+p_k f_k = <w_k|raw_k|w_k> from them, one (state, input) pair at a
+time, so its per-outcome fidelities do not depend on how many inputs
+or states share the call. The unprotected baseline is
+`sweep.unprotected_baseline`, the sweep's own contraction of the bare
+Kraus operators.
 
 Every call of `teleport`, `input_fidelities` or `average_fidelity`
 checks its stack in `_span_check`: the shape, and that the outcome
@@ -159,11 +162,14 @@ def teleport(g, inputs) -> TeleportOutcome:
     """
     g = np.asarray(g)
     inputs = _checked_inputs(inputs)
-    terms = _fidelity_terms(g, inputs)
+    _span_check(g)
     # a[..., x, k, b, B] = (g_b u_k)[B], with u_k[c] as (k, x, c)
     a = np.einsum("...bBc,kxc->...xkbB", g, inputs @ _ETA_PSI0)
     raw = np.einsum("...bB,...bC->...BC", a, a.conj())
     probs = np.einsum("...BB->...", raw).real
+    # p_k f_k = <w_k|raw_k|w_k>, with conj(w_k)[B] as (x, k, B)
+    w = (inputs.conj() @ CORRECTIONS).swapaxes(0, 1)
+    terms = np.einsum("...BC,...B,...C->...", raw, w, w.conj()).real
     fids = np.clip(terms / np.maximum(probs, OUTCOME_FLOOR), 0.0, 1.0)
     return TeleportOutcome(probs, raw, np.where(probs < OUTCOME_FLOOR, 0.0, fids))
 

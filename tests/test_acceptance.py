@@ -101,7 +101,7 @@ def test_criterion_3_mode_coincidence_generic_parameters():
 
 @pytest.fixture(scope="module")
 def manifest():
-    return build_manifest(resolution=101, timestamp=False)
+    return build_manifest("polar", resolution=101, timestamp=False)
 
 
 def test_criterion_4_reference_value_reproduction(manifest):
@@ -141,7 +141,7 @@ def test_criterion_4_failing_target_verified_against_oracle(manifest):
 
 def test_criterion_5_dominance_verdicts():
     for kind in CHANNEL_KINDS:
-        comparison = compare_protocols(kind, resolution=101)
+        comparison = compare_protocols(kind, resolution=101, mode="physical", measure="polar")
         assert comparison.verdict, comparison.verdict_text
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from wmteleport import cli
 from wmteleport.sweep import (
     compare_protocols,
-    default_grid,
+    default_axes,
     default_r_values,
     fmax_curve,
     sweep,
@@ -293,14 +293,13 @@ def test_surface_fields_are_the_sweep_bits(protocol, channel, mode, r, tmp_path,
     argv = ["surface", "--protocol", protocol, "--channel", channel, "--mode", mode,
             "--r", r, "--resolution", "65", "--out", str(out)]
     assert cli.main(argv) == 0
-    grid = default_grid(protocol, [float(r)], 65, mode)
-    result = sweep(grid, channel, "polar")
+    axis1, axis2 = default_axes(protocol, 65)
+    result = sweep(protocol, axis1, axis2, channel, float(r), mode, "polar")
     _, rows = read_csv(out)
     got = np.array([[float(field) for field in row] for row in rows]).T
-    n1, n2, _ = grid.shape
-    assert _bits_equal(got[0], np.repeat(grid.axis1, n2))
-    assert _bits_equal(got[1], np.tile(grid.axis2, n1))
-    assert _bits_equal(got[2], grid.r_values[0])
+    assert _bits_equal(got[0], np.repeat(axis1, axis2.size))
+    assert _bits_equal(got[1], np.tile(axis2, axis1.size))
+    assert _bits_equal(got[2], float(r))
     assert _bits_equal(got[3], result.fidelity.reshape(-1))
     assert _bits_equal(got[4], result.baseline[0])
 
@@ -314,9 +313,9 @@ def test_surface_csv_is_the_row_wise_text(protocol, channel, r, mode, tmp_path, 
     n = 129
     assert cli.main(["surface", "--protocol", protocol, "--channel", channel, "--mode", mode,
                      "--r", r, "--resolution", str(n), "--out", str(out)]) == 0
-    grid = default_grid(protocol, [float(r)], n, mode)
-    result = sweep(grid, channel, "polar")
-    rows = zip(np.repeat(grid.axis1, n), np.tile(grid.axis2, n), [grid.r_values[0]] * n * n,
+    axis1, axis2 = default_axes(protocol, n)
+    result = sweep(protocol, axis1, axis2, channel, float(r), mode, "polar")
+    rows = zip(np.repeat(axis1, n), np.tile(axis2, n), [float(r)] * n * n,
                result.fidelity.reshape(-1), [result.baseline[0]] * n * n)
     assert_same_text(out.read_text(), reference_csv("axis1,axis2,r,fidelity,baseline", rows))
 
@@ -329,10 +328,12 @@ def test_fmax_and_compare_csv_match_reference(tmp_path, capsys):
                          "--resolution", "11", "--out", str(fmax_out)]) == 0
         assert cli.main(["compare", "--channel", "pfc", "--resolution", "11",
                          "--out", str(compare_out)]) == 0
-    points = fmax_curve("II", "bfc", default_r_values(), resolution=11)
+    points = fmax_curve("II", "bfc", default_r_values(), resolution=11,
+                        mode="physical", measure="polar")
     rows = [(p.r, p.fmax, p.param1, p.param2, p.baseline) for p in points]
     assert_same_text(fmax_out.read_text(), reference_csv("r,fmax,param1,param2,baseline", rows))
-    comparison = compare_protocols("pfc", default_r_values(), resolution=11)
+    comparison = compare_protocols("pfc", default_r_values(), resolution=11,
+                                   mode="physical", measure="polar")
     assert_same_text(compare_out.read_text(),
                      reference_csv("r,baseline,fmax_I,fmax_II", comparison.rows))
 
@@ -546,7 +547,7 @@ def cli_without_sweeps(monkeypatch):
     def reached(*args, **kwargs):
         raise _Reached
 
-    for name in ("default_grid", "fmax_curve", "compare_protocols", "build_manifest"):
+    for name in ("sweep", "fmax_curve", "compare_protocols", "build_manifest"):
         monkeypatch.setattr(cli, name, reached)
     return cli
 

@@ -15,7 +15,7 @@ from wmteleport.operators import (
     stage_diagonals,
 )
 from wmteleport.pipeline import MODES, branch_operators, normalize_branches, protect
-from wmteleport.sweep import SweepGrid, default_grid, sweep, unprotected_baseline
+from wmteleport.sweep import default_axes, sweep, unprotected_baseline
 
 from brute import brute_kraus, brute_wm, brute_wmr
 
@@ -214,7 +214,7 @@ def _point_consumers(protocol, a1, a2):
         lambda: branch_operators(protocol, [[a1], [a1]], [a2, a2, a2], "bfc", 0.3),
         lambda: protect(protocol, a1, a2, "bfc", 0.3, "physical"),
         lambda: protect(protocol, [a1, a1], [a2, a2], "bfc", 0.3, "physical"),
-        lambda: SweepGrid(protocol, [a1], [a2], [0.5]),
+        lambda: sweep(protocol, [a1], [a2], "bfc", [0.5], "physical", "polar"),
     )
 
 
@@ -257,7 +257,7 @@ def _channel_consumers(kind, r):
         lambda: branch_operators("I", [[0.7], [0.9]], [0.5, 0.6], kind, r),
         lambda: branch_operators("I", 0.7, 0.5, kind, r),
         lambda: protect("I", 0.7, 0.5, kind, r, "physical"),
-        lambda: sweep(SweepGrid("I", [0.7], [0.5], [r]), kind),
+        lambda: sweep("I", [0.7], [0.5], kind, [r], "physical", "polar"),
         lambda: unprotected_baseline(kind, r, "physical", "polar"),
     )
 
@@ -290,7 +290,7 @@ def _mode_consumers(mode):
     return (
         lambda: normalize_branches(branches, mode),
         lambda: protect("I", 0.7, 0.5, "bfc", 0.3, mode),
-        lambda: default_grid("I", [0.3], 3, mode),
+        lambda: sweep("I", *default_axes("I", 3), "bfc", [0.3], mode, "polar"),
         lambda: unprotected_baseline("bfc", 0.3, mode, "polar"),
     )
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import itertools
 import pkgutil
 import sys
@@ -232,6 +233,15 @@ def test_branch_operators_broadcast_like_numpy_operands(protocol, kind):
         assert np.array_equal(one, grid[i, j])
 
 
+def test_axis_values_that_do_not_broadcast_name_their_shapes():
+    for call in (
+        lambda: branch_operators("I", [0.1, 0.2, 0.3], [0.5, 0.6], "adc", 0.3),
+        lambda: protect("I", [0.1, 0.2, 0.3], [0.5, 0.6], "adc", 0.3, "physical"),
+    ):
+        with pytest.raises(ValueError, match=r"shapes \(3,\) and \(2,\) do not broadcast"):
+            call()
+
+
 @pytest.mark.parametrize("mode", ["paper", "physical"])
 @pytest.mark.parametrize("protocol", ["I", "II"])
 def test_protect_over_arrays_equals_per_point_protect(protocol, mode):
@@ -306,6 +316,20 @@ def test_every_exported_name_resolves(name):
     # `from wmteleport.<module> import *` only when someone tries it
     module = importlib.import_module(f"wmteleport.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize(
+    "name", [m.name for m in pkgutil.iter_modules(wmteleport.__path__) if m.name != "__main__"]
+)
+def test_no_library_signature_defaults_the_mode_or_measure(name):
+    # the command line's defaults are the one place for "physical" and "polar"
+    module = importlib.import_module(f"wmteleport.{name}")
+    for export in getattr(module, "__all__", ()):
+        obj = getattr(module, export)
+        if inspect.isfunction(obj):
+            for param in inspect.signature(obj).parameters.values():
+                if param.name in ("mode", "measure"):
+                    assert param.default is param.empty, (export, param.name)
 
 
 @pytest.mark.parametrize("proto_params", [("I", np.pi / 2, 1.0), ("II", 0.0, 0.0)])

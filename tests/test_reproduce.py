@@ -19,7 +19,7 @@ from wmteleport.sweep import fmax_curve
 
 @pytest.fixture(scope="module")
 def manifest():
-    return build_manifest(resolution=51, timestamp=False)
+    return build_manifest("polar", resolution=51, timestamp=False)
 
 
 def test_reference_table_shape():
@@ -110,6 +110,28 @@ def test_phase_flip_targets_need_the_mixture_reading(manifest):
         np.testing.assert_almost_equal(entry["achieved"]["paper"]["fmax"], 1.0)
 
 
+@pytest.mark.parametrize("measure", ["haar", "polar"])
+def test_manifest_notes_state_only_what_holds(measure, manifest):
+    # the measure note follows the measure, and a failure note says the
+    # quoted value sits close to the baseline only where it does
+    if measure == "haar":
+        manifest = build_manifest("haar", resolution=21, timestamp=False)
+    named = {"haar": "uniform Bloch-sphere (Haar)", "polar": "real-arc"}[measure]
+    assert [n for n in manifest["notes"] if "input measure" in n] == [
+        f"averages use the {named} input measure (see README)"
+    ]
+    failed = [t for t in manifest["targets"] if not t["passed"]]
+    notes = [n for n in manifest["notes"] if n.endswith("recorded above")]
+    assert len(notes) == len(failed) > 0
+    for tgt, note in zip(failed, notes):
+        assert note.startswith(tgt["name"] + ": ")
+        close = abs(tgt["expected"] - tgt["baseline"]) <= tgt["tolerance"]
+        assert ("sits close to the unprotected baseline" in note) == close, note
+        assert f"{tgt['baseline']:.4f}" in note
+    if measure == "haar":
+        assert not all("sits close to" in note for note in notes)
+
+
 def test_manifest_json_round_trip(manifest):
     text = manifest_json(manifest)
     assert text.endswith("\n")
@@ -119,12 +141,12 @@ def test_manifest_json_round_trip(manifest):
 
 
 def test_manifest_is_deterministic(manifest):
-    again = build_manifest(resolution=51, timestamp=False)
+    again = build_manifest("polar", resolution=51, timestamp=False)
     assert manifest_json(again) == manifest_json(manifest)
 
 
 def test_manifest_timestamp_toggle():
-    stamped = build_manifest(resolution=11, timestamp=True)
+    stamped = build_manifest("polar", resolution=11, timestamp=True)
     assert "generated_at" in stamped
 
 
@@ -149,6 +171,7 @@ def test_batched_table_equals_single_r_curves():
             for e in REFERENCE_TARGETS + SUPPLEMENTARY_CHECKS for mode in MODES}
     assert set(table) == keys
     for protocol, channel, r, mode in sorted(keys):
-        single = fmax_curve(protocol, channel, r_values=np.array([r]), mode=mode)[0]
+        single = fmax_curve(protocol, channel, r_values=np.array([r]), mode=mode,
+                            measure="polar")[0]
         got = table[protocol, channel, r, mode]
         assert [x.hex() for x in astuple(got)] == [x.hex() for x in astuple(single)]

@@ -15,12 +15,12 @@ from wmteleport.operators import CHANNEL_KINDS, CORRECTIONS, PAULI_I, PAULI_X, P
 from wmteleport.pipeline import protect
 from wmteleport.sweep import (
     _DESIGN_MATRICES,
-    SweepGrid,
     _branch_slab,
     _fidelity_slab,
     _slab_argmax,
+    _validate_axis,
     compare_protocols,
-    default_grid,
+    default_axes,
     default_r_values,
     fmax_curve,
     sweep,
@@ -38,53 +38,69 @@ def _honest_cell(protocol, a, b, kind, r, mode, measure):
     return average_fidelity(shared, measure=measure)
 
 
+def _sweep_default(protocol, r_values, resolution, mode, kind, measure):
+    """A sweep over the protocol's default axes."""
+    return sweep(protocol, *default_axes(protocol, resolution), kind, r_values, mode, measure)
+
+
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        SweepGrid("I", np.array([0.2, 0.1]), np.array([0.0, 1.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        SweepGrid("I", np.array([0.0, 4.0]), np.array([0.0, 1.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        SweepGrid("II", np.array([0.0, 1.0]), np.array([-1.5, 0.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        SweepGrid("I", np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([1.2]))
-    with pytest.raises(ValueError):
-        default_grid("III", np.array([0.5]))
-    with pytest.raises(ValueError):
-        default_grid("I", np.array([0.5]), resolution=0)
+    ok = np.array([0.0, 1.0])
+    for protocol, axis1, axis2, r_values, match in [
+        ("I", np.array([0.2, 0.1]), ok, [0.0], "axis omega must be strictly ascending"),
+        ("I", np.array([0.0, 0.0]), ok, [0.0], "axis omega must be strictly ascending"),
+        ("I", np.array([0.0, 4.0]), ok, [0.0], "omega must be in"),
+        ("II", ok, np.array([-1.5, 0.0]), [0.0], "k2 must be in"),
+        ("II", ok, np.array([0.0, np.inf]), [0.0], "k2 must be in"),
+        ("I", np.array([np.nan, 1.0]), ok, [0.0], "omega must be in"),
+        ("I", ok, ok, [1.2], "axis r must lie within"),
+        ("I", ok, ok, [-0.1], "axis r must lie within"),
+        ("I", ok, ok, [0.5, 0.3], "axis r must be strictly ascending"),
+        ("I", ok, ok, [np.nan], "axis r must be finite"),
+        ("I", ok, ok, [], "axis r must be a nonempty"),
+        ("I", np.array([]), ok, [0.5], "axis omega must be a nonempty"),
+        ("II", ok, np.array([[0.0, 0.5]]), [0.5], "axis k2 must be a nonempty 1-D"),
+        ("III", ok, ok, [0.5], "unknown protocol"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            sweep(protocol, axis1, axis2, "adc", r_values, "physical", "polar")
+    with pytest.raises(ValueError, match="unknown protocol"):
+        default_axes("III", 3)
+    with pytest.raises(ValueError, match="resolution"):
+        default_axes("I", 0)
 
 
 def test_grid_copies_the_caller_axes():
-    # the grid freezes its own copies; the caller's arrays stay writable
-    a1, a2, r = np.linspace(0.0, 1.0, 5), np.array([0.5]), np.array([0.5])
-    grid = SweepGrid("I", a1, a2, r)
-    a1[0] = 0.1
-    r[0] = 0.9
-    assert grid.axis1[0] == 0.0 and grid.r_values[0] == 0.5
-    assert not (grid.axis1.flags.writeable or grid.axis2.flags.writeable)
+    # the sweep validates its own read-only copies; the caller's arrays
+    # stay writable and are never written
+    axes = np.linspace(0.0, 1.0, 5), np.array([0.5]), np.array([0.5])
+    before = [arr.copy() for arr in axes]
+    sweep("I", axes[0], axes[1], "adc", axes[2], "physical", "polar")
+    for arr, old in zip(axes, before):
+        assert arr.flags.writeable and np.array_equal(arr, old)
+        assert not _validate_axis("omega", arr).flags.writeable
 
 
 def test_grid_axis_names_fill_in():
-    grid = default_grid("I", np.array([0.5]), resolution=3)
-    assert (grid.axis1_name, grid.axis2_name) == ("omega", "q")
-    grid2 = default_grid("II", np.array([0.5]), resolution=3)
-    assert (grid2.axis1_name, grid2.axis2_name) == ("k1", "k2")
-    assert grid2.shape == (3, 3, 1)
+    # axis errors name the protocol's axes, as in `PROTOCOL_AXES`
+    for protocol, (name1, name2) in [("I", ("omega", "q")), ("II", ("k1", "k2"))]:
+        axis1, axis2 = default_axes(protocol, 3)
+        assert axis1.shape == axis2.shape == (3,)
+        with pytest.raises(ValueError, match=f"axis {name1} must"):
+            sweep(protocol, axis1[::-1], axis2, "adc", [0.5], "physical", "polar")
+        with pytest.raises(ValueError, match=f"axis {name2} must"):
+            sweep(protocol, axis1, axis2[::-1], "adc", [0.5], "physical", "polar")
+    result = sweep("II", axis1, axis2, "adc", [0.5], "physical", "polar")
+    assert result.fidelity.shape == (3, 3, 1)
     # the mode goes through the pipeline's one mode check, as in
     # `protect`: exact names only, no case folding
-    assert default_grid("I", [0.5], 5, "paper").mode == "paper"
+    sweep("I", axis1, axis2, "adc", [0.5], "paper", "polar")
     with pytest.raises(ValueError, match="unknown mode"):
-        default_grid("I", [0.5], 5, "PAPER")
+        sweep("I", axis1, axis2, "adc", [0.5], "PAPER", "polar")
 
 
 def test_single_point_noiseless_grid():
-    grid = SweepGrid(
-        "I",
-        np.array([np.pi / 2]),
-        np.array([1.0]),
-        np.array([0.0]),
-        mode="physical",
-    )
-    result = sweep(grid, "adc")
+    result = sweep("I", np.array([np.pi / 2]), np.array([1.0]), "adc", np.array([0.0]),
+                   "physical", "polar")
     assert result.fidelity.shape == (1, 1, 1)
     np.testing.assert_almost_equal(result.fidelity[0, 0, 0], 1.0, decimal=12)
 
@@ -93,11 +109,12 @@ def test_single_point_noiseless_grid():
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 @pytest.mark.parametrize("protocol", ["I", "II"])
 def test_sweep_matches_honest_evaluation(mode, kind, protocol):
-    grid = default_grid(protocol, np.array([0.0, 0.5]), resolution=4, mode=mode)
-    result = sweep(grid, kind, measure="polar")
-    for i, a in enumerate(grid.axis1):
-        for j, b in enumerate(grid.axis2):
-            for k, r in enumerate(grid.r_values):
+    axis1, axis2 = default_axes(protocol, 4)
+    r_values = np.array([0.0, 0.5])
+    result = sweep(protocol, axis1, axis2, kind, r_values, mode, "polar")
+    for i, a in enumerate(axis1):
+        for j, b in enumerate(axis2):
+            for k, r in enumerate(r_values):
                 honest = _honest_cell(
                     protocol, float(a), float(b), kind, float(r), mode, "polar"
                 )
@@ -109,30 +126,29 @@ def test_sweep_matches_honest_evaluation(mode, kind, protocol):
 
 
 def test_sweep_haar_measure_matches_honest_evaluation():
-    grid = default_grid("II", np.array([0.4]), resolution=3, mode="physical")
-    result = sweep(grid, "bfc", measure="haar")
-    for i, a in enumerate(grid.axis1):
-        for j, b in enumerate(grid.axis2):
+    axis1, axis2 = default_axes("II", 3)
+    result = sweep("II", axis1, axis2, "bfc", np.array([0.4]), "physical", "haar")
+    for i, a in enumerate(axis1):
+        for j, b in enumerate(axis2):
             honest = _honest_cell("II", float(a), float(b), "bfc", 0.4, "physical", "haar")
             np.testing.assert_allclose(result.fidelity[i, j, 0], honest, atol=1e-12)
 
 
 def test_sweep_is_deterministic():
-    grid = default_grid("I", np.array([0.3, 0.8]), resolution=9, mode="physical")
-    a = sweep(grid, "adc")
-    b = sweep(grid, "adc")
+    a = _sweep_default("I", np.array([0.3, 0.8]), 9, "physical", "adc", "polar")
+    b = _sweep_default("I", np.array([0.3, 0.8]), 9, "physical", "adc", "polar")
     assert a.fidelity.tobytes() == b.fidelity.tobytes()
     assert a.baseline.tobytes() == b.baseline.tobytes()
 
 
 def test_argmax_record():
-    grid = default_grid("I", np.array([0.5]), resolution=11, mode="physical")
-    result = sweep(grid, "adc")
+    axis1, axis2 = default_axes("I", 11)
+    result = sweep("I", axis1, axis2, "adc", np.array([0.5]), "physical", "polar")
     a, b, best = result.argmax[0]
     slab = result.fidelity[:, :, 0]
     np.testing.assert_almost_equal(best, np.nanmax(slab), decimal=15)
-    i = int(np.argmin(np.abs(grid.axis1 - a)))
-    j = int(np.argmin(np.abs(grid.axis2 - b)))
+    i = int(np.argmin(np.abs(axis1 - a)))
+    j = int(np.argmin(np.abs(axis2 - b)))
     np.testing.assert_almost_equal(slab[i, j], best, decimal=15)
 
 
@@ -141,7 +157,7 @@ def test_argmax_record():
 @pytest.mark.parametrize("protocol", ["I", "II"])
 def test_fmax_is_one_without_noise(mode, kind, protocol):
     point = fmax_curve(
-        protocol, kind, r_values=np.array([0.0]), resolution=21, mode=mode
+        protocol, kind, r_values=np.array([0.0]), resolution=21, mode=mode, measure="polar"
     )[0]
     assert abs(point.fmax - 1.0) <= 1e-10
 
@@ -149,8 +165,7 @@ def test_fmax_is_one_without_noise(mode, kind, protocol):
 def test_noiseless_protocol_one_surface_has_one_missing_cell():
     # omega=0, q=0 annihilates both branch sums even with no noise; in
     # the coherent-sum reading every other cell is exactly noiseless
-    grid = default_grid("I", np.array([0.0]), resolution=21, mode="paper")
-    result = sweep(grid, "adc")
+    result = _sweep_default("I", np.array([0.0]), 21, "paper", "adc", "polar")
     slab = result.fidelity[:, :, 0]
     assert np.isnan(slab[0, 0])
     assert np.count_nonzero(np.isnan(slab)) == 1
@@ -159,24 +174,22 @@ def test_noiseless_protocol_one_surface_has_one_missing_cell():
 
 def test_noiseless_physical_surface_peaks_only_at_the_locus():
     # the mixture reading keeps a sub-unit plateau off the locus
-    grid = default_grid("I", np.array([0.0]), resolution=21, mode="physical")
-    slab = sweep(grid, "adc").fidelity[:, :, 0]
+    slab = _sweep_default("I", np.array([0.0]), 21, "physical", "adc", "polar").fidelity[:, :, 0]
     np.testing.assert_allclose(slab[-1, -1], 1.0, atol=1e-12)
     assert np.nanmin(slab) < 1.0 - 1e-6
 
 
 def test_noiseless_protocol_two_paper_surface_is_all_ones():
-    grid = default_grid("II", np.array([0.0]), resolution=21, mode="paper")
-    result = sweep(grid, "bfc")
+    result = _sweep_default("II", np.array([0.0]), 21, "paper", "bfc", "polar")
     np.testing.assert_allclose(result.fidelity[:, :, 0], 1.0, atol=1e-10)
 
 
 def test_refinement_never_lowers_the_coarse_maximum():
     r_values = np.array([0.3, 0.6, 0.9])
     for protocol, kind in [("I", "adc"), ("II", "bfc")]:
-        grid = default_grid(protocol, r_values, resolution=21, mode="physical")
-        coarse = sweep(grid, kind)
-        points = fmax_curve(protocol, kind, r_values=r_values, resolution=21)
+        coarse = _sweep_default(protocol, r_values, 21, "physical", kind, "polar")
+        points = fmax_curve(protocol, kind, r_values=r_values, resolution=21,
+                            mode="physical", measure="polar")
         for k, point in enumerate(points):
             coarse_max = np.nanmax(coarse.fidelity[:, :, k])
             assert point.fmax >= coarse_max - 1e-12
@@ -187,48 +200,28 @@ def test_finer_nested_grid_never_loses_fidelity():
     r = np.array([0.5])
     for resolution_pair in [(26, 51)]:
         lo_res, hi_res = resolution_pair
-        lo_grid = default_grid("I", r, resolution=lo_res, mode="physical")
-        hi_grid = default_grid("I", r, resolution=hi_res, mode="physical")
-        lo_max = np.nanmax(sweep(lo_grid, "adc").fidelity)
-        hi_max = np.nanmax(sweep(hi_grid, "adc").fidelity)
+        lo_max = np.nanmax(_sweep_default("I", r, lo_res, "physical", "adc", "polar").fidelity)
+        hi_max = np.nanmax(_sweep_default("I", r, hi_res, "physical", "adc", "polar").fidelity)
         assert hi_max >= lo_max - 1e-12
 
 
 def test_damping_protocol_one_reference_surface():
     # full-width omega grid; the optimum sits near total filtering
-    grid = SweepGrid(
-        "I",
-        np.linspace(0.0, np.pi, 101),
-        np.linspace(0.0, 1.0, 101),
-        np.array([0.5]),
-        mode="physical",
-    )
-    result = sweep(grid, "adc")
+    result = sweep("I", np.linspace(0.0, np.pi, 101), np.linspace(0.0, 1.0, 101), "adc",
+                   np.array([0.5]), "physical", "polar")
     assert abs(np.nanmax(result.fidelity) - 0.999) <= 0.02
 
 
 def test_bit_flip_protocol_two_reference_surface():
-    grid = SweepGrid(
-        "II",
-        np.linspace(-1.0, 1.0, 101),
-        np.linspace(-1.0, 1.0, 101),
-        np.array([0.9]),
-        mode="physical",
-    )
-    result = sweep(grid, "bfc")
+    result = sweep("II", np.linspace(-1.0, 1.0, 101), np.linspace(-1.0, 1.0, 101), "bfc",
+                   np.array([0.9]), "physical", "polar")
     assert abs(np.nanmax(result.fidelity) - 0.733) <= 0.02
 
 
 def test_bit_flip_negation_symmetry():
     # flipping the signs of both strengths relabels the two outcomes
-    grid = SweepGrid(
-        "II",
-        np.linspace(-1.0, 1.0, 11),
-        np.linspace(-1.0, 1.0, 11),
-        np.array([0.6]),
-        mode="physical",
-    )
-    slab = sweep(grid, "bfc").fidelity[:, :, 0]
+    axis = np.linspace(-1.0, 1.0, 11)
+    slab = sweep("II", axis, axis, "bfc", np.array([0.6]), "physical", "polar").fidelity[:, :, 0]
     np.testing.assert_allclose(slab, slab[::-1, ::-1], atol=1e-12)
 
 
@@ -239,38 +232,33 @@ def test_bit_flip_negation_symmetry():
     "surface despite all operators being diagonal",
 )
 def test_damping_strength_swap_symmetry_paper_mode():
-    grid = SweepGrid(
-        "II",
-        np.linspace(0.0, 1.0, 11),
-        np.linspace(0.0, 1.0, 11),
-        np.array([0.5]),
-        mode="paper",
-    )
-    slab = sweep(grid, "adc").fidelity[:, :, 0]
+    axis = np.linspace(0.0, 1.0, 11)
+    slab = sweep("II", axis, axis, "adc", np.array([0.5]), "paper", "polar").fidelity[:, :, 0]
     np.testing.assert_allclose(slab, slab.T, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["paper", "physical"])
 def test_bit_flip_protocol_one_cannot_beat_baseline_at_high_noise(mode):
     point = fmax_curve(
-        "I", "bfc", r_values=np.array([0.9]), resolution=51, mode=mode
+        "I", "bfc", r_values=np.array([0.9]), resolution=51, mode=mode, measure="polar"
     )[0]
     np.testing.assert_allclose(point.fmax, 0.58, atol=1e-9)
     np.testing.assert_allclose(point.baseline, 0.58, atol=1e-12)
 
 
 def test_paper_mode_phase_flip_surface_is_one_where_defined():
-    grid = default_grid("I", np.array([0.5]), resolution=21, mode="paper")
-    result = sweep(grid, "pfc")
+    result = _sweep_default("I", np.array([0.5]), 21, "paper", "pfc", "polar")
     slab = result.fidelity[:, :, 0]
     assert np.isnan(slab).any()
     np.testing.assert_allclose(slab[~np.isnan(slab)], 1.0, atol=1e-10)
-    point = fmax_curve("I", "pfc", r_values=np.array([0.5]), resolution=21, mode="paper")[0]
+    point = fmax_curve("I", "pfc", r_values=np.array([0.5]), resolution=21, mode="paper",
+                       measure="polar")[0]
     np.testing.assert_allclose(point.fmax, 1.0, atol=1e-10)
 
 
 def test_fmax_point_parameters_evaluate_to_fmax():
-    point = fmax_curve("II", "adc", r_values=np.array([0.5]), resolution=31)[0]
+    point = fmax_curve("II", "adc", r_values=np.array([0.5]), resolution=31,
+                       mode="physical", measure="polar")[0]
     shared = protect("II", point.param1, point.param2, "adc", 0.5, "physical")
     np.testing.assert_allclose(
         average_fidelity(shared, measure="polar"), point.fmax, atol=1e-12
@@ -288,18 +276,17 @@ def test_default_r_values():
 
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_protocol_comparison_verdicts(kind):
-    comparison = compare_protocols(kind, resolution=31)
+    comparison = compare_protocols(kind, resolution=31, mode="physical", measure="polar")
     assert comparison.verdict, comparison.verdict_text
     assert comparison.verdict_text.endswith(": confirmed")
     assert len(comparison.rows) == 21
 
 
 def test_sweep_rejects_unknown_channel_and_measure():
-    grid = default_grid("I", np.array([0.5]), resolution=3)
-    with pytest.raises(ValueError):
-        sweep(grid, "xyz")
-    with pytest.raises(ValueError):
-        sweep(grid, "adc", measure="cube")
+    with pytest.raises(ValueError, match="unknown channel"):
+        _sweep_default("I", np.array([0.5]), 3, "physical", "xyz", "polar")
+    with pytest.raises(ValueError, match="unknown measure"):
+        _sweep_default("I", np.array([0.5]), 3, "physical", "adc", "cube")
 
 
 @pytest.mark.parametrize("measure", ["cube", ["haar"], ("polar",), None],
@@ -308,11 +295,10 @@ def test_every_entry_point_rejects_a_bad_measure(measure):
     # a list once reached an lru_cache keyed on the measure and raised
     # TypeError: unhashable type
     g = protect("I", 0.7, 0.5, "bfc", 0.3, "physical")
-    grid = default_grid("I", [0.5], resolution=3)
     for consume in (
-        lambda: sweep(grid, "adc", measure),
+        lambda: _sweep_default("I", [0.5], 3, "physical", "adc", measure),
         lambda: unprotected_baseline("adc", 0.5, "physical", measure),
-        lambda: fmax_curve("I", "adc", [0.5], resolution=3, measure=measure),
+        lambda: fmax_curve("I", "adc", [0.5], resolution=3, mode="physical", measure=measure),
         lambda: design_inputs(measure),
         lambda: average_fidelity(g, measure),
     ):
@@ -321,22 +307,23 @@ def test_every_entry_point_rejects_a_bad_measure(measure):
 
 
 def test_slab_argmax_takes_lowest_index_among_near_ties():
-    grid = SweepGrid("II", np.array([0.0, 0.5]), np.array([0.0, 0.5, 1.0]), np.array([0.5]))
+    axis1, axis2 = np.array([0.0, 0.5]), np.array([0.0, 0.5, 1.0])
     slab = np.array([[np.nan, 0.5, 1.0 - 1e-16], [1.0, 1.0, 0.2]])
-    assert _slab_argmax(grid, slab) == (0.0, 1.0, 1.0 - 1e-16)
+    assert _slab_argmax(axis1, axis2, slab) == (0.0, 1.0, 1.0 - 1e-16)
     slab[0, 2] = 1.0 - 1e-14
-    assert _slab_argmax(grid, slab) == (0.5, 0.0, 1.0)
+    assert _slab_argmax(axis1, axis2, slab) == (0.5, 0.0, 1.0)
 
 
 def test_refinement_keeps_the_coarse_optimum_on_a_plateau():
     # paper-mode phase flip under protocol I is 1 wherever it is defined;
     # the reported optimum is the first defined coarse cell, whatever the
     # refinement window's rounding noise says
-    grid = default_grid("I", np.array([0.5]), resolution=21, mode="paper")
-    slab = sweep(grid, "pfc").fidelity[:, :, 0]
+    axis1, axis2 = default_axes("I", 21)
+    slab = sweep("I", axis1, axis2, "pfc", np.array([0.5]), "paper", "polar").fidelity[:, :, 0]
     i1, i2 = divmod(int(np.flatnonzero(~np.isnan(slab))[0]), slab.shape[1])
-    point = fmax_curve("I", "pfc", r_values=np.array([0.5]), resolution=21, mode="paper")[0]
-    assert (point.param1, point.param2) == (grid.axis1[i1], grid.axis2[i2])
+    point = fmax_curve("I", "pfc", r_values=np.array([0.5]), resolution=21, mode="paper",
+                       measure="polar")[0]
+    assert (point.param1, point.param2) == (axis1[i1], axis2[i2])
     assert point.fmax == slab[i1, i2]
 
 
@@ -365,11 +352,11 @@ def _oracle_cell(protocol, a, b, kind, r, mode, measure):
     return float(brute_fidelities_batch(state, _DESIGNS[measure]).mean())
 
 
-def _assert_grid_matches_oracle(grid, kind, measure="polar"):
-    fidelity = sweep(grid, kind, measure=measure).fidelity
+def _assert_grid_matches_oracle(protocol, axis1, axis2, kind, r_values, mode, measure):
+    fidelity = sweep(protocol, axis1, axis2, kind, r_values, mode, measure).fidelity
     for (i1, i2, ir), got in np.ndenumerate(fidelity):
-        want = _oracle_cell(grid.protocol, float(grid.axis1[i1]), float(grid.axis2[i2]),
-                            kind, float(grid.r_values[ir]), grid.mode, measure)
+        want = _oracle_cell(protocol, float(axis1[i1]), float(axis2[i2]),
+                            kind, float(r_values[ir]), mode, measure)
         if math.isnan(want):
             assert math.isnan(got), (i1, i2, ir)
         else:
@@ -389,8 +376,8 @@ def test_sweep_baseline_matches_scalar_baseline(kind, mode, measure):
         state = brute_baseline(kind, float(r), mode)
         want = brute_fidelities_batch(state, _DESIGNS[measure]).mean()
         assert abs(got - want) <= 1e-12, (r, got, want)
-    grid = default_grid("I", r_values, resolution=2, mode=mode)
-    np.testing.assert_array_equal(sweep(grid, kind, measure=measure).baseline, baseline)
+    result = _sweep_default("I", r_values, 2, mode, kind, measure)
+    np.testing.assert_array_equal(result.baseline, baseline)
 
 
 def test_baseline_r_values_are_checked():
@@ -399,9 +386,14 @@ def test_baseline_r_values_are_checked():
     one = unprotected_baseline("bfc", 0.5, "physical", "polar")
     assert one.shape == (1,)
     np.testing.assert_array_equal(one, unprotected_baseline("bfc", [0.5], "physical", "polar"))
-    # a grid's r axis follows the channel's range rule: no slack past 1
+    # a sweep's r axis follows the channel's range rule: no slack past 1
     with pytest.raises(ValueError, match="axis r"):
-        SweepGrid("I", [0.5], [0.5], [1.0 + 5e-13])
+        sweep("I", [0.5], [0.5], "bfc", [1.0 + 5e-13], "physical", "polar")
+    # and, as here, a bare float is one r value
+    bare = sweep("I", [0.5], [0.5], "bfc", 0.5, "physical", "polar")
+    np.testing.assert_array_equal(bare.baseline, one)
+    curve = fmax_curve("I", "bfc", 0.5, 3, mode="physical", measure="polar")
+    assert [point.r for point in curve] == [0.5]
 
 
 def test_phase_flip_coherent_sum_near_cancellation_matches_oracle():
@@ -410,12 +402,11 @@ def test_phase_flip_coherent_sum_near_cancellation_matches_oracle():
     # it is defined. Squaring branches before summing them loses this to
     # cancellation between large terms; amplitudes formed first do not.
     r_values = np.array([0.9, 0.95, 1.0])
-    _assert_grid_matches_oracle(default_grid("I", r_values, resolution=11, mode="paper"), "pfc")
+    _assert_grid_matches_oracle("I", *default_axes("I", 11), "pfc", r_values, "paper", "polar")
     omega = 1.2
     locus = math.tan(omega / 2.0)
     near = locus * (1.0 + np.array([-1e-2, -1e-4, -1e-6, 1e-6, 1e-4, 1e-2]))
-    grid = SweepGrid("I", np.array([omega]), near, r_values, mode="paper")
-    _assert_grid_matches_oracle(grid, "pfc")
+    _assert_grid_matches_oracle("I", np.array([omega]), near, "pfc", r_values, "paper", "polar")
 
 
 def _degenerate(values, lo, hi):
@@ -437,8 +428,8 @@ def test_fidelity_slab_matches_oracle_at_degenerate_parameters(
     protocol, kind, mode, measure, omega, q, k1, k2, r
 ):
     a, b = (omega, q) if protocol == "I" else (k1, k2)
-    grid = SweepGrid(protocol, np.array([a]), np.array([b]), np.array([r]), mode=mode)
-    got = _fidelity_slab(_branch_slab(grid, kind, r, slice(None)), mode, measure)[0, 0]
+    branches = _branch_slab(protocol, np.array([a]), np.array([b]), kind, r)
+    got = _fidelity_slab(branches, mode, measure)[0, 0]
     want = _oracle_cell(protocol, a, b, kind, r, mode, measure)
     if math.isnan(want):
         assert math.isnan(got)
@@ -471,11 +462,11 @@ def test_design_matrix_matches_resource_written_out(measure):
 def test_block_size_moves_no_bits(kind, mode, measure, block_cells, monkeypatch):
     # omega = 0 with q = 0 is annihilated at r = 0, so NaN cells cross
     # block boundaries too.
-    grid = SweepGrid("I", np.linspace(0.0, math.pi / 2.0, 11), np.linspace(0.0, 1.0, 3),
-                     np.array([0.0, 0.37, 0.9]), mode=mode)
-    whole = sweep(grid, kind, measure)
+    args = ("I", np.linspace(0.0, math.pi / 2.0, 11), np.linspace(0.0, 1.0, 3), kind,
+            np.array([0.0, 0.37, 0.9]), mode, measure)
+    whole = sweep(*args)
     monkeypatch.setattr(sweep_module, "_BLOCK_CELLS", block_cells)
-    blocked = sweep(grid, kind, measure)
+    blocked = sweep(*args)
     assert np.isnan(whole.fidelity[0, 0, 0])
     assert np.array_equal(blocked.fidelity, whole.fidelity, equal_nan=True)
     assert np.array_equal(np.array(blocked.argmax), np.array(whole.argmax), equal_nan=True)
@@ -494,10 +485,10 @@ def test_cached_arrays_are_read_only():
 def test_back_to_back_sweeps_leave_the_first_result_alone():
     # A refinement-sized window between two 101 x 101 grids, each sweep in
     # another mode or measure, so every workspace buffer is reused.
-    first = sweep(default_grid("I", [0.3, 0.9], 101), "adc", "polar")
+    first = _sweep_default("I", [0.3, 0.9], 101, "physical", "adc", "polar")
     fidelity, baseline = first.fidelity.tobytes(), first.baseline.tobytes()
-    sweep(default_grid("II", [0.5], 21, mode="paper"), "pfc", "haar")
-    sweep(default_grid("II", [0.1, 0.5, 0.7], 101, mode="paper"), "bfc", "haar")
+    _sweep_default("II", [0.5], 21, "paper", "pfc", "haar")
+    _sweep_default("II", [0.1, 0.5, 0.7], 101, "paper", "bfc", "haar")
     assert first.fidelity.tobytes() == fidelity
     assert first.baseline.tobytes() == baseline
     assert not first.fidelity.flags.writeable and not first.baseline.flags.writeable
@@ -508,15 +499,15 @@ def test_back_to_back_sweeps_share_no_memory():
     # fidelities and the baseline (one `_fidelity_slab` return value as
     # it is) must still come back as fresh arrays, with the bits of a
     # sweep run in a new thread, whose workspace starts empty.
-    grid = default_grid("II", [0.37, 0.9], 101)
+    job = ("II", [0.37, 0.9], 101, "physical", "bfc", "polar")
     fresh = {}
-    worker = threading.Thread(target=lambda: fresh.update(want=sweep(grid, "bfc", "polar")))
+    worker = threading.Thread(target=lambda: fresh.update(want=_sweep_default(*job)))
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    first = sweep(grid, "bfc", "polar")
-    sweep(default_grid("I", [0.5], 33, mode="paper"), "adc", "haar")
-    second = sweep(grid, "bfc", "polar")
+    first = _sweep_default(*job)
+    _sweep_default("I", [0.5], 33, "paper", "adc", "haar")
+    second = _sweep_default(*job)
     for name in ("fidelity", "baseline"):
         got = getattr(first, name), getattr(second, name)
         assert not np.shares_memory(*got)
@@ -528,18 +519,18 @@ def test_back_to_back_sweeps_share_no_memory():
 
 def test_concurrent_sweeps_match_sequential_ones():
     jobs = [
-        (default_grid("I", [0.2, 0.5, 0.9], 101), "adc", "polar"),
-        (default_grid("II", [0.3, 0.6, 0.8, 1.0], 77, mode="paper"), "bfc", "haar"),
-        (default_grid("I", [0.4, 0.7], 61, mode="paper"), "pfc", "polar"),
-        (default_grid("II", [0.1, 0.9], 121), "pfc", "haar"),
+        ("I", [0.2, 0.5, 0.9], 101, "physical", "adc", "polar"),
+        ("II", [0.3, 0.6, 0.8, 1.0], 77, "paper", "bfc", "haar"),
+        ("I", [0.4, 0.7], 61, "paper", "pfc", "polar"),
+        ("II", [0.1, 0.9], 121, "physical", "pfc", "haar"),
     ]
-    want = [sweep(*job) for job in jobs]
+    want = [_sweep_default(*job) for job in jobs]
     got = {}
     start = threading.Barrier(len(jobs))
 
     def run(i):
         start.wait(timeout=30)
-        got[i] = [sweep(*jobs[i]) for _ in range(3)]
+        got[i] = [_sweep_default(*jobs[i]) for _ in range(3)]
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
     interval = sys.getswitchinterval()
@@ -564,7 +555,7 @@ def test_workspace_holds_at_most_one_block(monkeypatch):
     # One axis-1 row of twice _BLOCK_CELLS cells: a block too large for the
     # workspace, which must then keep nothing of its size.
     cells = sweep_module._BLOCK_CELLS
-    grid = SweepGrid("I", np.array([0.3]), np.linspace(0.0, 1.0, 2 * cells), np.array([0.5]))
+    axis2 = np.linspace(0.0, 1.0, 2 * cells)
     # Per cell: 16 branch entries, 4 of the paper-mode sum and 4 squared
     # amplitudes; plus one batch of amplitudes.
     one_block = 8 * (24 * cells + sweep_module._BATCH_ROWS * _DESIGN_MATRICES["haar"].shape[1])
@@ -572,7 +563,7 @@ def test_workspace_holds_at_most_one_block(monkeypatch):
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        result = sweep(grid, "adc", "haar")
+        result = sweep("I", np.array([0.3]), axis2, "adc", np.array([0.5]), "physical", "haar")
         assert result.fidelity.shape == (1, 2 * cells, 1)
         del result
         after, _ = tracemalloc.get_traced_memory()

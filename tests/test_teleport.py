@@ -418,9 +418,8 @@ def test_stacked_kernel_matches_oracle(mode):
 @pytest.mark.parametrize("mode", ["paper", "physical"])
 def test_stacked_teleport_matches_one_state_one_input_calls(mode):
     """A (4, 6) stack of states and five inputs in one call give the
-    probabilities, raw and corrected states of one-state, one-input
-    calls bit for bit; the fidelities come from one matrix product over
-    the whole stack and agree to 1e-15."""
+    probabilities, raw and corrected states and fidelities of one-state,
+    one-input calls bit for bit."""
     g = np.stack([protect(*p, k, r, mode) for p, k, r in _KERNEL_GRID])
     g = g.reshape(4, 6, *g.shape[1:])
     s = 1.0 / np.sqrt(2.0)
@@ -434,8 +433,32 @@ def test_stacked_teleport_matches_one_state_one_input_calls(mode):
             assert np.array_equal(one.probability[0], out.probability[idx][j])
             assert np.array_equal(one.bob_state_raw[0], out.bob_state_raw[idx][j])
             assert np.array_equal(one.bob_state_corrected[0], corrected[idx][j])
-            np.testing.assert_allclose(one.per_outcome_fidelity[0],
-                                       out.per_outcome_fidelity[idx][j], rtol=0, atol=1e-15)
+            assert np.array_equal(one.per_outcome_fidelity[0],
+                                  out.per_outcome_fidelity[idx][j])
+
+
+def test_per_outcome_fidelities_do_not_depend_on_batching():
+    """At 200 random points, one call with three inputs gives each
+    input's outcomes bit for bit as a call with that input alone, rare
+    outcomes included: f_k divides p_k f_k by p_k, so a last-bit change
+    in p_k f_k at a small p_k would show far above rounding."""
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        protocol = str(rng.choice(["I", "II"]))
+        lo, hi = (0.0, np.pi) if protocol == "I" else (-1.0, 1.0)
+        a1, a2 = rng.uniform(lo, hi), rng.uniform(0.0 if protocol == "I" else -1.0, 1.0)
+        kind, mode = str(rng.choice(CHANNEL_KINDS)), str(rng.choice(["paper", "physical"]))
+        r = float(rng.choice([0.0, 1.0, rng.uniform()]))
+        try:
+            g = protect(protocol, a1, a2, kind, r, mode)
+        except ValueError:
+            continue
+        inputs = sample_inputs(rng, 3)
+        out = teleport(g, inputs)
+        for j in range(3):
+            one = teleport(g, inputs[j:j + 1])
+            assert np.array_equal(one.per_outcome_fidelity[0], out.per_outcome_fidelity[j])
+            assert np.array_equal(one.probability[0], out.probability[j])
 
 
 @pytest.mark.parametrize("mode", ["paper", "physical"])
