@@ -75,19 +75,14 @@ def initial_state() -> np.ndarray:
 _PSI0 = initial_state().reshape(8, 2)
 
 
-def branch_operators(
-    protocol: str, a1, a2, channel: str, r: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The four branch operators g_ij at the parameter points (a1, a2)
-    of `protocol`, whose values broadcast like numpy operands: shape
-    (..., 4, 2, 2), branch order (i=0,j=0), (0,1), (1,0), (1,1). Points
-    outside the protocol's ranges, and axis values whose shapes do not
-    broadcast, raise ValueError. The stages around the channel are
-    diagonal, m_i depending on axis 1 only and n_i on axis 2 only, so
-    g_ij[b, c] = n_i[b] * C_ij[b, c] * m_i[c] with
-    C_ij = f_i e_j f_i. All three channels have real Kraus operators, so
-    the branches are real. `out`, if given, is a float array of shape
-    (..., 16) that receives the product; the result is then a view of it."""
+def _branch_factors(protocol: str, a1, a2, channel: str, r: float):
+    """The two factors whose product is the flattened branch operators
+    at the parameter points (a1, a2) of `protocol`, broadcast as in
+    `branch_operators`: `left` over axis 2 and `right` over axis 1, each
+    of shape (..., 16) with column 4(2i + j) + 2b + c holding
+    n_i[b] * C_ij[b, c] and m_i[c]. Columns 0-7 are the outcome-0 pair
+    (i = 0, j = 0 and 1). Range and broadcast checks as in
+    `branch_operators`."""
     check_parameters(protocol, a1, a2)
     s1, s2 = np.shape(a1), np.shape(a2)
     try:
@@ -101,11 +96,31 @@ def branch_operators(
     n = np.stack([d2, d2, d2[..., ::-1], d2[..., ::-1]], axis=-2)
     e = kraus_set(channel, r)
     core = np.concatenate([e, e[:, ::-1, ::-1]])
-    # flattened entry 2b+c: n_i[b] * C_ij[b, c] from `left`, m_i[c] from
-    # `right`. One flat 16-wide product: the same broadcast over
-    # (..., 4, 2, 2) with size-2 inner axes is 4x slower at 401x401.
     left = (n[..., None] * core).reshape(*n.shape[:-2], 16)
     right = np.tile(m, 2).reshape(*m.shape[:-2], 16)
+    return left, right
+
+
+def branch_operators(
+    protocol: str, a1, a2, channel: str, r: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The four branch operators g_ij at the parameter points (a1, a2)
+    of `protocol`, whose values broadcast like numpy operands: shape
+    (..., 4, 2, 2), branch order (i=0,j=0), (0,1), (1,0), (1,1). Points
+    outside the protocol's ranges, and axis values whose shapes do not
+    broadcast, raise ValueError. The stages around the channel are
+    diagonal, m_i depending on axis 1 only and n_i on axis 2 only, so
+    g_ij[b, c] = n_i[b] * C_ij[b, c] * m_i[c] with
+    C_ij = f_i e_j f_i: the product of the two factors that
+    `_branch_factors` returns. All three channels have real Kraus
+    operators, so the branches are real. Since f_1 = sigma_x and the
+    outcome-1 diagonals mirror outcome 0's, g_1j = sigma_x g_0j sigma_x,
+    the entry reversal of g_0j. `out`, if given, is a float array of
+    shape (..., 16) that receives the product; the result is then a view
+    of it."""
+    left, right = _branch_factors(protocol, a1, a2, channel, r)
+    # One flat 16-wide product: the same broadcast over (..., 4, 2, 2)
+    # with size-2 inner axes is 4x slower at 401x401.
     g = np.multiply(left, right, out=out)
     return g.reshape(*g.shape[:-1], 4, 2, 2)
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import PROTOCOL_AXES, check_parameters, kraus_set
-from .pipeline import ZERO_NORM_TOL, _check_mode, branch_operators
+from .pipeline import ZERO_NORM_TOL, _branch_factors, _check_mode
 from .teleport import MEASURES, _overlap_matrix, design_inputs
 
 DEFAULT_RESOLUTION = 101
@@ -145,15 +145,20 @@ def _scratch(name: str, shape: tuple[int, ...], cells: int) -> np.ndarray:
 
 
 def _branch_slab(
-    protocol: str, axis1: np.ndarray, axis2: np.ndarray, channel: str, r: float
+    protocol: str, axis1: np.ndarray, axis2: np.ndarray, channel: str, r: float, mode: str
 ) -> np.ndarray:
-    """All four branch operators at one r over the block's axis-1 values
-    `axis1` and all of `axis2`, each 2x2 flattened row-major: shape
-    (n1, n2, 4, 4), written by `branch_operators` into the workspace."""
+    """The branch operators at one r over the block's axis-1 values
+    `axis1` and all of `axis2`, each 2x2 flattened row-major and written
+    into the workspace from the factors of `pipeline._branch_factors`:
+    all four, shape (n1, n2, 4, 4), in paper mode, and only the
+    outcome-0 pair, shape (n1, n2, 2, 4), in physical mode, where the
+    outcome-1 pair adds nothing new (see `_fidelity_slab`)."""
     n1, n2 = axis1.size, axis2.size
-    out = _scratch("branches", (n1, n2, 16), n1 * n2)
-    g = branch_operators(protocol, axis1[:, None], axis2, channel, r, out=out)
-    return g.reshape(n1, n2, 4, 4)
+    width = 8 if mode == "physical" else 16
+    left, right = _branch_factors(protocol, axis1[:, None], axis2, channel, r)
+    out = _scratch("branches", (n1, n2, width), n1 * n2)
+    np.multiply(left[:, :width], right[..., :width], out=out)
+    return out.reshape(n1, n2, width // 4, 4)
 
 
 # Rows of branch matrices per matmul: keeps the amplitude block in cache.
@@ -176,12 +181,24 @@ def _design_matrix(measure: str) -> np.ndarray:
 _DESIGN_MATRICES = {measure: _design_matrix(measure) for measure in MEASURES}
 
 
-def _fidelity_slab(branches: np.ndarray, mode: str, measure: str) -> np.ndarray:
+def _fidelity_slab(
+    branches: np.ndarray, mode: str, measure: str, mirrored: bool = False
+) -> np.ndarray:
     """Average fidelity over one (n1, n2) block of flattened branch
     matrices, shape (n1, n2, K, 4). Paper mode sums the K branches
     before squaring, physical mode squares each branch; amplitudes are
     always formed first and squared last, which keeps coherent sums
-    that nearly cancel accurate."""
+    that nearly cancel accurate.
+
+    `mirrored` says the K branches are a physical cell's outcome-0 pair
+    g_00, g_01 alone. Its outcome-1 pair is g_1j = sigma_x g_0j sigma_x
+    (g_1j[b, c] = g_0j[1 - b, 1 - c]), and both design input sets and
+    the outcome basis with its corrections map to themselves under
+    sigma_x up to phases, so the outcome-1 pair adds the same fidelity
+    numerator num_0 and the same norm den_0 as the outcome-0 pair.
+    F = num_0 / den_0 is then the four-branch fidelity, and the retained
+    norm, the success probability, is 2 den_0: a cell is NaN when
+    2 den_0 < ZERO_NORM_TOL."""
     inputs = design_inputs(measure)  # checks the measure
     v = _DESIGN_MATRICES[measure]
     n1, n2, nk = branches.shape[:3]
@@ -200,10 +217,18 @@ def _fidelity_slab(branches: np.ndarray, mode: str, measure: str) -> np.ndarray:
         np.multiply(a, a, out=a)
         # pairwise row sum (not einsum's running sum): noiseless cells stay 1
         np.add.reduce(a, axis=1, out=sq[start:start + _BATCH_ROWS])
-    num = np.add.reduce(sq.reshape(cells, -1), axis=1, out=_scratch("num", (cells,), cells))
+    # each cell's branch terms summed in order, ((s0 + s1) + s2) + s3, by
+    # strided adds: the bits of a per-cell reduce without its per-row cost
+    per_branch = sq.reshape(cells, -1)
+    num = _scratch("num", (cells,), cells)
+    np.copyto(num, per_branch[:, 0])
+    for k in range(1, per_branch.shape[1]):
+        num += per_branch[:, k]
     num /= len(inputs)
+    # 2 den_0 < tol exactly when den_0 < tol / 2: halving is exact
+    tol = ZERO_NORM_TOL / 2.0 if mirrored else ZERO_NORM_TOL
     out = np.full(cells, np.nan)
-    np.divide(num, den, out=out, where=den >= ZERO_NORM_TOL)
+    np.divide(num, den, out=out, where=den >= tol)
     return np.clip(out, 0.0, 1.0, out=out).reshape(n1, n2)
 
 
@@ -245,8 +270,10 @@ def sweep(
     for ir, r in enumerate(r_values):
         for start in range(0, n1, step):
             rows = slice(start, start + step)
-            branches = _branch_slab(protocol, axis1[rows], axis2, channel, float(r))
-            fidelity[rows, :, ir] = _fidelity_slab(branches, mode, measure)
+            branches = _branch_slab(protocol, axis1[rows], axis2, channel, float(r), mode)
+            fidelity[rows, :, ir] = _fidelity_slab(
+                branches, mode, measure, mirrored=mode == "physical"
+            )
         argmax.append(_slab_argmax(axis1, axis2, fidelity[:, :, ir]))
     fidelity.setflags(write=False)
     baseline = unprotected_baseline(channel, r_values, mode, measure)

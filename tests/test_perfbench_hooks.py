@@ -3,7 +3,7 @@ that renames or deletes a hooked function silently turns its layer
 into an absent one; these tests pin the set of absent layers (only the
 validation of the deleted `tensor` state containers; the unprotected
 baseline is the sweep's named `unprotected_baseline` step) and the
-counts a traced surface reports."""
+counts a traced surface reports in each mode."""
 
 import importlib
 import sys
@@ -36,18 +36,28 @@ def test_every_benchmark_layer_but_the_tensor_layer_resolves(tracer):
     assert layers - installed == ABSENT
 
 
-def test_traced_surface_counts_match_its_output(tracer, tmp_path, capsys):
-    # 200 x 200 cells: three sweep blocks and ten CSV blocks. The serialize
-    # count reads each `_csv` return value as text, so it equals the file
-    # size only if `_csv` returns str and the header goes through it.
-    out = tmp_path / "surface.csv"
-    n = 200
+def _traced_surface(tracer, out, mode):
     with tracer.Tracer() as traced:
         rc = cli.main(["surface", "--protocol", "II", "--channel", "bfc", "--r", "0.5",
-                       "--resolution", str(n), "--out", str(out)])
+                       "--mode", mode, "--resolution", str(_N), "--out", str(out)])
     assert rc == 0
     _, calls = traced.self_times()
     assert calls["sweep.branch_build"] > 1 and calls["cli.serialize"] > 1
     assert traced.counts["cli.serialize.bytes"] == out.stat().st_size
-    assert traced.counts["sweep.branch_build.bytes_out"] == 128 * n * n
     assert traced.absent == ABSENT
+    return traced.counts["sweep.branch_build.bytes_out"]
+
+
+# 200 x 200 cells: three sweep blocks and ten CSV blocks. The serialize
+# count reads each `_csv` return value as text, so it equals the file
+# size only if `_csv` returns str and the header goes through it.
+_N = 200
+
+
+def test_traced_surface_counts_match_its_output(tracer, tmp_path, capsys):
+    # a physical cell builds only its outcome-0 pair of branches, 8 floats
+    assert _traced_surface(tracer, tmp_path / "surface.csv", "physical") == 64 * _N * _N
+
+
+def test_traced_paper_surface_builds_all_four_branches(tracer, tmp_path, capsys):
+    assert _traced_surface(tracer, tmp_path / "surface.csv", "paper") == 128 * _N * _N

@@ -233,6 +233,17 @@ def test_branch_operators_broadcast_like_numpy_operands(protocol, kind):
         assert np.array_equal(one, grid[i, j])
 
 
+@pytest.mark.parametrize("protocol", ["I", "II"])
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+def test_outcome_one_branches_are_the_entry_reversal_of_outcome_zero(protocol, kind, r):
+    # g_1j = sigma_x g_0j sigma_x, bit for bit: the physical sweep builds
+    # only the outcome-0 pair and counts the outcome-1 pair through it
+    a1, a2 = _random_axes(np.random.default_rng(11), protocol, 33)
+    g = branch_operators(protocol, a1[:, None], a2, kind, r)
+    assert np.array_equal(g[..., 2:, :, :], g[..., :2, ::-1, ::-1])
+
+
 def test_axis_values_that_do_not_broadcast_name_their_shapes():
     for call in (
         lambda: branch_operators("I", [0.1, 0.2, 0.3], [0.5, 0.6], "adc", 0.3),

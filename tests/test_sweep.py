@@ -11,8 +11,15 @@ from hypothesis import strategies as st
 from brute import brute_baseline, brute_fidelities_batch, brute_protect
 from wmteleport import sweep as sweep_module
 from wmteleport.checks import _quadrature_grid
-from wmteleport.operators import CHANNEL_KINDS, CORRECTIONS, PAULI_I, PAULI_X, PAULI_Z
-from wmteleport.pipeline import protect
+from wmteleport.operators import (
+    CHANNEL_KINDS,
+    CORRECTIONS,
+    PAULI_I,
+    PAULI_X,
+    PAULI_Z,
+    PROTOCOL_AXES,
+)
+from wmteleport.pipeline import ZERO_NORM_TOL, branch_operators, normalize_branches, protect
 from wmteleport.sweep import (
     _DESIGN_MATRICES,
     _branch_slab,
@@ -123,6 +130,45 @@ def test_sweep_matches_honest_evaluation(mode, kind, protocol):
                     assert np.isnan(got), (a, b, r)
                 else:
                     np.testing.assert_allclose(got, honest, atol=1e-12)
+
+
+@pytest.mark.parametrize("measure", ["haar", "polar"])
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("protocol", ["I", "II"])
+def test_physical_sweep_matches_four_branch_fidelity(protocol, kind, measure):
+    # the sweep contracts only each cell's outcome-0 pair; `protect` keeps
+    # all four branches. Random full-range axes with their endpoints, where
+    # corners annihilate every branch.
+    rng = np.random.default_rng(23)
+    axes = [np.sort(rng.uniform(lo, hi, 9)) for _, lo, hi in PROTOCOL_AXES[protocol]]
+    for axis, (_, lo, hi) in zip(axes, PROTOCOL_AXES[protocol]):
+        axis[[0, -1]] = lo, hi
+    r_values = np.array([0.0, rng.uniform(), 1.0])
+    got = sweep(protocol, *axes, kind, r_values, "physical", measure).fidelity
+    grid = np.meshgrid(*axes, indexing="ij")
+    for k, r in enumerate(r_values):
+        dead = normalize_branches(branch_operators(protocol, *grid, kind, r), "physical")[2]
+        want = np.full(dead.shape, np.nan)
+        live = [axis[~dead] for axis in grid]
+        want[~dead] = average_fidelity(protect(protocol, *live, kind, r, "physical"), measure)
+        assert np.array_equal(np.isnan(got[:, :, k]), dead)
+        np.testing.assert_allclose(got[:, :, k], want, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_physical_sweep_annihilates_by_the_full_retained_norm(kind):
+    # At omega = w, q = 0 and r = 0 the outcome-0 pair keeps
+    # sin(w/2)**2 / 2 and all four branches twice that: a cell is NaN
+    # exactly when `protect` finds the four branches annihilated.
+    omega = 2.0 * np.arcsin(np.sqrt(np.array([0.6, 1.5]) * ZERO_NORM_TOL))
+    got = sweep("I", omega, np.array([0.0]), kind, 0.0, "physical", "polar").fidelity
+    assert math.isnan(got[0, 0, 0])
+    with pytest.raises(ValueError, match="annihilate"):
+        protect("I", omega[0], 0.0, kind, 0.0, "physical")
+    assert got[1, 0, 0] == pytest.approx(
+        average_fidelity(protect("I", omega[1], 0.0, kind, 0.0, "physical"), "polar"),
+        rel=0.0, abs=1e-15,
+    )
 
 
 def test_sweep_haar_measure_matches_honest_evaluation():
@@ -428,8 +474,8 @@ def test_fidelity_slab_matches_oracle_at_degenerate_parameters(
     protocol, kind, mode, measure, omega, q, k1, k2, r
 ):
     a, b = (omega, q) if protocol == "I" else (k1, k2)
-    branches = _branch_slab(protocol, np.array([a]), np.array([b]), kind, r)
-    got = _fidelity_slab(branches, mode, measure)[0, 0]
+    branches = _branch_slab(protocol, np.array([a]), np.array([b]), kind, r, mode)
+    got = _fidelity_slab(branches, mode, measure, mirrored=mode == "physical")[0, 0]
     want = _oracle_cell(protocol, a, b, kind, r, mode, measure)
     if math.isnan(want):
         assert math.isnan(got)

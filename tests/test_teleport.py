@@ -11,6 +11,7 @@ from wmteleport.pipeline import protect
 from wmteleport.sweep import unprotected_baseline
 from wmteleport.teleport import (
     ETA_STATES,
+    MEASURES,
     OUTCOME_FLOOR,
     average_fidelity,
     design_inputs,
@@ -213,6 +214,16 @@ def test_design_inputs_polar_is_real_quadrature():
     assert np.abs(states.imag).max() < 1e-15
     with pytest.raises(ValueError):
         states[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_design_inputs_map_to_themselves_under_sigma_x(measure):
+    # sigma_x permutes each design set up to phases, which the physical
+    # sweep's outcome-0-only contraction rests on
+    inputs = design_inputs(measure)
+    overlaps = np.abs(inputs[:, ::-1].conj() @ inputs.T)
+    match = np.abs(overlaps - 1.0) <= 1e-14
+    assert (match.sum(axis=0) == 1).all() and (match.sum(axis=1) == 1).all()
 
 
 def test_design_inputs_rejects_unknown_measure():
