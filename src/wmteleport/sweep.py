@@ -8,9 +8,16 @@ A sweep takes plain values in the order of `pipeline.protect`,
 checks them once per call; `default_axes` gives a protocol's default
 axes. Each slab (one r value) is evaluated in blocks of whole axis-1
 rows, about 16k cells each, so memory stays bounded whatever the grid
-size; a 101x101 slab is one block. A block's branch matrices come from
-`pipeline.branch_operators`, which also serves `protect`, as one broadcast
-product of per-axis diagonals and constant 2x2 matrices. They are
+size; a 101x101 slab is one block. A block's branch matrices are one
+broadcast product of the per-axis factors that `pipeline.branch_operators`,
+which also serves `protect`, multiplies: all four branches of a cell
+(128 B) in paper mode, and only the outcome-0 pair g_00, g_01 (64 B) in
+physical mode. Outcome 1 is the sigma_x conjugate of outcome 0,
+g_1j = sigma_x g_0j sigma_x, and the design inputs and the outcome basis
+map to themselves under sigma_x up to phases, so the outcome-1 pair adds
+the same fidelity numerator num_0 and norm den_0 as the outcome-0 pair:
+F = num_0 / den_0 is the four-branch fidelity and the success
+probability is 2 den_0 (see `_fidelity_slab`). The branch matrices are
 contracted against one small design matrix per input measure,
 amplitudes first and squares last, and the block's fidelities go
 straight into the result. Every cell is computed on its own, so the
@@ -24,9 +31,10 @@ block writes through `out=`. A buffer grows to the largest block it has
 served, never past one `_BLOCK_CELLS` block (4.25 MiB in all); a larger
 block, one axis-1 row wider than that, gets fresh arrays. No view of the
 workspace leaves `sweep`: the fidelities and the baseline are fresh
-arrays. A 101x101 slab takes about 2-4 ms and a 401x401 slab about
-25-50 ms (2-vCPU x86 machine, numpy with OpenBLAS); cells agree with
-`protect` + `average_fidelity` run cell by cell to about 1e-15.
+arrays. A 101x101 slab takes about 1.7 ms and a 401x401 slab about
+22-25 ms in either mode, and a 1024x1024 slab about 0.1 s (2-vCPU x86
+machine, numpy 2.4.6 with OpenBLAS); cells agree with `protect` +
+`average_fidelity` run cell by cell to about 1e-15.
 
 Cells whose parameters annihilate every branch (which happens at
 degenerate corners such as omega=0 with q=0) are recorded as NaN and
@@ -115,8 +123,8 @@ class SweepResult:
     baseline: np.ndarray
 
 
-# Cells per sweep block: 2 MiB of branch matrices (128 B a cell). A
-# 101x101 slab stays one block; much smaller blocks cost more numpy
+# Cells per sweep block: 2 MiB of paper-mode branch matrices (128 B a
+# cell; 64 B in physical mode). A 101x101 slab stays one block; much smaller blocks cost more numpy
 # calls and page faults per slab.
 _BLOCK_CELLS = 16384
 

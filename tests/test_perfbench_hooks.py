@@ -36,6 +36,12 @@ def test_every_benchmark_layer_but_the_tensor_layer_resolves(tracer):
     assert layers - installed == ABSENT
 
 
+# 200 x 200 cells: three sweep blocks and ten CSV blocks. The serialize
+# count reads each `_csv` return value as text, so it equals the file
+# size only if `_csv` returns str and the header goes through it.
+_N = 200
+
+
 def _traced_surface(tracer, out, mode):
     with tracer.Tracer() as traced:
         rc = cli.main(["surface", "--protocol", "II", "--channel", "bfc", "--r", "0.5",
@@ -46,12 +52,6 @@ def _traced_surface(tracer, out, mode):
     assert traced.counts["cli.serialize.bytes"] == out.stat().st_size
     assert traced.absent == ABSENT
     return traced.counts["sweep.branch_build.bytes_out"]
-
-
-# 200 x 200 cells: three sweep blocks and ten CSV blocks. The serialize
-# count reads each `_csv` return value as text, so it equals the file
-# size only if `_csv` returns str and the header goes through it.
-_N = 200
 
 
 def test_traced_surface_counts_match_its_output(tracer, tmp_path, capsys):
