@@ -41,6 +41,7 @@ from .sweep import (
     default_r_values,
     fmax_curve,
     sweep,
+    unprotected_baseline,
 )
 from .teleport import MEASURES
 
@@ -375,7 +376,7 @@ def _cmd_surface(args, parser) -> int:
         axis2[None, :, None],
         [args.r],
         result.fidelity,
-        result.baseline,
+        unprotected_baseline(args.channel, args.r, args.mode, args.measure),
     )
     _write_text(args.out, _csv_blocks("axis1,axis2,r,fidelity,baseline", columns))
     print(f"wrote {args.out}")

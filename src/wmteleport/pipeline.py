@@ -20,7 +20,9 @@ columns, and no 16-dim form of it is built. There is one path from
 parameters to normalized branches: `branch_operators` builds the branch
 operators at any parameter points, whose axis values broadcast like
 numpy operands (scalars give one point, equal-length arrays paired
-points, `axis1[:, None]` with `axis2` a grid), `normalize_branches`
+points, `axis1[:, None]` with `axis2` a grid) from the factors of the
+outcome-0 pair (`_branch_factors`, which the sweep multiplies too), and
+is the one place that builds outcome 1 from that pair. `normalize_branches`
 normalizes any stack of them, and `protect` does both over the same
 points. A channel is written (channel, r), as `operators.kraus_set`
 takes it. Two summation semantics are provided, selected by a mode
@@ -76,12 +78,13 @@ _PSI0 = initial_state().reshape(8, 2)
 
 
 def _branch_factors(protocol: str, a1, a2, channel: str, r: float):
-    """The two factors whose product is the flattened branch operators
-    at the parameter points (a1, a2) of `protocol`, broadcast as in
-    `branch_operators`: `left` over axis 2 and `right` over axis 1, each
-    of shape (..., 16) with column 4(2i + j) + 2b + c holding
-    n_i[b] * C_ij[b, c] and m_i[c]. Columns 0-7 are the outcome-0 pair
-    (i = 0, j = 0 and 1). Range and broadcast checks as in
+    """The two factors whose product is the flattened outcome-0 branch
+    pair g_00, g_01 at the parameter points (a1, a2) of `protocol`,
+    broadcast as in `branch_operators`: `left` over axis 2 and `right`
+    over axis 1, each of shape (..., 8) with column 4j + 2b + c holding
+    n_0[b] * e_j[b, c] and m_0[c] (f_0 is the identity). Outcome 1 is
+    built from the pair, never from factors of its own (see
+    `branch_operators`). Range and broadcast checks as in
     `branch_operators`."""
     check_parameters(protocol, a1, a2)
     s1, s2 = np.shape(a1), np.shape(a2)
@@ -90,39 +93,32 @@ def _branch_factors(protocol: str, a1, a2, channel: str, r: float):
     except ValueError:
         raise ValueError(f"axis values of shapes {s1} and {s2} do not broadcast") from None
     d1, d2 = stage_diagonals(protocol, a1, a2)
-    # outcome 1 mirrors both diagonals; its flip sigma_x reverses the
-    # rows and columns of e_j
-    m = np.stack([d1, d1, d1[..., ::-1], d1[..., ::-1]], axis=-2)
-    n = np.stack([d2, d2, d2[..., ::-1], d2[..., ::-1]], axis=-2)
     e = kraus_set(channel, r)
-    core = np.concatenate([e, e[:, ::-1, ::-1]])
-    left = (n[..., None] * core).reshape(*n.shape[:-2], 16)
-    right = np.tile(m, 2).reshape(*m.shape[:-2], 16)
+    left = (d2[..., None, :, None] * e).reshape(*d2.shape[:-1], 8)
+    right = np.tile(d1, 4)
     return left, right
 
 
-def branch_operators(
-    protocol: str, a1, a2, channel: str, r: float, out: np.ndarray | None = None
-) -> np.ndarray:
+def branch_operators(protocol: str, a1, a2, channel: str, r: float) -> np.ndarray:
     """The four branch operators g_ij at the parameter points (a1, a2)
     of `protocol`, whose values broadcast like numpy operands: shape
     (..., 4, 2, 2), branch order (i=0,j=0), (0,1), (1,0), (1,1). Points
     outside the protocol's ranges, and axis values whose shapes do not
     broadcast, raise ValueError. The stages around the channel are
     diagonal, m_i depending on axis 1 only and n_i on axis 2 only, so
-    g_ij[b, c] = n_i[b] * C_ij[b, c] * m_i[c] with
-    C_ij = f_i e_j f_i: the product of the two factors that
-    `_branch_factors` returns. All three channels have real Kraus
-    operators, so the branches are real. Since f_1 = sigma_x and the
-    outcome-1 diagonals mirror outcome 0's, g_1j = sigma_x g_0j sigma_x,
-    the entry reversal of g_0j. `out`, if given, is a float array of
-    shape (..., 16) that receives the product; the result is then a view
-    of it."""
+    g_0j[b, c] = n_0[b] * e_j[b, c] * m_0[c]: the product of the two
+    factors that `_branch_factors` returns. All three channels have real
+    Kraus operators, so the branches are real. Since f_1 = sigma_x and
+    the outcome-1 diagonals mirror outcome 0's, g_1j = sigma_x g_0j
+    sigma_x, the entry reversal g_0j[1 - b, 1 - c]: this is the one
+    place that builds outcome 1, appending the reversed pair."""
     left, right = _branch_factors(protocol, a1, a2, channel, r)
-    # One flat 16-wide product: the same broadcast over (..., 4, 2, 2)
-    # with size-2 inner axes is 4x slower at 401x401.
-    g = np.multiply(left, right, out=out)
-    return g.reshape(*g.shape[:-1], 4, 2, 2)
+    # One flat 8-wide product: the same broadcast over (..., 2, 2, 2)
+    # with size-2 inner axes is 3x slower at 401x401.
+    pair = np.multiply(left, right)
+    pair = pair.reshape(*pair.shape[:-1], 2, 4)
+    g = np.concatenate([pair, pair[..., ::-1]], axis=-2)
+    return g.reshape(*g.shape[:-2], 4, 2, 2)
 
 
 def normalize_branches(branches: np.ndarray, mode: str):

@@ -10,28 +10,24 @@ axes. Each slab (one r value) is evaluated in blocks of whole axis-1
 rows, about 16k cells each, so memory stays bounded whatever the grid
 size; a 101x101 slab is one block. A block's branch matrices are one
 broadcast product of the per-axis factors that `pipeline.branch_operators`,
-which also serves `protect`, multiplies: all four branches of a cell
-(128 B) in paper mode, and only the outcome-0 pair g_00, g_01 (64 B) in
-physical mode. Outcome 1 is the sigma_x conjugate of outcome 0,
-g_1j = sigma_x g_0j sigma_x, and the design inputs and the outcome basis
-map to themselves under sigma_x up to phases, so the outcome-1 pair adds
-the same fidelity numerator num_0 and norm den_0 as the outcome-0 pair:
-F = num_0 / den_0 is the four-branch fidelity and the success
-probability is 2 den_0 (see `_fidelity_slab`). The branch matrices are
-contracted against one small design matrix per input measure,
-amplitudes first and squares last, and the block's fidelities go
-straight into the result. Every cell is computed on its own, so the
+which also serves `protect`, multiplies: in both modes only the
+outcome-0 pair g_00, g_01 of a cell (64 B). Outcome 1 is the entry
+reversal of the pair, g_1j = sigma_x g_0j sigma_x, which
+`_fidelity_slab` reads from the pair itself (see there). The branch
+matrices are contracted against one small design matrix per input
+measure, amplitudes first and squares last, and the block's fidelities
+go straight into the result. Every cell is computed on its own, so the
 block size moves no bits. The package's one unprotected baseline,
-`unprotected_baseline`, contracts the bare Kraus operators the same way.
+`unprotected_baseline`, contracts the bare Kraus operators the same way;
+`sweep` does not compute it, its callers do.
 
 Each thread keeps one workspace: a flat buffer each for the branch
 matrices, the paper-mode coherent sum, the squared amplitudes, each
 cell's norm and amplitude sum, and one batch of amplitudes, which every
 block writes through `out=`. A buffer grows to the largest block it has
-served, never past one `_BLOCK_CELLS` block (4.25 MiB in all); a larger
+served, never past one `_BLOCK_CELLS` block (3 MiB in all); a larger
 block, one axis-1 row wider than that, gets fresh arrays. No view of the
-workspace leaves `sweep`: the fidelities and the baseline are fresh
-arrays. A 101x101 slab takes about 1.7 ms and a 401x401 slab about
+workspace leaves `sweep`: the fidelities are a fresh array. A 101x101 slab takes about 1.7 ms and a 401x401 slab about
 22-25 ms in either mode, and a 1024x1024 slab about 0.1 s (2-vCPU x86
 machine, numpy 2.4.6 with OpenBLAS); cells agree with `protect` +
 `average_fidelity` run cell by cell to about 1e-15.
@@ -91,10 +87,8 @@ def _validate_axis(name: str, values) -> np.ndarray:
     return arr
 
 
-def default_r_values(count: int = DEFAULT_R_COUNT) -> np.ndarray:
-    if count < 2:
-        raise ValueError("r grid needs at least 2 points")
-    return np.linspace(0.0, 1.0, count)
+def default_r_values() -> np.ndarray:
+    return np.linspace(0.0, 1.0, DEFAULT_R_COUNT)
 
 
 def default_axes(protocol: str, resolution: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,16 +109,14 @@ class SweepResult:
     axes and r values; annihilated cells hold NaN. `argmax[ir]` is
     (axis1 value, axis2 value, F_max) at the lowest flat index among
     cells within 1e-15 of the slab maximum, or (nan, nan, nan) if the
-    whole slab is missing. F_max is the value at that cell and is not
-    required to beat `baseline`; protection can merely match it."""
+    whole slab is missing. F_max is the value at that cell."""
 
     fidelity: np.ndarray
     argmax: tuple[tuple[float, float, float], ...]
-    baseline: np.ndarray
 
 
-# Cells per sweep block: 2 MiB of paper-mode branch matrices (128 B a
-# cell; 64 B in physical mode). A 101x101 slab stays one block; much smaller blocks cost more numpy
+# Cells per sweep block: 1 MiB of branch matrices (64 B a cell). A
+# 101x101 slab stays one block; much smaller blocks cost more numpy
 # calls and page faults per slab.
 _BLOCK_CELLS = 16384
 
@@ -153,20 +145,18 @@ def _scratch(name: str, shape: tuple[int, ...], cells: int) -> np.ndarray:
 
 
 def _branch_slab(
-    protocol: str, axis1: np.ndarray, axis2: np.ndarray, channel: str, r: float, mode: str
+    protocol: str, axis1: np.ndarray, axis2: np.ndarray, channel: str, r: float
 ) -> np.ndarray:
-    """The branch operators at one r over the block's axis-1 values
-    `axis1` and all of `axis2`, each 2x2 flattened row-major and written
-    into the workspace from the factors of `pipeline._branch_factors`:
-    all four, shape (n1, n2, 4, 4), in paper mode, and only the
-    outcome-0 pair, shape (n1, n2, 2, 4), in physical mode, where the
-    outcome-1 pair adds nothing new (see `_fidelity_slab`)."""
+    """The outcome-0 branch pair g_00, g_01 at one r over the block's
+    axis-1 values `axis1` and all of `axis2`, each 2x2 flattened
+    row-major, shape (n1, n2, 2, 4), written into the workspace from the
+    factors of `pipeline._branch_factors`. `_fidelity_slab` reads the
+    outcome-1 pair from it."""
     n1, n2 = axis1.size, axis2.size
-    width = 8 if mode == "physical" else 16
     left, right = _branch_factors(protocol, axis1[:, None], axis2, channel, r)
-    out = _scratch("branches", (n1, n2, width), n1 * n2)
-    np.multiply(left[:, :width], right[..., :width], out=out)
-    return out.reshape(n1, n2, width // 4, 4)
+    out = _scratch("branches", (n1, n2, 8), n1 * n2)
+    np.multiply(left, right, out=out)
+    return out.reshape(n1, n2, 2, 4)
 
 
 # Rows of branch matrices per matmul: keeps the amplitude block in cache.
@@ -193,27 +183,35 @@ def _fidelity_slab(
     branches: np.ndarray, mode: str, measure: str, mirrored: bool = False
 ) -> np.ndarray:
     """Average fidelity over one (n1, n2) block of flattened branch
-    matrices, shape (n1, n2, K, 4). Paper mode sums the K branches
-    before squaring, physical mode squares each branch; amplitudes are
-    always formed first and squared last, which keeps coherent sums
-    that nearly cancel accurate.
+    matrices, shape (n1, n2, K, 4). Paper mode sums the K branches in
+    order, ((g_0 + g_1) + g_2) + ..., before squaring, physical mode
+    squares each branch; amplitudes are always formed first and squared
+    last, which keeps coherent sums that nearly cancel accurate.
 
-    `mirrored` says the K branches are a physical cell's outcome-0 pair
-    g_00, g_01 alone. Its outcome-1 pair is g_1j = sigma_x g_0j sigma_x
-    (g_1j[b, c] = g_0j[1 - b, 1 - c]), and both design input sets and
-    the outcome basis with its corrections map to themselves under
-    sigma_x up to phases, so the outcome-1 pair adds the same fidelity
-    numerator num_0 and the same norm den_0 as the outcome-0 pair.
-    F = num_0 / den_0 is then the four-branch fidelity, and the retained
-    norm, the success probability, is 2 den_0: a cell is NaN when
-    2 den_0 < ZERO_NORM_TOL."""
+    `mirrored` says the K branches are a cell's outcome-0 pair g_00, g_01
+    alone. Its outcome-1 pair is g_1j = sigma_x g_0j sigma_x
+    (g_1j[b, c] = g_0j[1 - b, 1 - c]). Paper mode appends the reversed
+    pair to the sum, in branch order. In physical mode the outcome-1
+    pair is not formed: both design input sets and the outcome basis with
+    its corrections map to themselves under sigma_x up to phases, so it
+    adds the same fidelity numerator num_0 and the same norm den_0 as
+    the outcome-0 pair. F = num_0 / den_0 is then the four-branch
+    fidelity, and the retained norm, the success probability, is 2 den_0:
+    a cell is NaN when 2 den_0 < ZERO_NORM_TOL."""
     inputs = design_inputs(measure)  # checks the measure
     v = _DESIGN_MATRICES[measure]
     n1, n2, nk = branches.shape[:3]
     cells = n1 * n2
     g = branches.reshape(cells, nk, 4)
     if mode == "paper":
-        g = np.einsum("xkc->xc", g, out=_scratch("coherent", (cells, 4), cells))[:, None]
+        terms = [g[:, k] for k in range(nk)]
+        if mirrored:
+            terms += [term[:, ::-1] for term in terms]
+        coherent = _scratch("coherent", (cells, 4), cells)
+        np.copyto(coherent, terms[0])
+        for term in terms[1:]:
+            coherent += term
+        g = coherent[:, None]
     den = np.einsum("xkc,xkc->x", g, g, out=_scratch("den", (cells,), cells))
     den *= 0.5
     rows = g.reshape(-1, 4)
@@ -234,7 +232,7 @@ def _fidelity_slab(
         num += per_branch[:, k]
     num /= len(inputs)
     # 2 den_0 < tol exactly when den_0 < tol / 2: halving is exact
-    tol = ZERO_NORM_TOL / 2.0 if mirrored else ZERO_NORM_TOL
+    tol = ZERO_NORM_TOL / 2.0 if mirrored and mode == "physical" else ZERO_NORM_TOL
     out = np.full(cells, np.nan)
     np.divide(num, den, out=out, where=den >= tol)
     return np.clip(out, 0.0, 1.0, out=out).reshape(n1, n2)
@@ -258,11 +256,11 @@ def sweep(
     protocol: str, axis1, axis2, channel: str, r_values, mode: str, measure: str
 ) -> SweepResult:
     """Average fidelity at every cell of the grid axis1 x axis2 at each r
-    value, plus per-r argmax and the unprotected baseline. Each axis must
-    be nonempty, finite, strictly ascending and inside its range in
-    `PROTOCOL_AXES`; the r values likewise inside [0, 1], a bare float
-    being one r value. Deterministic; near-ties (within 1e-15) go to the
-    lowest flat index."""
+    value, plus per-r argmax. Each axis must be nonempty, finite,
+    strictly ascending and inside its range in `PROTOCOL_AXES`; the r
+    values likewise inside [0, 1], a bare float being one r value.
+    Deterministic; near-ties (within 1e-15) go to the lowest flat
+    index."""
     check_parameters(protocol, axis1, axis2)
     _check_mode(mode)
     (name1, _, _), (name2, _, _) = PROTOCOL_AXES[protocol]
@@ -278,14 +276,11 @@ def sweep(
     for ir, r in enumerate(r_values):
         for start in range(0, n1, step):
             rows = slice(start, start + step)
-            branches = _branch_slab(protocol, axis1[rows], axis2, channel, float(r), mode)
-            fidelity[rows, :, ir] = _fidelity_slab(
-                branches, mode, measure, mirrored=mode == "physical"
-            )
+            branches = _branch_slab(protocol, axis1[rows], axis2, channel, float(r))
+            fidelity[rows, :, ir] = _fidelity_slab(branches, mode, measure, mirrored=True)
         argmax.append(_slab_argmax(axis1, axis2, fidelity[:, :, ir]))
     fidelity.setflags(write=False)
-    baseline = unprotected_baseline(channel, r_values, mode, measure)
-    return SweepResult(fidelity, tuple(argmax), baseline)
+    return SweepResult(fidelity, tuple(argmax))
 
 
 def unprotected_baseline(channel: str, r_values, mode: str, measure: str) -> np.ndarray:
@@ -326,7 +321,7 @@ def _refined_axis(axis: np.ndarray, value: float, lo: float, hi: float) -> np.nd
 def fmax_curve(
     protocol: str,
     channel: str,
-    r_values=None,
+    r_values,
     resolution: int = DEFAULT_RESOLUTION,
     *,
     mode: str,
@@ -339,16 +334,17 @@ def fmax_curve(
     the reported maximum."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
-    r_values = np.atleast_1d(default_r_values() if r_values is None else r_values)
+    r_values = np.atleast_1d(r_values)
     axis1, axis2 = default_axes(protocol, resolution)
     coarse = sweep(protocol, axis1, axis2, channel, r_values, mode, measure)
+    baseline = unprotected_baseline(channel, r_values, mode, measure)
     (lo1, hi1), (lo2, hi2) = _DEFAULT_SPANS[protocol]
     points = []
     for ir, r in enumerate(r_values):
         a1, a2, fmax = coarse.argmax[ir]
         if math.isnan(fmax):
             points.append(
-                FmaxPoint(float(r), math.nan, math.nan, math.nan, float(coarse.baseline[ir]))
+                FmaxPoint(float(r), math.nan, math.nan, math.nan, float(baseline[ir]))
             )
             continue
         window = _refined_axis(axis1, a1, lo1, hi1), _refined_axis(axis2, a2, lo2, hi2)
@@ -356,7 +352,7 @@ def fmax_curve(
         if not math.isnan(fine_max) and fine_max > fmax + _TIE_TOL:
             a1, a2, fmax = f1, f2, fine_max
         points.append(
-            FmaxPoint(float(r), float(fmax), float(a1), float(a2), float(coarse.baseline[ir]))
+            FmaxPoint(float(r), float(fmax), float(a1), float(a2), float(baseline[ir]))
         )
     return points
 
@@ -378,7 +374,7 @@ _GRACE = 1e-9
 
 def compare_protocols(
     channel: str,
-    r_values=None,
+    r_values,
     resolution: int = DEFAULT_RESOLUTION,
     *,
     mode: str,

@@ -16,7 +16,7 @@ from wmteleport.checks import run_checks
 from wmteleport.operators import CHANNEL_KINDS
 from wmteleport.pipeline import GHZ_INDICES, protect
 from wmteleport.reproduce import TOLERANCE, build_manifest
-from wmteleport.sweep import compare_protocols
+from wmteleport.sweep import compare_protocols, default_r_values
 from wmteleport.teleport import average_fidelity
 
 from brute import brute_mc_average, brute_protect
@@ -141,7 +141,8 @@ def test_criterion_4_failing_target_verified_against_oracle(manifest):
 
 def test_criterion_5_dominance_verdicts():
     for kind in CHANNEL_KINDS:
-        comparison = compare_protocols(kind, resolution=101, mode="physical", measure="polar")
+        comparison = compare_protocols(kind, default_r_values(), resolution=101, mode="physical",
+                                       measure="polar")
         assert comparison.verdict, comparison.verdict_text
 
 

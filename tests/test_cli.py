@@ -20,6 +20,7 @@ from wmteleport.sweep import (
     default_r_values,
     fmax_curve,
     sweep,
+    unprotected_baseline,
 )
 
 
@@ -301,7 +302,7 @@ def test_surface_fields_are_the_sweep_bits(protocol, channel, mode, r, tmp_path,
     assert _bits_equal(got[1], np.tile(axis2, axis1.size))
     assert _bits_equal(got[2], float(r))
     assert _bits_equal(got[3], result.fidelity.reshape(-1))
-    assert _bits_equal(got[4], result.baseline[0])
+    assert _bits_equal(got[4], unprotected_baseline(channel, float(r), mode, "polar")[0])
 
 
 # 129 x 129 rows are five CSV blocks. Protocol II at r = 1 (bit flip)
@@ -315,8 +316,9 @@ def test_surface_csv_is_the_row_wise_text(protocol, channel, r, mode, tmp_path, 
                      "--r", r, "--resolution", str(n), "--out", str(out)]) == 0
     axis1, axis2 = default_axes(protocol, n)
     result = sweep(protocol, axis1, axis2, channel, float(r), mode, "polar")
+    baseline = unprotected_baseline(channel, float(r), mode, "polar")[0]
     rows = zip(np.repeat(axis1, n), np.tile(axis2, n), [float(r)] * n * n,
-               result.fidelity.reshape(-1), [result.baseline[0]] * n * n)
+               result.fidelity.reshape(-1), [baseline] * n * n)
     assert_same_text(out.read_text(), reference_csv("axis1,axis2,r,fidelity,baseline", rows))
 
 

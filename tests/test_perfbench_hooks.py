@@ -55,9 +55,9 @@ def _traced_surface(tracer, out, mode):
 
 
 def test_traced_surface_counts_match_its_output(tracer, tmp_path, capsys):
-    # a physical cell builds only its outcome-0 pair of branches, 8 floats
+    # a cell builds only its outcome-0 pair of branches, 8 floats
     assert _traced_surface(tracer, tmp_path / "surface.csv", "physical") == 64 * _N * _N
 
 
-def test_traced_paper_surface_builds_all_four_branches(tracer, tmp_path, capsys):
-    assert _traced_surface(tracer, tmp_path / "surface.csv", "paper") == 128 * _N * _N
+def test_traced_paper_surface_builds_only_the_outcome_zero_pair(tracer, tmp_path, capsys):
+    assert _traced_surface(tracer, tmp_path / "surface.csv", "paper") == 64 * _N * _N

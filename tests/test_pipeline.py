@@ -13,6 +13,7 @@ import wmteleport
 from wmteleport.operators import CHANNEL_KINDS
 from wmteleport.pipeline import (
     GHZ_INDICES,
+    _branch_factors,
     branch_operators,
     initial_state,
     normalize_branches,
@@ -237,11 +238,13 @@ def test_branch_operators_broadcast_like_numpy_operands(protocol, kind):
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
 def test_outcome_one_branches_are_the_entry_reversal_of_outcome_zero(protocol, kind, r):
-    # g_1j = sigma_x g_0j sigma_x, bit for bit: the physical sweep builds
-    # only the outcome-0 pair and counts the outcome-1 pair through it
+    # g_1j = sigma_x g_0j sigma_x, bit for bit: the sweep multiplies only
+    # the factors of the outcome-0 pair and reads the outcome-1 pair from it
     a1, a2 = _random_axes(np.random.default_rng(11), protocol, 33)
     g = branch_operators(protocol, a1[:, None], a2, kind, r)
     assert np.array_equal(g[..., 2:, :, :], g[..., :2, ::-1, ::-1])
+    left, right = _branch_factors(protocol, a1[:, None], a2, kind, r)
+    assert np.array_equal(left * right, g[..., :2, :, :].reshape(33, 33, 8))
 
 
 def test_axis_values_that_do_not_broadcast_name_their_shapes():

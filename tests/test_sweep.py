@@ -21,6 +21,7 @@ from wmteleport.operators import (
 )
 from wmteleport.pipeline import ZERO_NORM_TOL, branch_operators, normalize_branches, protect
 from wmteleport.sweep import (
+    DEFAULT_RESOLUTION,
     _DESIGN_MATRICES,
     _branch_slab,
     _fidelity_slab,
@@ -158,17 +159,40 @@ def test_physical_sweep_matches_four_branch_fidelity(protocol, kind, measure):
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_physical_sweep_annihilates_by_the_full_retained_norm(kind):
     # At omega = w, q = 0 and r = 0 the outcome-0 pair keeps
-    # sin(w/2)**2 / 2 and all four branches twice that: a cell is NaN
-    # exactly when `protect` finds the four branches annihilated.
+    # sin(w/2)**2 / 2 and all four branches twice that, and the paper-mode
+    # coherent sum sin(w/2) I keeps sin(w/2)**2 too: in both modes a cell
+    # is NaN exactly when `protect` finds the four branches annihilated.
     omega = 2.0 * np.arcsin(np.sqrt(np.array([0.6, 1.5]) * ZERO_NORM_TOL))
-    got = sweep("I", omega, np.array([0.0]), kind, 0.0, "physical", "polar").fidelity
-    assert math.isnan(got[0, 0, 0])
-    with pytest.raises(ValueError, match="annihilate"):
-        protect("I", omega[0], 0.0, kind, 0.0, "physical")
-    assert got[1, 0, 0] == pytest.approx(
-        average_fidelity(protect("I", omega[1], 0.0, kind, 0.0, "physical"), "polar"),
-        rel=0.0, abs=1e-15,
-    )
+    for mode in ("physical", "paper"):
+        got = sweep("I", omega, np.array([0.0]), kind, 0.0, mode, "polar").fidelity
+        assert math.isnan(got[0, 0, 0])
+        with pytest.raises(ValueError, match="annihilate"):
+            protect("I", omega[0], 0.0, kind, 0.0, mode)
+        assert got[1, 0, 0] == pytest.approx(
+            average_fidelity(protect("I", omega[1], 0.0, kind, 0.0, mode), "polar"),
+            rel=0.0, abs=1e-15,
+        )
+
+
+@pytest.mark.parametrize("measure", ["haar", "polar"])
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("protocol", ["I", "II"])
+def test_paper_sweep_is_the_four_branch_contraction(protocol, kind, measure):
+    # The sweep builds only each cell's outcome-0 pair and adds the
+    # reversed pair to the coherent sum; the reference is the same
+    # contraction over the four branches that `branch_operators` builds.
+    rng = np.random.default_rng(24)
+    spans = PROTOCOL_AXES[protocol]
+    random_axes = [np.sort(rng.uniform(lo, hi, 9)) for _, lo, hi in spans]
+    for axis, (_, lo, hi) in zip(random_axes, spans):
+        axis[[0, -1]] = lo, hi
+    r_values = np.array([0.0, 0.3, 0.5, 0.9, 1.0])
+    for axes in (default_axes(protocol, DEFAULT_RESOLUTION), random_axes):
+        got = sweep(protocol, *axes, kind, r_values, "paper", measure).fidelity
+        for k, r in enumerate(r_values):
+            four = branch_operators(protocol, axes[0][:, None], axes[1], kind, r)
+            want = _fidelity_slab(four.reshape(*four.shape[:3], 4), "paper", measure)
+            assert np.array_equal(got[:, :, k], want, equal_nan=True), (axes[0].size, r)
 
 
 def test_sweep_haar_measure_matches_honest_evaluation():
@@ -184,7 +208,7 @@ def test_sweep_is_deterministic():
     a = _sweep_default("I", np.array([0.3, 0.8]), 9, "physical", "adc", "polar")
     b = _sweep_default("I", np.array([0.3, 0.8]), 9, "physical", "adc", "polar")
     assert a.fidelity.tobytes() == b.fidelity.tobytes()
-    assert a.baseline.tobytes() == b.baseline.tobytes()
+    assert a.argmax == b.argmax
 
 
 def test_argmax_record():
@@ -316,13 +340,12 @@ def test_default_r_values():
     assert r.shape == (21,)
     np.testing.assert_almost_equal(r[0], 0.0)
     np.testing.assert_almost_equal(r[-1], 1.0)
-    with pytest.raises(ValueError):
-        default_r_values(1)
 
 
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_protocol_comparison_verdicts(kind):
-    comparison = compare_protocols(kind, resolution=31, mode="physical", measure="polar")
+    comparison = compare_protocols(kind, default_r_values(), resolution=31, mode="physical",
+                                   measure="polar")
     assert comparison.verdict, comparison.verdict_text
     assert comparison.verdict_text.endswith(": confirmed")
     assert len(comparison.rows) == 21
@@ -414,7 +437,7 @@ def _assert_grid_matches_oracle(protocol, axis1, axis2, kind, r_values, mode, me
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_sweep_baseline_matches_scalar_baseline(kind, mode, measure):
     """The baseline over all r at once against the brute-force oracle's,
-    one r at a time; a sweep reports exactly that baseline."""
+    one r at a time; an F_max curve reports exactly that baseline."""
     r_values = np.array([0.0, 0.3, 0.5, 0.9, 1.0])
     baseline = unprotected_baseline(kind, r_values, mode, measure)
     assert baseline.shape == (5,) and not baseline.flags.writeable
@@ -422,8 +445,8 @@ def test_sweep_baseline_matches_scalar_baseline(kind, mode, measure):
         state = brute_baseline(kind, float(r), mode)
         want = brute_fidelities_batch(state, _DESIGNS[measure]).mean()
         assert abs(got - want) <= 1e-12, (r, got, want)
-    result = _sweep_default("I", r_values, 2, mode, kind, measure)
-    np.testing.assert_array_equal(result.baseline, baseline)
+    points = fmax_curve("I", kind, r_values, resolution=2, mode=mode, measure=measure)
+    np.testing.assert_array_equal([point.baseline for point in points], baseline)
 
 
 def test_baseline_r_values_are_checked():
@@ -437,9 +460,9 @@ def test_baseline_r_values_are_checked():
         sweep("I", [0.5], [0.5], "bfc", [1.0 + 5e-13], "physical", "polar")
     # and, as here, a bare float is one r value
     bare = sweep("I", [0.5], [0.5], "bfc", 0.5, "physical", "polar")
-    np.testing.assert_array_equal(bare.baseline, one)
+    assert bare.fidelity.shape == (1, 1, 1)
     curve = fmax_curve("I", "bfc", 0.5, 3, mode="physical", measure="polar")
-    assert [point.r for point in curve] == [0.5]
+    assert [(point.r, point.baseline) for point in curve] == [(0.5, one[0])]
 
 
 def test_phase_flip_coherent_sum_near_cancellation_matches_oracle():
@@ -474,8 +497,8 @@ def test_fidelity_slab_matches_oracle_at_degenerate_parameters(
     protocol, kind, mode, measure, omega, q, k1, k2, r
 ):
     a, b = (omega, q) if protocol == "I" else (k1, k2)
-    branches = _branch_slab(protocol, np.array([a]), np.array([b]), kind, r, mode)
-    got = _fidelity_slab(branches, mode, measure, mirrored=mode == "physical")[0, 0]
+    branches = _branch_slab(protocol, np.array([a]), np.array([b]), kind, r)
+    got = _fidelity_slab(branches, mode, measure, mirrored=True)[0, 0]
     want = _oracle_cell(protocol, a, b, kind, r, mode, measure)
     if math.isnan(want):
         assert math.isnan(got)
@@ -516,7 +539,6 @@ def test_block_size_moves_no_bits(kind, mode, measure, block_cells, monkeypatch)
     assert np.isnan(whole.fidelity[0, 0, 0])
     assert np.array_equal(blocked.fidelity, whole.fidelity, equal_nan=True)
     assert np.array_equal(np.array(blocked.argmax), np.array(whole.argmax), equal_nan=True)
-    assert np.array_equal(blocked.baseline, whole.baseline, equal_nan=True)
 
 
 def test_cached_arrays_are_read_only():
@@ -532,19 +554,17 @@ def test_back_to_back_sweeps_leave_the_first_result_alone():
     # A refinement-sized window between two 101 x 101 grids, each sweep in
     # another mode or measure, so every workspace buffer is reused.
     first = _sweep_default("I", [0.3, 0.9], 101, "physical", "adc", "polar")
-    fidelity, baseline = first.fidelity.tobytes(), first.baseline.tobytes()
+    fidelity = first.fidelity.tobytes()
     _sweep_default("II", [0.5], 21, "paper", "pfc", "haar")
     _sweep_default("II", [0.1, 0.5, 0.7], 101, "paper", "bfc", "haar")
     assert first.fidelity.tobytes() == fidelity
-    assert first.baseline.tobytes() == baseline
-    assert not first.fidelity.flags.writeable and not first.baseline.flags.writeable
+    assert not first.fidelity.flags.writeable
 
 
 def test_back_to_back_sweeps_share_no_memory():
     # Each block's norms and sums live in the thread's workspace; the
-    # fidelities and the baseline (one `_fidelity_slab` return value as
-    # it is) must still come back as fresh arrays, with the bits of a
-    # sweep run in a new thread, whose workspace starts empty.
+    # fidelities must still come back as a fresh array, with the bits of
+    # a sweep run in a new thread, whose workspace starts empty.
     job = ("II", [0.37, 0.9], 101, "physical", "bfc", "polar")
     fresh = {}
     worker = threading.Thread(target=lambda: fresh.update(want=_sweep_default(*job)))
@@ -554,13 +574,12 @@ def test_back_to_back_sweeps_share_no_memory():
     first = _sweep_default(*job)
     _sweep_default("I", [0.5], 33, "paper", "adc", "haar")
     second = _sweep_default(*job)
-    for name in ("fidelity", "baseline"):
-        got = getattr(first, name), getattr(second, name)
-        assert not np.shares_memory(*got)
-        for buf in vars(sweep_module._workspace).values():
-            assert not any(np.shares_memory(array, buf) for array in got)
-        for array in got:
-            assert array.tobytes() == getattr(fresh["want"], name).tobytes()
+    got = first.fidelity, second.fidelity
+    assert not np.shares_memory(*got)
+    for buf in vars(sweep_module._workspace).values():
+        assert not any(np.shares_memory(array, buf) for array in got)
+    for array in got:
+        assert array.tobytes() == fresh["want"].fidelity.tobytes()
 
 
 def test_concurrent_sweeps_match_sequential_ones():
@@ -593,7 +612,6 @@ def test_concurrent_sweeps_match_sequential_ones():
     for i, expected in enumerate(want):
         for result in got[i]:
             assert result.fidelity.tobytes() == expected.fidelity.tobytes()
-            assert result.baseline.tobytes() == expected.baseline.tobytes()
             assert result.argmax == expected.argmax
 
 
@@ -602,9 +620,9 @@ def test_workspace_holds_at_most_one_block(monkeypatch):
     # workspace, which must then keep nothing of its size.
     cells = sweep_module._BLOCK_CELLS
     axis2 = np.linspace(0.0, 1.0, 2 * cells)
-    # Per cell: 16 branch entries, 4 of the paper-mode sum and 4 squared
-    # amplitudes; plus one batch of amplitudes.
-    one_block = 8 * (24 * cells + sweep_module._BATCH_ROWS * _DESIGN_MATRICES["haar"].shape[1])
+    # Per cell: 8 branch entries, 4 of the paper-mode sum, 2 squared
+    # amplitudes, a norm and a sum; plus one batch of amplitudes.
+    one_block = 8 * (16 * cells + sweep_module._BATCH_ROWS * _DESIGN_MATRICES["haar"].shape[1])
     monkeypatch.setattr(sweep_module, "_workspace", threading.local())
     tracemalloc.start()
     try:
