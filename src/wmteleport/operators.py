@@ -11,6 +11,15 @@ no one-point 2x2 views. A channel is written (kind, r) everywhere, and
 `kraus_set` is the one channel rule; every channel's Kraus operators are
 real, so it returns one real (2, 2, 2) stack. The Pauli matrices and
 the correction unitaries `CORRECTIONS` are read-only arrays.
+
+Protocol I is protocol II in other coordinates. At K1 = cos(omega) its
+measurement diagonal is protocol II's, and at K2 = (q**2 - 1)/(q**2 + 1)
+its reversal diagonal is protocol II's times sqrt(1 + q**2), a scale
+common to every branch. So the fidelities agree on the chart, and
+protocol I retains 1 + q**2 times the norm. Protocol I's default domain
+(omega in [0, pi/2], q in [0, 1]) is the K2 in [-1, 0] half of the
+square K1 in [0, 1], K2 in [-1, 1]; protocol II's is the K2 in [0, 1]
+half.
 """
 
 from __future__ import annotations

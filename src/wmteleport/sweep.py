@@ -19,7 +19,9 @@ measure, amplitudes first and squares last, and the block's fidelities
 go straight into the result. Every cell is computed on its own, so the
 block size moves no bits. The package's one unprotected baseline,
 `unprotected_baseline`, contracts the bare Kraus operators the same way;
-`sweep` does not compute it, its callers do.
+`sweep` does not compute it, its callers do. This module holds numerics
+only: whether a curve bears out one of the paper's claims is judged in
+`reproduce`.
 
 Each thread keeps one workspace: a flat buffer each for the branch
 matrices, the paper-mode coherent sum, the squared amplitudes, each
@@ -62,13 +64,11 @@ __all__ = [
     "DEFAULT_R_COUNT",
     "SweepResult",
     "FmaxPoint",
-    "ProtocolComparison",
     "default_axes",
     "default_r_values",
     "sweep",
     "unprotected_baseline",
     "fmax_curve",
-    "compare_protocols",
 ]
 
 
@@ -355,61 +355,3 @@ def fmax_curve(
             FmaxPoint(float(r), float(fmax), float(a1), float(a2), float(baseline[ir]))
         )
     return points
-
-
-@dataclass(frozen=True)
-class ProtocolComparison:
-    """Side-by-side F_max curves with the dominance verdict checked
-    for this channel: amplitude damping expects protocol I on top for
-    r >= 0.3, bit flip expects protocol II on top near r = 0.9, phase
-    flip expects the two curves to agree within 0.02."""
-
-    rows: tuple[tuple[float, float, float, float], ...]
-    verdict: bool
-    verdict_text: str
-
-
-_GRACE = 1e-9
-
-
-def compare_protocols(
-    channel: str,
-    r_values,
-    resolution: int = DEFAULT_RESOLUTION,
-    *,
-    mode: str,
-    measure: str,
-) -> ProtocolComparison:
-    """F_max for both protocols on a shared r grid, with this
-    channel's expected dominance relation evaluated on the rows."""
-    curve_i = fmax_curve(channel=channel, protocol="I", r_values=r_values,
-                         resolution=resolution, mode=mode, measure=measure)
-    curve_ii = fmax_curve(channel=channel, protocol="II", r_values=r_values,
-                          resolution=resolution, mode=mode, measure=measure)
-    rows = tuple(
-        (pi.r, pi.baseline, pi.fmax, pii.fmax)
-        for pi, pii in zip(curve_i, curve_ii)
-    )
-    if channel == "adc":
-        checked = [row for row in rows if row[0] >= 0.3 - 1e-12]
-        verdict = all(row[2] >= row[3] - _GRACE for row in checked)
-        verdict_text = (
-            "protocol I maximum fidelity stays at or above protocol II "
-            "for r >= 0.3: " + ("confirmed" if verdict else "violated")
-        )
-    elif channel == "bfc":
-        target = min(rows, key=lambda row: (abs(row[0] - 0.9), -row[0]))
-        verdict = target[3] >= target[2] - _GRACE
-        verdict_text = (
-            f"protocol II maximum fidelity at r = {target[0]:g} is at or "
-            "above protocol I: " + ("confirmed" if verdict else "violated")
-        )
-    else:  # "pfc"; fmax_curve has rejected any other channel
-        gap = max(abs(row[2] - row[3]) for row in rows)
-        verdict = bool(gap <= 0.02)
-        verdict_text = (
-            f"the two protocols' maximum fidelities agree within 0.02 at "
-            f"every r (largest gap {gap:.3g}): "
-            + ("confirmed" if verdict else "violated")
-        )
-    return ProtocolComparison(rows, bool(verdict), verdict_text)

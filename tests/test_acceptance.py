@@ -15,8 +15,8 @@ import pytest
 from wmteleport.checks import run_checks
 from wmteleport.operators import CHANNEL_KINDS
 from wmteleport.pipeline import GHZ_INDICES, protect
-from wmteleport.reproduce import TOLERANCE, build_manifest
-from wmteleport.sweep import compare_protocols, default_r_values
+from wmteleport.reproduce import TOLERANCE, build_manifest, protocol_verdict
+from wmteleport.sweep import default_r_values, fmax_curve
 from wmteleport.teleport import average_fidelity
 
 from brute import brute_mc_average, brute_protect
@@ -141,9 +141,12 @@ def test_criterion_4_failing_target_verified_against_oracle(manifest):
 
 def test_criterion_5_dominance_verdicts():
     for kind in CHANNEL_KINDS:
-        comparison = compare_protocols(kind, default_r_values(), resolution=101, mode="physical",
-                                       measure="polar")
-        assert comparison.verdict, comparison.verdict_text
+        curve_i, curve_ii = (fmax_curve(protocol, kind, default_r_values(), resolution=101,
+                                        mode="physical", measure="polar")
+                             for protocol in ("I", "II"))
+        rows = [(pi.r, pi.baseline, pi.fmax, pii.fmax) for pi, pii in zip(curve_i, curve_ii)]
+        passed, line = protocol_verdict(kind, rows)
+        assert passed, line
 
 
 def test_criterion_6_oracle_equivalence():

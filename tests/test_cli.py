@@ -14,8 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wmteleport import cli
+from wmteleport.operators import CHANNEL_KINDS
 from wmteleport.sweep import (
-    compare_protocols,
+    FmaxPoint,
     default_axes,
     default_r_values,
     fmax_curve,
@@ -334,10 +335,11 @@ def test_fmax_and_compare_csv_match_reference(tmp_path, capsys):
                         mode="physical", measure="polar")
     rows = [(p.r, p.fmax, p.param1, p.param2, p.baseline) for p in points]
     assert_same_text(fmax_out.read_text(), reference_csv("r,fmax,param1,param2,baseline", rows))
-    comparison = compare_protocols("pfc", default_r_values(), resolution=11,
-                                   mode="physical", measure="polar")
-    assert_same_text(compare_out.read_text(),
-                     reference_csv("r,baseline,fmax_I,fmax_II", comparison.rows))
+    curve_i, curve_ii = (fmax_curve(protocol, "pfc", default_r_values(), resolution=11,
+                                    mode="physical", measure="polar")
+                         for protocol in ("I", "II"))
+    rows = [(pi.r, pi.baseline, pi.fmax, pii.fmax) for pi, pii in zip(curve_i, curve_ii)]
+    assert_same_text(compare_out.read_text(), reference_csv("r,baseline,fmax_I,fmax_II", rows))
 
 
 def _spy_on_blocks(monkeypatch):
@@ -458,6 +460,41 @@ def test_fmax_csv(tmp_path):
     np.testing.assert_allclose(by_r[0.0], 1.0, atol=1e-10)
 
 
+_VERDICTS = {
+    "adc": "protocol I maximum fidelity stays at or above protocol II for r >= 0.3: confirmed",
+    "bfc": "protocol II maximum fidelity at r = 0.9 is at or above protocol I: confirmed",
+    "pfc": "the two protocols' maximum fidelities agree within 0.02 at every r (largest gap ",
+}
+
+
+@pytest.mark.parametrize("channel", CHANNEL_KINDS)
+def test_compare_verdict_line(channel, capsys):
+    assert cli.main(["compare", "--channel", channel]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    if channel == "pfc":
+        # the gap's digits vary with the BLAS kernel
+        head, _, gap = line.partition("(largest gap ")
+        assert head + "(largest gap " == _VERDICTS[channel]
+        assert gap.endswith("): confirmed")
+    else:
+        assert line == _VERDICTS[channel]
+
+
+def test_compare_nan_row_violates_the_phase_flip_claim(monkeypatch, capsys):
+    # a NaN F_max in any row fails the claim and prints a nan gap; the
+    # command still exits 0, whatever its verdict
+    def fake_curve(protocol, channel, **kwargs):
+        fmax = {"I": (0.7, 0.7, 0.7), "II": (0.7, math.nan, 0.7)}[protocol]
+        return [FmaxPoint(r, f, 0.0, 0.0, 0.5) for r, f in zip((0.0, 0.5, 1.0), fmax)]
+
+    monkeypatch.setattr(cli, "fmax_curve", fake_curve)
+    assert cli.main(["compare", "--channel", "pfc"]) == 0
+    assert capsys.readouterr().out == (
+        "the two protocols' maximum fidelities agree within 0.02 at every r "
+        "(largest gap nan): violated\n"
+    )
+
+
 def test_compare_prints_verdict():
     proc = run_cli("compare", "--channel", "bfc", "--resolution", "21")
     assert proc.returncode == 0, proc.stderr
@@ -549,7 +586,7 @@ def cli_without_sweeps(monkeypatch):
     def reached(*args, **kwargs):
         raise _Reached
 
-    for name in ("sweep", "fmax_curve", "compare_protocols", "build_manifest"):
+    for name in ("sweep", "fmax_curve", "build_manifest"):
         monkeypatch.setattr(cli, name, reached)
     return cli
 

@@ -13,6 +13,7 @@ from wmteleport.reproduce import (
     build_manifest,
     manifest_json,
     manifest_lines,
+    protocol_verdict,
 )
 from wmteleport.sweep import fmax_curve
 
@@ -175,3 +176,65 @@ def test_batched_table_equals_single_r_curves():
                             measure="polar")[0]
         got = table[protocol, channel, r, mode]
         assert [x.hex() for x in astuple(got)] == [x.hex() for x in astuple(single)]
+
+
+def _rows(*cells):
+    """`compare` rows (r, baseline, F_I, F_II) from (r, F_I, F_II); no
+    claim reads the baseline."""
+    return [(r, 0.5, f_i, f_ii) for r, f_i, f_ii in cells]
+
+
+_ADC = "protocol I maximum fidelity stays at or above protocol II for r >= 0.3"
+_BFC = "protocol II maximum fidelity at r = {:g} is at or above protocol I"
+_PFC = "the two protocols' maximum fidelities agree within 0.02 at every r (largest gap {})"
+_BELOW = np.nextafter(0.7 - 1e-9, -np.inf)
+_ABOVE_TOL = np.nextafter(0.02, 1.0)
+
+
+@pytest.mark.parametrize(
+    "channel, rows, passed, claim",
+    [
+        # amplitude damping: F_I floors F_II - 1e-9 from r = 0.3 (less 1e-12) on
+        ("adc", _rows((0.3 - 1e-13, 0.7 - 1e-9, 0.7), (1.0, 0.8, 0.8)), True, _ADC),
+        ("adc", _rows((0.3 - 1e-13, _BELOW, 0.7), (1.0, 0.8, 0.8)), False, _ADC),
+        ("adc", _rows((0.29, 0.0, 0.7), (1.0, 0.8, 0.8)), True, _ADC),
+        # bit flip: F_II floors F_I - 1e-9 at the r nearest 0.9
+        ("bfc", _rows((0.9, 0.7, 0.7 - 1e-9)), True, _BFC.format(0.9)),
+        ("bfc", _rows((0.9, 0.7, _BELOW)), False, _BFC.format(0.9)),
+        ("bfc", _rows((0.85, 0.7, 0.0), (0.95, 0.7, 0.8)), True, _BFC.format(0.95)),
+        ("bfc", _rows((0.85, 0.7, 0.8), (0.95, 0.7, 0.0)), False, _BFC.format(0.95)),
+        # phase flip: the curves agree within TOLERANCE at every r
+        ("pfc", _rows((0.0, 0.7, 0.7), (0.5, 0.0, 0.02)), True, _PFC.format("0.02")),
+        ("pfc", _rows((0.0, 0.7, 0.7), (0.5, 0.0, _ABOVE_TOL)), False, _PFC.format("0.02")),
+    ],
+)
+def test_protocol_verdict_boundaries(channel, rows, passed, claim):
+    verdict = "confirmed" if passed else "violated"
+    assert protocol_verdict(channel, rows) == (passed, f"{claim}: {verdict}")
+
+
+def test_protocol_verdict_tie_goes_to_the_higher_r():
+    assert abs(0.8 - 0.9) == abs(1.0 - 0.9)  # an exact tie in distance to 0.9
+    rows = _rows((0.8, 0.7, 0.0), (1.0, 0.7, 0.8))
+    assert protocol_verdict("bfc", rows) == (True, _BFC.format(1.0) + ": confirmed")
+    assert protocol_verdict("bfc", rows[::-1]) == (True, _BFC.format(1.0) + ": confirmed")
+
+
+@pytest.mark.parametrize("channel, cells", [
+    ("adc", ((0.5, 0.7, 0.7), (0.9, np.nan, 0.7))),
+    ("bfc", ((0.9, 0.7, np.nan),)),
+    ("pfc", ((0.0, 0.7, 0.7), (0.5, 0.7, np.nan), (1.0, 0.7, 0.7))),
+])
+def test_protocol_verdict_fails_on_nan(channel, cells):
+    # a NaN F_max fails every claim that reads it, wherever its row lies,
+    # and the phase-flip gap reads nan
+    passed, line = protocol_verdict(channel, _rows(*cells))
+    assert not passed
+    assert line.endswith(": violated")
+    if channel == "pfc":
+        assert "(largest gap nan)" in line
+
+
+def test_protocol_verdict_rejects_unknown_channel():
+    with pytest.raises(ValueError, match="unknown channel"):
+        protocol_verdict("ADC", _rows((0.5, 0.7, 0.7)))

@@ -20,6 +20,7 @@ from wmteleport.operators import (
     PROTOCOL_AXES,
 )
 from wmteleport.pipeline import ZERO_NORM_TOL, branch_operators, normalize_branches, protect
+from wmteleport.reproduce import protocol_verdict
 from wmteleport.sweep import (
     DEFAULT_RESOLUTION,
     _DESIGN_MATRICES,
@@ -27,7 +28,6 @@ from wmteleport.sweep import (
     _fidelity_slab,
     _slab_argmax,
     _validate_axis,
-    compare_protocols,
     default_axes,
     default_r_values,
     fmax_curve,
@@ -295,6 +295,44 @@ def test_bit_flip_negation_symmetry():
     np.testing.assert_allclose(slab, slab[::-1, ::-1], atol=1e-12)
 
 
+def _retained(protocol, axis1, axis2, kind, r_values, mode):
+    """Retained norm of every cell of a grid, shape (n1, n2, len(r_values))."""
+    return np.stack([
+        normalize_branches(branch_operators(protocol, axis1[:, None], axis2, kind, r), mode)[1]
+        for r in r_values
+    ], axis=-1)
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_protocol_one_is_protocol_two_in_other_coordinates(kind):
+    # The chart K1 = cos(omega), K2 = (q**2 - 1) / (q**2 + 1) carries
+    # protocol I's measurement onto protocol II's, and its reversal onto
+    # protocol II's times sqrt(1 + q**2). The fidelity ignores that common
+    # scale and the retained norm carries it squared. Protocol I's default
+    # domain maps onto the K2 <= 0 half of the square K1 in [0, 1].
+    omega, q = np.linspace(0.0, np.pi / 2.0, 40), np.linspace(0.0, 1.0, 30)
+    k1, k2 = np.cos(omega[::-1]), (q**2 - 1.0) / (q**2 + 1.0)  # cos descends
+    r_values = np.array([0.0, 0.5, 1.0])
+    kept = 0
+    for mode in ("paper", "physical"):
+        retained_i = _retained("I", omega, q, kind, r_values, mode)
+        retained_ii = _retained("II", k1, k2, kind, r_values, mode)[::-1]
+        for measure in ("haar", "polar"):
+            f_i = sweep("I", omega, q, kind, r_values, mode, measure).fidelity
+            f_ii = sweep("II", k1, k2, kind, r_values, mode, measure).fidelity[::-1]
+            # the NaN threshold differs by the factor 1 + q**2, so cells
+            # near annihilation are left out by their retained norm
+            keep = (np.isfinite(f_i) & np.isfinite(f_ii)
+                    & (retained_i >= 1e-12) & (retained_ii >= 1e-12))
+            np.testing.assert_allclose(f_i[keep], f_ii[keep], rtol=0.0, atol=1e-13)
+            # near omega = 0, 1 - K1 keeps only ~1e-13 relative accuracy;
+            # a paper-mode sum that nearly cancels keeps less, at tiny norms
+            scaled = (1.0 + q**2)[:, None] * retained_ii
+            np.testing.assert_allclose(retained_i[keep], scaled[keep], rtol=1e-13, atol=1e-15)
+            kept += int(keep.sum())
+    assert kept >= 0.9 * 4 * f_i.size
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the measurement and reversal stages bracket the damping "
@@ -344,11 +382,14 @@ def test_default_r_values():
 
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_protocol_comparison_verdicts(kind):
-    comparison = compare_protocols(kind, default_r_values(), resolution=31, mode="physical",
-                                   measure="polar")
-    assert comparison.verdict, comparison.verdict_text
-    assert comparison.verdict_text.endswith(": confirmed")
-    assert len(comparison.rows) == 21
+    curve_i, curve_ii = (fmax_curve(protocol, kind, default_r_values(), resolution=31,
+                                    mode="physical", measure="polar")
+                         for protocol in ("I", "II"))
+    rows = [(pi.r, pi.baseline, pi.fmax, pii.fmax) for pi, pii in zip(curve_i, curve_ii)]
+    passed, line = protocol_verdict(kind, rows)
+    assert passed, line
+    assert line.endswith(": confirmed")
+    assert len(rows) == 21
 
 
 def test_sweep_rejects_unknown_channel_and_measure():
