@@ -9,9 +9,9 @@ compare    both protocols' F_max curves side by side, verdict on stdout
 reproduce  evaluate the bundled reference table, write JSON manifest
 
 Exit codes: 0 success, 1 check or reproduction failure, 2 usage error.
-`compare` exits 0 whatever its verdict: the verdict line, judged by
-`reproduce.protocol_verdict`, reports the claim, and only `reproduce`
-gates on the reference table.
+`compare` exits 0 whatever its verdict; its last line, from
+`reproduce.protocol_verdict`, says whether the paper's claim for the
+channel is confirmed or violated.
 All numeric CSV fields are the `%.17g` text of their value, so values
 round-trip to the same doubles. A CSV is formatted and written one
 block of whole leading-axis rows at a time, and no whole-file text is
