@@ -23,15 +23,30 @@ block size moves no bits. The package's one unprotected baseline,
 only: whether a curve bears out one of the paper's claims is judged in
 `reproduce`.
 
+A block is stored entries-major, shape (4, K, n1, n2): the flattened
+2x2 entry 2b + c first, the branch next, the cells last, so that every
+step of the contraction is a numpy call along the cells rather than a
+short inner loop per cell. The steps keep the bits of the earlier
+(cells, K, 4) row layout, whose per-cell reductions they write out:
+each cell's norm in the order of `np.einsum` on a numpy built for two
+lanes without FMA (X86_V2), whatever SIMD build runs it now, and each
+branch's sum of squared amplitudes in the order of numpy's pairwise
+sum. The amplitudes, V^T times a batch of columns, are the one step
+whose bits depend on the BLAS kernel (ROADMAP direction 3).
+
 Each thread keeps one workspace: a flat buffer each for the branch
-matrices, the paper-mode coherent sum, the squared amplitudes, each
-cell's norm and amplitude sum, and one batch of amplitudes, which every
-block writes through `out=`. A buffer grows to the largest block it has
-served, never past one `_BLOCK_CELLS` block (3 MiB in all); a larger
-block, one axis-1 row wider than that, gets fresh arrays. No view of the
-workspace leaves `sweep`: the fidelities are a fresh array. A 101x101 slab takes about 1.7 ms and a 401x401 slab about
-22-25 ms in either mode, and a 1024x1024 slab about 0.1 s (2-vCPU x86
-machine, numpy 2.4.6 with OpenBLAS); cells agree with `protect` +
+matrices (8 floats a cell), the paper-mode coherent sum (4), the
+per-branch amplitude sums (2), each cell's norm and numerator (2), and
+one batch of amplitudes (F x 4,096 floats), which every block writes
+through `out=`; the norm's running lanes use the last two as scratch.
+A buffer grows to the largest block it has served, never past one
+`_BLOCK_CELLS` block (3 MiB in all); a larger block, one axis-1 row
+wider than that, gets fresh arrays. No view of the workspace leaves
+`sweep`: the fidelities are a fresh array. With the polar measure a
+101x101 slab takes about 0.6-0.7 ms, a 401x401 slab 8-10 ms and a
+1024x1024 slab 55-70 ms, paper mode the faster (best of 5 on a 2-vCPU
+x86 machine, numpy 2.4.6 with OpenBLAS; the row layout took 1.0-1.1 ms,
+14-16 ms and 85-100 ms); cells agree with `protect` +
 `average_fidelity` run cell by cell to about 1e-15.
 
 Cells whose parameters annihilate every branch (which happens at
@@ -148,26 +163,32 @@ def _branch_slab(
     protocol: str, axis1: np.ndarray, axis2: np.ndarray, channel: str, r: float
 ) -> np.ndarray:
     """The outcome-0 branch pair g_00, g_01 at one r over the block's
-    axis-1 values `axis1` and all of `axis2`, each 2x2 flattened
-    row-major, shape (n1, n2, 2, 4), written into the workspace from the
-    factors of `pipeline._branch_factors`. `_fidelity_slab` reads the
-    outcome-1 pair from it."""
+    axis-1 values `axis1` and all of `axis2`, entries-major: shape
+    (4, 2, n1, n2), the flattened 2x2 entry 2b + c first, the branch
+    next. Written into the workspace from the factors of
+    `pipeline._branch_factors`, each transposed first (8 x n, so the
+    copy is small); `_fidelity_slab` reads the outcome-1 pair from it."""
     n1, n2 = axis1.size, axis2.size
     left, right = _branch_factors(protocol, axis1[:, None], axis2, channel, r)
-    out = _scratch("branches", (n1, n2, 8), n1 * n2)
-    np.multiply(left, right, out=out)
-    return out.reshape(n1, n2, 2, 4)
+    # factor column 4j + e to row 2e + j
+    left = left.reshape(n2, 2, 4).transpose(2, 1, 0).reshape(8, n2)
+    right = right.reshape(n1, 2, 4).transpose(2, 1, 0).reshape(8, n1)
+    out = _scratch("branches", (8, n1, n2), n1 * n2)
+    np.multiply(right[:, :, None], left[:, None, :], out=out)
+    return out.reshape(4, 2, n1, n2)
 
 
-# Rows of branch matrices per matmul: keeps the amplitude block in cache.
+# Columns (branch matrices) per matmul: keeps the amplitude batch, F x
+# 4,096 floats (0.5 or 1 MiB), in cache.
 _BATCH_ROWS = 4096
 
 
 def _design_matrix(measure: str) -> np.ndarray:
     """`teleport._overlap_matrix` of the measure's design inputs for real
     branches: real and imaginary columns, all-zero ones dropped, shape
-    (4, F). Adding 0.0 turns -0.0 into 0.0, so V's bits do not depend on
-    the order of the products that build it. Read-only."""
+    (4, F) with F = 32 (haar) or 16 (polar). Adding 0.0 turns -0.0 into
+    0.0, so V's bits do not depend on the order of the products that
+    build it. Read-only."""
     v = _overlap_matrix(design_inputs(measure))
     v = np.concatenate([v.real, v.imag], axis=1) + 0.0
     v = np.ascontiguousarray(v[:, (v != 0.0).any(axis=0)])
@@ -179,57 +200,108 @@ def _design_matrix(measure: str) -> np.ndarray:
 _DESIGN_MATRICES = {measure: _design_matrix(measure) for measure in MEASURES}
 
 
+def _ordered_sum(terms: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """((t0 + t1) + t2) + ... into `out`; a single term is returned as it is."""
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = np.add(acc, term, out=out)
+    return acc
+
+
+def _entry_norm(g: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Each cell's sum of squares over the 4K entries of g, shape
+    (4, K, cells), in the order of `np.einsum("xkc,xkc->x")` over the
+    parent's (cells, K, 4) rows on a numpy built for two double lanes
+    without FMA (X86_V2): entry i = 4k + c goes to lane i % 2; each block
+    of 8 is added into the lanes last entry first, a remainder first
+    entry first; then lane 0 + lane 1. For K = 2 that is
+    (p0 + (p2 + (p4 + p6))) + (p1 + (p3 + (p5 + p7))). Entries 2j, 2j + 1
+    are the rows g[c:c + 2, k], so each step adds one such pair to `acc`
+    through `tmp`, both (2, cells). Returns acc[0]."""
+    pairs = [g[c:c + 2, k] for k in range(g.shape[1]) for c in (0, 2)]
+    full = len(pairs) - len(pairs) % 4
+    order = [j for b in range(0, full, 4) for j in (b + 3, b + 2, b + 1, b)]
+    order += range(full, len(pairs))
+    np.multiply(pairs[order[0]], pairs[order[0]], out=acc)
+    for j in order[1:]:
+        acc += np.multiply(pairs[j], pairs[j], out=tmp)
+    return np.add(acc[0], acc[1], out=acc[0])
+
+
+def _row_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each column's sum of a, shape (F, n) with F a multiple of 8 up to
+    128, into `out`: numpy's pairwise sum of F values written out across
+    the columns, so it equals `np.add.reduce(a.T, axis=1)` bit for bit.
+    r_j = ((a_j + a_{j+8}) + a_{j+16}) + ..., then
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), built in a's own
+    first 8 rows."""
+    r = a[:8]
+    for j in range(8, a.shape[0], 8):
+        r += a[j:j + 8]
+    r[0::2] += r[1::2]
+    r[0::4] += r[2::4]
+    return np.add(r[0], r[4], out=out)
+
+
 def _fidelity_slab(
     branches: np.ndarray, mode: str, measure: str, mirrored: bool = False
 ) -> np.ndarray:
     """Average fidelity over one (n1, n2) block of flattened branch
-    matrices, shape (n1, n2, K, 4). Paper mode sums the K branches in
-    order, ((g_0 + g_1) + g_2) + ..., before squaring, physical mode
-    squares each branch; amplitudes are always formed first and squared
-    last, which keeps coherent sums that nearly cancel accurate.
+    matrices, entries-major: shape (4, K, n1, n2), entry 2b + c first.
+    Paper mode sums the K branches in order, ((g_0 + g_1) + g_2) + ...,
+    before squaring, physical mode squares each branch; amplitudes are
+    always formed first and squared last, which keeps coherent sums that
+    nearly cancel accurate.
 
     `mirrored` says the K branches are a cell's outcome-0 pair g_00, g_01
     alone. Its outcome-1 pair is g_1j = sigma_x g_0j sigma_x
-    (g_1j[b, c] = g_0j[1 - b, 1 - c]). Paper mode appends the reversed
-    pair to the sum, in branch order. In physical mode the outcome-1
-    pair is not formed: both design input sets and the outcome basis with
-    its corrections map to themselves under sigma_x up to phases, so it
-    adds the same fidelity numerator num_0 and the same norm den_0 as
-    the outcome-0 pair. F = num_0 / den_0 is then the four-branch
-    fidelity, and the retained norm, the success probability, is 2 den_0:
-    a cell is NaN when 2 den_0 < ZERO_NORM_TOL."""
+    (g_1j[b, c] = g_0j[1 - b, 1 - c], the entry axis reversed). Paper
+    mode appends the reversed pair to the sum, in branch order. In
+    physical mode the outcome-1 pair is not formed: both design input
+    sets and the outcome basis with its corrections map to themselves
+    under sigma_x up to phases, so it adds the same fidelity numerator
+    num_0 and the same norm den_0 as the outcome-0 pair. F = num_0 / den_0
+    is then the four-branch fidelity, and the retained norm, the success
+    probability, is 2 den_0: a cell is NaN when 2 den_0 < ZERO_NORM_TOL.
+
+    Every step runs along the cells and gives the bits of the
+    (cells, K, 4) row layout: `_entry_norm` is einsum's order for the
+    norms, `_row_sum` numpy's pairwise sum of each matrix's squared
+    amplitudes, and the amplitudes V^T @ columns are the same BLAS
+    products as rows @ V, batch by batch."""
     inputs = design_inputs(measure)  # checks the measure
     v = _DESIGN_MATRICES[measure]
-    n1, n2, nk = branches.shape[:3]
+    _, nk, n1, n2 = branches.shape
     cells = n1 * n2
-    g = branches.reshape(cells, nk, 4)
+    g = branches.reshape(4, nk, cells)
     if mode == "paper":
         terms = [g[:, k] for k in range(nk)]
         if mirrored:
-            terms += [term[:, ::-1] for term in terms]
-        coherent = _scratch("coherent", (cells, 4), cells)
-        np.copyto(coherent, terms[0])
-        for term in terms[1:]:
-            coherent += term
-        g = coherent[:, None]
-    den = np.einsum("xkc,xkc->x", g, g, out=_scratch("den", (cells,), cells))
+            terms += [term[::-1] for term in terms]
+        g = _ordered_sum(terms, _scratch("coherent", (4, cells), cells))[:, None]
+        nk = 1
+    sums = _scratch("sums", (2, cells), cells)
+    sq = _scratch("sq", (max(nk, 2) * cells,), cells)
+    den = _entry_norm(g, sums, sq[:2 * cells].reshape(2, cells))
     den *= 0.5
-    rows = g.reshape(-1, 4)
-    sq = _scratch("sq", (rows.shape[0],), cells)
-    amp = _scratch("amp", (min(rows.shape[0], _BATCH_ROWS), v.shape[1]), cells)
-    for start in range(0, rows.shape[0], _BATCH_ROWS):
-        batch = rows[start:start + _BATCH_ROWS]
-        a = np.matmul(batch, v, out=amp[:batch.shape[0]])
+    # columns in (branch, cell) order
+    columns = g.reshape(4, nk * cells)
+    f = v.shape[1]
+    amp = _scratch("amp", (f * min(columns.shape[1], _BATCH_ROWS),), cells)
+    for start in range(0, columns.shape[1], _BATCH_ROWS):
+        batch = columns[:, start:start + _BATCH_ROWS]
+        a = amp[:f * batch.shape[1]].reshape(f, batch.shape[1])
+        if batch.shape[1] == 1:
+            # one column would go through BLAS gemv, not gemm, whose bits
+            # differ; keep the row layout's own vector-matrix product
+            np.matmul(np.ascontiguousarray(batch.T), v, out=a.reshape(1, f))
+        else:
+            np.matmul(v.T, batch, out=a)
         np.multiply(a, a, out=a)
-        # pairwise row sum (not einsum's running sum): noiseless cells stay 1
-        np.add.reduce(a, axis=1, out=sq[start:start + _BATCH_ROWS])
-    # each cell's branch terms summed in order, ((s0 + s1) + s2) + s3, by
-    # strided adds: the bits of a per-cell reduce without its per-row cost
-    per_branch = sq.reshape(cells, -1)
-    num = _scratch("num", (cells,), cells)
-    np.copyto(num, per_branch[:, 0])
-    for k in range(1, per_branch.shape[1]):
-        num += per_branch[:, k]
+        _row_sum(a, out=sq[start:start + batch.shape[1]])
+    # each cell's branch terms summed in order, ((s0 + s1) + s2) + s3
+    per_branch = sq[:nk * cells].reshape(nk, cells)
+    num = _ordered_sum(list(per_branch), sums[1])
     num /= len(inputs)
     # 2 den_0 < tol exactly when den_0 < tol / 2: halving is exact
     tol = ZERO_NORM_TOL / 2.0 if mirrored and mode == "physical" else ZERO_NORM_TOL
@@ -293,8 +365,10 @@ def unprotected_baseline(channel: str, r_values, mode: str, measure: str) -> np.
     r_values = np.atleast_1d(np.asarray(r_values, dtype=float))
     if r_values.ndim != 1 or r_values.size == 0:
         raise ValueError("axis r must be a nonempty 1-D array")
-    kraus = np.stack([kraus_set(channel, float(r)).reshape(2, 4) for r in r_values])
-    baseline = _fidelity_slab(kraus[:, None], mode, measure)[:, 0]
+    kraus = np.stack(
+        [kraus_set(channel, float(r)).reshape(2, 4).T for r in r_values], axis=-1
+    )
+    baseline = _fidelity_slab(kraus[..., None], mode, measure)[:, 0]
     baseline.setflags(write=False)
     return baseline
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -174,6 +175,12 @@ def test_physical_sweep_annihilates_by_the_full_retained_norm(kind):
         )
 
 
+def _entries_major(branches):
+    """A (n1, n2, K, 2, 2) branch stack in the sweep's block layout,
+    (4, K, n1, n2) with the flattened entry 2b + c first."""
+    return np.ascontiguousarray(branches.reshape(*branches.shape[:3], 4).transpose(3, 2, 0, 1))
+
+
 @pytest.mark.parametrize("measure", ["haar", "polar"])
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 @pytest.mark.parametrize("protocol", ["I", "II"])
@@ -191,7 +198,7 @@ def test_paper_sweep_is_the_four_branch_contraction(protocol, kind, measure):
         got = sweep(protocol, *axes, kind, r_values, "paper", measure).fidelity
         for k, r in enumerate(r_values):
             four = branch_operators(protocol, axes[0][:, None], axes[1], kind, r)
-            want = _fidelity_slab(four.reshape(*four.shape[:3], 4), "paper", measure)
+            want = _fidelity_slab(_entries_major(four), "paper", measure)
             assert np.array_equal(got[:, :, k], want, equal_nan=True), (axes[0].size, r)
 
 
@@ -539,12 +546,100 @@ def test_fidelity_slab_matches_oracle_at_degenerate_parameters(
 ):
     a, b = (omega, q) if protocol == "I" else (k1, k2)
     branches = _branch_slab(protocol, np.array([a]), np.array([b]), kind, r)
+    # the block is the outcome-0 pair of `branch_operators`, entries-major
+    pair = branch_operators(protocol, np.array([[a]]), np.array([b]), kind, r)[:, :, :2]
+    assert np.array_equal(branches, _entries_major(pair))
     got = _fidelity_slab(branches, mode, measure, mirrored=True)[0, 0]
     want = _oracle_cell(protocol, a, b, kind, r, mode, measure)
     if math.isnan(want):
         assert math.isnan(got)
     else:
         assert abs(got - want) <= 1e-12
+
+
+def _spread(rng, shape):
+    """Signed values whose magnitudes spread over 1e-8 to 1e4, about one in
+    ten of them zero."""
+    x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 4.0, shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    return x
+
+
+def _row_layout_slab(rows, mode, measure, mirrored=False):
+    """The contraction over blocks in the (n1, n2, K, 4) row layout that
+    the sweep used before its blocks went entries-major: einsum norms,
+    `rows @ V` in 4,096-row batches and numpy's pairwise sum of each
+    row's squared amplitudes."""
+    n1, n2, nk = rows.shape[:3]
+    cells = n1 * n2
+    g = rows.reshape(cells, nk, 4)
+    if mode == "paper":
+        terms = [g[:, k] for k in range(nk)]
+        if mirrored:
+            terms += [term[:, ::-1] for term in terms]
+        coherent = terms[0].copy()
+        for term in terms[1:]:
+            coherent += term
+        g = coherent[:, None]
+    den = np.einsum("xkc,xkc->x", g, g)
+    den *= 0.5
+    flat = g.reshape(-1, 4)
+    sq = np.empty(flat.shape[0])
+    for start in range(0, flat.shape[0], 4096):
+        a = flat[start:start + 4096] @ _DESIGN_MATRICES[measure]
+        np.add.reduce(a * a, axis=1, out=sq[start:start + 4096])
+    per_branch = sq.reshape(cells, -1)
+    num = per_branch[:, 0].copy()
+    for k in range(1, per_branch.shape[1]):
+        num += per_branch[:, k]
+    num /= len(design_inputs(measure))
+    tol = ZERO_NORM_TOL / 2.0 if mirrored and mode == "physical" else ZERO_NORM_TOL
+    out = np.full(cells, np.nan)
+    np.divide(num, den, out=out, where=den >= tol)
+    return np.clip(out, 0.0, 1.0).reshape(n1, n2)
+
+
+# A 1 x 1 grid, and a 4,097-cell block whose last amplitude batch is one
+# column: BLAS takes such a product through gemv, whose bits are not gemm's.
+@pytest.mark.parametrize("shape", [(7, 9), (1, 1), (1, 4097)])
+def test_fidelity_slab_is_the_row_layout_contraction_bit_for_bit(shape):
+    rng = np.random.default_rng(26)
+    for nk, mirrored, mode, measure in itertools.product(
+        [1, 2, 4], [False, True], ["paper", "physical"], ["haar", "polar"]
+    ):
+        rows = _spread(rng, (*shape, nk, 4))
+        if rows[..., 0, 0].size > 1:
+            # NaN corners, away from the last cell: an annihilated cell
+            # and one whose norm is about 1e-16
+            rows[0, 0] = 0.0
+            rows[0, 1] = rng.uniform(-1e-8, 1e-8, (nk, 4))
+            assert np.isnan(_row_layout_slab(rows, mode, measure, mirrored)[0, :2]).all()
+        want = _row_layout_slab(rows, mode, measure, mirrored)
+        got = _fidelity_slab(np.ascontiguousarray(rows.transpose(3, 2, 0, 1)),
+                             mode, measure, mirrored)
+        assert not np.isnan(want[-1, -1])
+        assert np.array_equal(got, want, equal_nan=True), (nk, mirrored, mode, measure)
+
+
+@pytest.mark.parametrize("f", [16, 32])
+def test_row_sum_is_numpy_pairwise_sum(f):
+    a = _spread(np.random.default_rng(f), (4099, f)) ** 2
+    want = np.add.reduce(a, axis=1)
+    got = sweep_module._row_sum(np.ascontiguousarray(a.T), np.empty(4099))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.skipif(
+    np.show_config(mode="dicts")["SIMD Extensions"]["baseline"] != ["X86_V2"],
+    reason="the written-out order is einsum's on a numpy built for X86_V2",
+)
+@pytest.mark.parametrize("nk", [1, 2, 4])
+def test_entry_norm_is_einsum_order_on_two_lanes(nk):
+    x = _spread(np.random.default_rng(nk), (4099, nk, 4))
+    want = np.einsum("xkc,xkc->x", x, x)
+    acc, tmp = np.empty((2, 4099)), np.empty((2, 4099))
+    got = sweep_module._entry_norm(np.ascontiguousarray(x.transpose(2, 1, 0)), acc, tmp)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("measure", ["haar", "polar"])
