@@ -38,15 +38,14 @@ Each thread keeps one workspace: a flat buffer each for the branch
 matrices (8 floats a cell), the paper-mode coherent sum (4), the
 per-branch amplitude sums (2), each cell's norm and numerator (2), and
 one batch of amplitudes (F x 4,096 floats), which every block writes
-through `out=`; the norm's running lanes use the last two as scratch.
+through `out=`; the norm is summed in two lanes in the last two.
 A buffer grows to the largest block it has served, never past one
 `_BLOCK_CELLS` block (3 MiB in all); a larger block, one axis-1 row
 wider than that, gets fresh arrays. No view of the workspace leaves
 `sweep`: the fidelities are a fresh array. With the polar measure a
 101x101 slab takes about 0.6-0.7 ms, a 401x401 slab 8-10 ms and a
 1024x1024 slab 55-70 ms, paper mode the faster (best of 5 on a 2-vCPU
-x86 machine, numpy 2.4.6 with OpenBLAS; the row layout took 1.0-1.1 ms,
-14-16 ms and 85-100 ms); cells agree with `protect` +
+x86 machine, numpy 2.4.6 with OpenBLAS); cells agree with `protect` +
 `average_fidelity` run cell by cell to about 1e-15.
 
 Cells whose parameters annihilate every branch (which happens at
@@ -178,8 +177,8 @@ def _branch_slab(
     return out.reshape(4, 2, n1, n2)
 
 
-# Columns (branch matrices) per matmul: keeps the amplitude batch, F x
-# 4,096 floats (0.5 or 1 MiB), in cache.
+# Branch matrices per matmul, the columns of one amplitude batch: keeps
+# the batch, F x 4,096 floats (0.5 or 1 MiB), in cache.
 _BATCH_ROWS = 4096
 
 
@@ -210,8 +209,8 @@ def _ordered_sum(terms: list[np.ndarray], out: np.ndarray) -> np.ndarray:
 
 def _entry_norm(g: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Each cell's sum of squares over the 4K entries of g, shape
-    (4, K, cells), in the order of `np.einsum("xkc,xkc->x")` over the
-    parent's (cells, K, 4) rows on a numpy built for two double lanes
+    (4, K, cells), in the order of `np.einsum("xkc,xkc->x")` over
+    (cells, K, 4) rows on a numpy built for two double lanes
     without FMA (X86_V2): entry i = 4k + c goes to lane i % 2; each block
     of 8 is added into the lanes last entry first, a remainder first
     entry first; then lane 0 + lane 1. For K = 2 that is
@@ -263,12 +262,7 @@ def _fidelity_slab(
     num_0 and the same norm den_0 as the outcome-0 pair. F = num_0 / den_0
     is then the four-branch fidelity, and the retained norm, the success
     probability, is 2 den_0: a cell is NaN when 2 den_0 < ZERO_NORM_TOL.
-
-    Every step runs along the cells and gives the bits of the
-    (cells, K, 4) row layout: `_entry_norm` is einsum's order for the
-    norms, `_row_sum` numpy's pairwise sum of each matrix's squared
-    amplitudes, and the amplitudes V^T @ columns are the same BLAS
-    products as rows @ V, batch by batch."""
+    Every step runs along the cells (see the module docstring)."""
     inputs = design_inputs(measure)  # checks the measure
     v = _DESIGN_MATRICES[measure]
     _, nk, n1, n2 = branches.shape
@@ -292,8 +286,9 @@ def _fidelity_slab(
         batch = columns[:, start:start + _BATCH_ROWS]
         a = amp[:f * batch.shape[1]].reshape(f, batch.shape[1])
         if batch.shape[1] == 1:
-            # one column would go through BLAS gemv, not gemm, whose bits
-            # differ; keep the row layout's own vector-matrix product
+            # one column goes through BLAS gemv, whose bits are not gemm's:
+            # make it the row-vector product x @ V, the same call as a
+            # one-row batch of the (cells, K, 4) layout
             np.matmul(np.ascontiguousarray(batch.T), v, out=a.reshape(1, f))
         else:
             np.matmul(v.T, batch, out=a)
