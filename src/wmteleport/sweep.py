@@ -177,9 +177,9 @@ def _branch_slab(
     return out.reshape(4, 2, n1, n2)
 
 
-# Branch matrices per matmul, the columns of one amplitude batch: keeps
-# the batch, F x 4,096 floats (0.5 or 1 MiB), in cache.
-_BATCH_ROWS = 4096
+# Columns of branch matrices per matmul: keeps the amplitude batch,
+# F x 4,096 floats (0.5 or 1 MiB), in cache.
+_BATCH_COLUMNS = 4096
 
 
 def _design_matrix(measure: str) -> np.ndarray:
@@ -281,17 +281,11 @@ def _fidelity_slab(
     # columns in (branch, cell) order
     columns = g.reshape(4, nk * cells)
     f = v.shape[1]
-    amp = _scratch("amp", (f * min(columns.shape[1], _BATCH_ROWS),), cells)
-    for start in range(0, columns.shape[1], _BATCH_ROWS):
-        batch = columns[:, start:start + _BATCH_ROWS]
+    amp = _scratch("amp", (f * min(columns.shape[1], _BATCH_COLUMNS),), cells)
+    for start in range(0, columns.shape[1], _BATCH_COLUMNS):
+        batch = columns[:, start:start + _BATCH_COLUMNS]
         a = amp[:f * batch.shape[1]].reshape(f, batch.shape[1])
-        if batch.shape[1] == 1:
-            # one column goes through BLAS gemv, whose bits are not gemm's:
-            # make it the row-vector product x @ V, the same call as a
-            # one-row batch of the (cells, K, 4) layout
-            np.matmul(np.ascontiguousarray(batch.T), v, out=a.reshape(1, f))
-        else:
-            np.matmul(v.T, batch, out=a)
+        np.matmul(v.T, batch, out=a)
         np.multiply(a, a, out=a)
         _row_sum(a, out=sq[start:start + batch.shape[1]])
     # each cell's branch terms summed in order, ((s0 + s1) + s2) + s3

@@ -557,6 +557,14 @@ def test_fidelity_slab_matches_oracle_at_degenerate_parameters(
         assert abs(got - want) <= 1e-12
 
 
+# The row layout's norm is np.einsum's, whose order the sweep writes out
+# as it runs on a numpy built for two double lanes without FMA.
+_EINSUM_TWO_LANES = pytest.mark.skipif(
+    np.show_config(mode="dicts")["SIMD Extensions"]["baseline"] != ["X86_V2"],
+    reason="the written-out norm order is einsum's on a numpy built for X86_V2",
+)
+
+
 def _spread(rng, shape):
     """Signed values whose magnitudes spread over 1e-8 to 1e4, about one in
     ten of them zero."""
@@ -600,7 +608,8 @@ def _row_layout_slab(rows, mode, measure, mirrored=False):
 
 
 # A 1 x 1 grid, and a 4,097-cell block whose last amplitude batch is one
-# column: BLAS takes such a product through gemv, whose bits are not gemm's.
+# column: BLAS takes a one-column product through gemv rather than gemm.
+@_EINSUM_TWO_LANES
 @pytest.mark.parametrize("shape", [(7, 9), (1, 1), (1, 4097)])
 def test_fidelity_slab_is_the_row_layout_contraction_bit_for_bit(shape):
     rng = np.random.default_rng(26)
@@ -630,10 +639,7 @@ def test_row_sum_is_numpy_pairwise_sum(f):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.skipif(
-    np.show_config(mode="dicts")["SIMD Extensions"]["baseline"] != ["X86_V2"],
-    reason="the written-out order is einsum's on a numpy built for X86_V2",
-)
+@_EINSUM_TWO_LANES
 @pytest.mark.parametrize("nk", [1, 2, 4])
 def test_entry_norm_is_einsum_order_on_two_lanes(nk):
     x = _spread(np.random.default_rng(nk), (4099, nk, 4))
@@ -759,7 +765,7 @@ def test_workspace_holds_at_most_one_block(monkeypatch):
     axis2 = np.linspace(0.0, 1.0, 2 * cells)
     # Per cell: 8 branch entries, 4 of the paper-mode sum, 2 squared
     # amplitudes, a norm and a sum; plus one batch of amplitudes.
-    one_block = 8 * (16 * cells + sweep_module._BATCH_ROWS * _DESIGN_MATRICES["haar"].shape[1])
+    one_block = 8 * (16 * cells + sweep_module._BATCH_COLUMNS * _DESIGN_MATRICES["haar"].shape[1])
     monkeypatch.setattr(sweep_module, "_workspace", threading.local())
     tracemalloc.start()
     try:
