@@ -9,14 +9,14 @@ checks them once per call; `default_axes` gives a protocol's default
 axes. Each slab (one r value) is evaluated in blocks of whole axis-1
 rows, about 16k cells each, so memory stays bounded whatever the grid
 size; a 101x101 slab is one block. A block's branch matrices are one
-broadcast product of the per-axis factors that `pipeline.branch_operators`,
+einsum of the per-axis factors that `pipeline.branch_operators`,
 which also serves `protect`, multiplies: in both modes only the
 outcome-0 pair g_00, g_01 of a cell (64 B). Outcome 1 is the entry
 reversal of the pair, g_1j = sigma_x g_0j sigma_x, which
 `_fidelity_slab` reads from the pair itself (see there). The branch
 matrices are contracted against one small design matrix per input
 measure, amplitudes first and squares last, and the block's fidelities
-go straight into the result. Every cell is computed on its own, so the
+go in place into the result. Every cell is computed on its own, so the
 block size moves no bits. The package's one unprotected baseline,
 `unprotected_baseline`, contracts the bare Kraus operators the same way;
 `sweep` does not compute it, its callers do. This module holds numerics
@@ -32,7 +32,13 @@ each cell's norm in the order of `np.einsum` on a numpy built for two
 lanes without FMA (X86_V2), whatever SIMD build runs it now, and each
 branch's sum of squared amplitudes in the order of numpy's pairwise
 sum. The amplitudes, V^T times a batch of columns, are the one step
-whose bits depend on the BLAS kernel (ROADMAP direction 3).
+whose bits depend on the BLAS kernel (ROADMAP direction 3). The einsum
+writes a zero product as +0.0, never -0.0; an entry is only squared
+after linear combinations, so no fidelity depends on the sign.
+
+The result is stored slab-major, shape (n_r, n1, n2), so each r-slab is
+contiguous: its blocks are contracted into it and its argmax is one
+scan. `SweepResult.fidelity` is a read-only (n1, n2, n_r) view of it.
 
 Each thread keeps one workspace: a flat buffer each for the branch
 matrices (8 floats a cell), the paper-mode coherent sum (4), the
@@ -43,8 +49,8 @@ A buffer grows to the largest block it has served, never past one
 `_BLOCK_CELLS` block (3 MiB in all); a larger block, one axis-1 row
 wider than that, gets fresh arrays. No view of the workspace leaves
 `sweep`: the fidelities are a fresh array. With the polar measure a
-101x101 slab takes about 0.6-0.7 ms, a 401x401 slab 8-10 ms and a
-1024x1024 slab 55-70 ms, paper mode the faster (best of 5 on a 2-vCPU
+101x101 slab takes about 0.55-0.65 ms, a 401x401 slab 7-9.5 ms and a
+1024x1024 slab 50-67 ms, paper mode the faster (best of 5 on a 2-vCPU
 x86 machine, numpy 2.4.6 with OpenBLAS); cells agree with `protect` +
 `average_fidelity` run cell by cell to about 1e-15.
 
@@ -173,7 +179,7 @@ def _branch_slab(
     left = left.reshape(n2, 2, 4).transpose(2, 1, 0).reshape(8, n2)
     right = right.reshape(n1, 2, 4).transpose(2, 1, 0).reshape(8, n1)
     out = _scratch("branches", (8, n1, n2), n1 * n2)
-    np.multiply(right[:, :, None], left[:, None, :], out=out)
+    np.einsum("ei,ej->eij", right, left, out=out)
     return out.reshape(4, 2, n1, n2)
 
 
@@ -243,7 +249,7 @@ def _row_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _fidelity_slab(
-    branches: np.ndarray, mode: str, measure: str, mirrored: bool = False
+    branches: np.ndarray, mode: str, measure: str, mirrored: bool = False, out=None
 ) -> np.ndarray:
     """Average fidelity over one (n1, n2) block of flattened branch
     matrices, entries-major: shape (4, K, n1, n2), entry 2b + c first.
@@ -262,7 +268,8 @@ def _fidelity_slab(
     num_0 and the same norm den_0 as the outcome-0 pair. F = num_0 / den_0
     is then the four-branch fidelity, and the retained norm, the success
     probability, is 2 den_0: a cell is NaN when 2 den_0 < ZERO_NORM_TOL.
-    Every step runs along the cells (see the module docstring)."""
+    Every step runs along the cells (see the module docstring). The
+    fidelities are written into `out`, an (n1, n2) array, if given."""
     inputs = design_inputs(measure)  # checks the measure
     v = _DESIGN_MATRICES[measure]
     _, nk, n1, n2 = branches.shape
@@ -294,9 +301,11 @@ def _fidelity_slab(
     num /= len(inputs)
     # 2 den_0 < tol exactly when den_0 < tol / 2: halving is exact
     tol = ZERO_NORM_TOL / 2.0 if mirrored and mode == "physical" else ZERO_NORM_TOL
-    out = np.full(cells, np.nan)
-    np.divide(num, den, out=out, where=den >= tol)
-    return np.clip(out, 0.0, 1.0, out=out).reshape(n1, n2)
+    out = np.empty((n1, n2)) if out is None else out
+    out.fill(np.nan)
+    np.divide(num.reshape(n1, n2), den.reshape(n1, n2), out=out,
+              where=(den >= tol).reshape(n1, n2))
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 # Cells this close to the slab maximum tie: plateau ulps are rounding noise.
@@ -306,9 +315,10 @@ _TIE_TOL = 1e-15
 def _slab_argmax(
     axis1: np.ndarray, axis2: np.ndarray, slab: np.ndarray
 ) -> tuple[float, float, float]:
-    if np.isnan(slab).all():
+    top = np.fmax.reduce(slab, axis=None)  # NaN only for an all-NaN slab
+    if math.isnan(top):
         return (math.nan, math.nan, math.nan)
-    flat = int(np.argmax(slab >= np.nanmax(slab) - _TIE_TOL))
+    flat = int(np.argmax(slab >= top - _TIE_TOL))
     i1, i2 = divmod(flat, slab.shape[1])
     return (float(axis1[i1]), float(axis2[i2]), float(slab[i1, i2]))
 
@@ -332,16 +342,16 @@ def sweep(
         raise ValueError("axis r must lie within [0, 1]")
     n1, n2 = axis1.size, axis2.size
     step = max(1, _BLOCK_CELLS // n2)
-    fidelity = np.empty((n1, n2, r_values.size))
+    fidelity = np.empty((r_values.size, n1, n2))
     argmax = []
     for ir, r in enumerate(r_values):
         for start in range(0, n1, step):
             rows = slice(start, start + step)
             branches = _branch_slab(protocol, axis1[rows], axis2, channel, float(r))
-            fidelity[rows, :, ir] = _fidelity_slab(branches, mode, measure, mirrored=True)
-        argmax.append(_slab_argmax(axis1, axis2, fidelity[:, :, ir]))
+            _fidelity_slab(branches, mode, measure, mirrored=True, out=fidelity[ir, rows])
+        argmax.append(_slab_argmax(axis1, axis2, fidelity[ir]))
     fidelity.setflags(write=False)
-    return SweepResult(fidelity, tuple(argmax))
+    return SweepResult(np.moveaxis(fidelity, 0, -1), tuple(argmax))
 
 
 def unprotected_baseline(channel: str, r_values, mode: str, measure: str) -> np.ndarray:
