@@ -49,8 +49,8 @@ A buffer grows to the largest block it has served, never past one
 `_BLOCK_CELLS` block (3 MiB in all); a larger block, one axis-1 row
 wider than that, gets fresh arrays. No view of the workspace leaves
 `sweep`: the fidelities are a fresh array. With the polar measure a
-101x101 slab takes about 0.55-0.65 ms, a 401x401 slab 7-9.5 ms and a
-1024x1024 slab 50-67 ms, paper mode the faster (best of 5 on a 2-vCPU
+101x101 slab takes about 0.55-0.7 ms, a 401x401 slab 7-10.5 ms and a
+1024x1024 slab 53-74 ms, paper mode the faster (best of 5 on a 2-vCPU
 x86 machine, numpy 2.4.6 with OpenBLAS); cells agree with `protect` +
 `average_fidelity` run cell by cell to about 1e-15.
 

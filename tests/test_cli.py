@@ -1,4 +1,6 @@
 import csv
+import ctypes
+import hashlib
 import json
 import math
 import os
@@ -522,6 +524,46 @@ def test_reproduce_seeded_is_byte_identical(tmp_path):
     run_cli("reproduce", "--resolution", "11", "--seed", "3", "--out", str(a))
     run_cli("reproduce", "--resolution", "11", "--seed", "3", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def _openblas_core():
+    """The OpenBLAS kernel numpy runs, read from scipy-openblas itself, or
+    None where numpy's BLAS is another library or the name is unreadable."""
+    if np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] != "scipy-openblas":
+        return None
+    try:
+        with open("/proc/self/maps") as fh:
+            libraries = sorted({line.split()[-1] for line in fh if "scipy_openblas" in line})
+    except OSError:
+        return None
+    for library in libraries:
+        corename = getattr(ctypes.CDLL(library), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+# SHA-256 of seeded outputs. The amplitudes are a BLAS product, so these
+# bytes hold for the OpenBLAS kernels that give them: SkylakeX and Haswell.
+_PINNED_SHA256 = {
+    ("reproduce", "--seed", "0"):
+        "ab6169712d92c09864b37a3a8f00df72465ad14e7bb7f2116983234b6d38d5bb",
+    ("surface", "--protocol", "I", "--channel", "adc", "--resolution", "401"):
+        "9cbb9eb54f0053dda88fafb4236e135b96e68cafc5dba3ba78f4dfce0d7256e0",
+}
+_CORE = _openblas_core()
+
+
+@pytest.mark.skipif(
+    _CORE not in ("SkylakeX", "Haswell"),
+    reason=f"outputs are pinned under OpenBLAS SkylakeX and Haswell; this BLAS runs {_CORE}",
+)
+@pytest.mark.parametrize("args", _PINNED_SHA256, ids=lambda args: args[0])
+def test_seeded_outputs_keep_their_pinned_bytes(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    cli.main([*args, "--out", str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_SHA256[args]
 
 
 def test_reproduce_unseeded_carries_timestamp(tmp_path):

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -429,6 +430,133 @@ def test_slab_argmax_takes_lowest_index_among_near_ties():
     assert _slab_argmax(axis1, axis2, slab) == (0.0, 1.0, 1.0 - 1e-16)
     slab[0, 2] = 1.0 - 1e-14
     assert _slab_argmax(axis1, axis2, slab) == (0.5, 0.0, 1.0)
+
+
+def _isnan_nanmax_argmax(axis1, axis2, slab):
+    """The argmax rule written with `np.isnan(slab).all()` and
+    `np.nanmax`: the lowest flat index within 1e-15 of the slab maximum."""
+    if np.isnan(slab).all():
+        return (math.nan, math.nan, math.nan)
+    flat = int(np.argmax(slab >= np.nanmax(slab) - 1e-15))
+    i1, i2 = divmod(flat, slab.shape[1])
+    return (float(axis1[i1]), float(axis2[i2]), float(slab[i1, i2]))
+
+
+def _argmax_slab(case):
+    rng = np.random.default_rng(27)
+    if case == "nan_at_the_maximum":
+        slab = rng.random((6, 7))
+        slab[[0, 3], [0, 4]] = 2.0, 3.0
+        slab[[0, 3], [0, 4]] = np.nan
+        return slab
+    if case == "plateau_within_1e-15":
+        # 1 - k ulp-sized steps: ties and near-misses around the top,
+        # and a first cell exactly 1e-15 below it, which still ties
+        slab = 1.0 - rng.integers(0, 20, (6, 7)) * 1.1e-16
+        slab[0, 0], slab[-1, -1] = 1.0 - 1e-15, 1.0
+        return slab
+    if case == "strided":
+        big = 0.5 + rng.integers(0, 12, (12, 21, 3)) * 1e-16
+        big[0, 0, 1] = np.nan
+        return big[::2, ::3, 1]
+    return np.full((6, 7), np.nan)
+
+
+@pytest.mark.parametrize(
+    "case", ["nan_at_the_maximum", "plateau_within_1e-15", "strided", "all_nan"]
+)
+def test_slab_argmax_is_the_isnan_nanmax_rule(case):
+    slab = _argmax_slab(case)
+    axis1, axis2 = np.linspace(0.0, 1.0, slab.shape[0]), np.linspace(0.0, 1.0, slab.shape[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _slab_argmax(axis1, axis2, slab)
+        want = _isnan_nanmax_argmax(axis1, axis2, slab)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert math.isnan(got[2]) == (case == "all_nan")
+
+
+@pytest.mark.parametrize("mode", ["paper", "physical"])
+def test_sweep_result_is_a_read_only_view_of_its_r_slabs(mode):
+    # omega = 0 with q = 0 is annihilated at r = 0
+    axis1, axis2 = np.linspace(0.0, math.pi / 2.0, 9), np.linspace(0.0, 1.0, 7)
+    r_values = [0.0, 0.45, 1.0]
+    result = sweep("I", axis1, axis2, "adc", r_values, mode, "polar")
+    fidelity = result.fidelity
+    assert fidelity.shape == (9, 7, 3)
+    assert fidelity.base.shape == (3, 9, 7) and fidelity.base.flags.c_contiguous
+    assert np.isnan(fidelity[0, 0, 0])
+    for ir, r in enumerate(r_values):
+        single = sweep("I", axis1, axis2, "adc", r, mode, "polar")
+        assert fidelity[:, :, ir].tobytes() == single.fidelity[:, :, 0].tobytes()
+        assert result.argmax[ir] == single.argmax[0]
+    for array in (fidelity, fidelity.base):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0, 0] = 0.5
+    for buf in vars(sweep_module._workspace).values():
+        assert not any(np.shares_memory(fidelity[:, :, ir], buf) for ir in range(3))
+
+
+def _multiply_branch_slab(protocol, axis1, axis2, channel, r):
+    """`_branch_slab` built with a broadcast `np.multiply`, which keeps
+    the sign of a zero product."""
+    n1, n2 = axis1.size, axis2.size
+    left, right = sweep_module._branch_factors(protocol, axis1[:, None], axis2, channel, r)
+    left = left.reshape(n2, 2, 4).transpose(2, 1, 0).reshape(8, n2)
+    right = right.reshape(n1, 2, 4).transpose(2, 1, 0).reshape(8, n1)
+    return np.multiply(right[:, :, None], left[:, None, :]).reshape(4, 2, n1, n2)
+
+
+def _negative_zeros(x):
+    return int(((x == 0.0) & np.signbit(x)).sum())
+
+
+def test_branch_slab_equals_the_broadcast_product_up_to_the_sign_of_zeros(monkeypatch):
+    rng = np.random.default_rng(27)
+    factors = {}
+    for name, n in (("left", 13), ("right", 11)):
+        x = rng.normal(size=(n, 8))
+        picks = rng.random((n, 8))
+        x[picks < 0.15] = 0.0
+        x[(picks >= 0.15) & (picks < 0.3)] = -0.0
+        x[(picks >= 0.3) & (picks < 0.4)] *= 1e-310  # subnormal
+        factors[name] = x
+    monkeypatch.setattr(
+        sweep_module, "_branch_factors", lambda *args: (factors["left"], factors["right"])
+    )
+    args = ("I", np.zeros(11), np.zeros(13), "adc", 0.5)
+    want = _multiply_branch_slab(*args)
+    got = _branch_slab(*args)
+    assert _negative_zeros(want) > 0
+    assert ((want != 0.0) & (np.abs(want) < np.finfo(float).tiny)).any()
+    assert np.array_equal(got, want)
+    nonzero = want != 0.0
+    assert np.array_equal(np.signbit(got[nonzero]), np.signbit(want[nonzero]))
+
+
+@pytest.mark.parametrize("mode", ["paper", "physical"])
+@pytest.mark.parametrize("protocol, channel, axis1, r_values", [
+    # the pfc Kraus operators hold a -0.0 at r = 0
+    ("I", "pfc", np.linspace(0.0, math.pi / 2.0, 9), [0.0]),
+    ("II", "pfc", np.linspace(-1.0, 1.0, 9), [0.0]),
+    # an axis that starts at -0.0
+    ("I", "adc", np.array([-0.0, 0.4, 1.1, 1.5]), [0.0, 0.5, 1.0]),
+    ("I", "bfc", np.array([-0.0, 0.4, 1.1, 1.5]), [0.0, 0.5, 1.0]),
+    ("II", "pfc", np.array([-0.0, 0.3, 0.9]), [0.0, 0.5, 1.0]),
+])
+def test_signed_zero_branch_entries_move_no_fidelity(
+    protocol, channel, axis1, r_values, mode, monkeypatch
+):
+    axis2 = np.concatenate([[-0.0], np.linspace(0.1, 1.0, 6)])
+    assert _negative_zeros(_multiply_branch_slab(protocol, axis1, axis2, channel, r_values[0])) > 0
+    for measure in ("haar", "polar"):
+        got = sweep(protocol, axis1, axis2, channel, r_values, mode, measure)
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep_module, "_branch_slab", _multiply_branch_slab)
+            want = sweep(protocol, axis1, axis2, channel, r_values, mode, measure)
+        assert got.fidelity.tobytes() == want.fidelity.tobytes()
+        assert got.argmax == want.argmax
 
 
 def test_refinement_keeps_the_coarse_optimum_on_a_plateau():
