@@ -446,8 +446,7 @@ def _argmax_slab(case):
     rng = np.random.default_rng(27)
     if case == "nan_at_the_maximum":
         slab = rng.random((6, 7))
-        slab[[0, 3], [0, 4]] = 2.0, 3.0
-        slab[[0, 3], [0, 4]] = np.nan
+        slab.flat[np.argsort(slab, axis=None)[-2:]] = np.nan  # the two largest
         return slab
     if case == "plateau_within_1e-15":
         # 1 - k ulp-sized steps: ties and near-misses around the top,
